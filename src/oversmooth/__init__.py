@@ -6,9 +6,8 @@ collapse measures (metrics), proposition checks (propcheck), and the
 command-line driver (cli).
 """
 
-from ._jacobi import BACKEND, jacobi_eigh, jacobi_singular_values
-from .errors import (ContractError, ConvergenceError, DegenerateColumnError,
-                     DomainError, OversmoothError, ParseError)
+from .errors import (ContractError, DegenerateColumnError, DomainError,
+                     OversmoothError, ParseError)
 from .graphio import (Graph, OperatorMatrix, build_operator, center_operator,
                       gen_graph, make_graph, parse_edge_list)
 from .layers import LayerConfig, WeightSpec, run_trajectory
@@ -19,8 +18,7 @@ from .spectral import EigenSystem, centered_eig, numerical_rank, symmetric_eig
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND", "jacobi_eigh", "jacobi_singular_values",
-    "ContractError", "ConvergenceError", "DegenerateColumnError",
+    "ContractError", "DegenerateColumnError",
     "DomainError", "OversmoothError", "ParseError",
     "Graph", "OperatorMatrix", "build_operator", "center_operator",
     "gen_graph", "make_graph", "parse_edge_list",

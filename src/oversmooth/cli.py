@@ -287,8 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "collapse/no-collapse properties.",
         epilog="Graph specs: er:n,p | sbm:n1+n2,pin,pout | path:n | star:n "
                "| cycle:n | reg:n,d, or a path to an edge-list file. "
-               "OVERSMOOTH_SEED overrides configured seeds; "
-               "OVERSMOOTH_NUMBA=0 selects the pure-numpy kernels.")
+               "OVERSMOOTH_SEED overrides configured seeds.")
     sub = p.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run trajectories, emit CSVs")

@@ -24,7 +24,3 @@ class DegenerateColumnError(OversmoothError):
         self.column = column
         self.reason = reason
         super().__init__(f"degenerate column {column}: {reason}")
-
-
-class ConvergenceError(OversmoothError):
-    """An iterative solver exhausted its iteration budget."""

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ContractError, DomainError
 from .graphio import Graph, OperatorMatrix, center_operator, is_regular
-from .spectral import EigenSystem, symmetric_eig, jacobi_eigh
+from .spectral import EigenSystem, symmetric_eig
 
 EQUITABLE_TOL = 1e-9
 STRUCTURAL_TOL = 1e-8
@@ -99,7 +99,7 @@ def _rotate_cluster(block: np.ndarray, proj: np.ndarray) -> np.ndarray:
     directions inside the projector's range come first."""
     c = block.T @ proj @ block
     c = (c + c.T) / 2.0
-    vals, vecs = jacobi_eigh(c)
+    vals, vecs = np.linalg.eigh(c)
     order = np.argsort(-vals)
     return block @ vecs[:, order]
 

@@ -1,6 +1,6 @@
 """Dense eigendecompositions, numerical rank, projections, Krylov bases.
 
-The symmetric path is the cyclic Jacobi kernel from ``_jacobi``.  Eigen
+The symmetric path is LAPACK via numpy (``np.linalg.eigh``).  Eigen
 systems are deterministic: eigenpairs are sorted by descending |lambda|,
 |lambda|-ties put the positive eigenvalue first, then ascending index of
 the first nonzero eigenvector entry, and each eigenvector's sign is
@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._jacobi import jacobi_eigh, jacobi_singular_values
 from .errors import ContractError, DomainError
 from .graphio import OperatorMatrix, center_operator
 
@@ -87,11 +86,11 @@ def _as_matrix(m) -> tuple[np.ndarray, bool]:
 
 
 def symmetric_eig(m) -> EigenSystem:
-    """Full eigendecomposition of a symmetric operator (cyclic Jacobi)."""
+    """Full eigendecomposition of a symmetric operator (LAPACK via numpy)."""
     data, sym = _as_matrix(m)
     if not sym:
         raise ContractError("symmetric_eig requires a symmetric operator")
-    values, vectors = jacobi_eigh(data)
+    values, vectors = np.linalg.eigh(data)
     values, vectors = _canonicalize(values, vectors)
     return EigenSystem(values=values, vectors=vectors, source_symmetric=True)
 
@@ -125,7 +124,7 @@ def centered_eig(a: OperatorMatrix, tau: float,
     n = a.n
     if tau == 1.0:
         q = _ones_complement_basis(n)
-        vals, vecs = jacobi_eigh(q.T @ data @ q)
+        vals, vecs = np.linalg.eigh(q.T @ data @ q)
         lifted = q @ vecs
         kernel = _centered_kernel_vector(data)
         values = np.concatenate([vals, [0.0]])
@@ -179,7 +178,7 @@ def numerical_rank(x: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         return 0
-    sigma = jacobi_singular_values(x)
+    sigma = np.linalg.svd(x, compute_uv=False)
     if sigma[0] == 0.0:
         return 0
     threshold = rel_tol * sigma[0] * max(x.shape)

@@ -1,12 +1,11 @@
-"""Eigendecompositions, numerical rank and Krylov bases, including the
-Jacobi kernels themselves."""
+"""Eigendecompositions (LAPACK via numpy), numerical rank and Krylov
+bases."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oversmooth._jacobi import jacobi_eigh, jacobi_singular_values
 from oversmooth.errors import ContractError, DomainError
 from oversmooth.graphio import build_operator, gen_graph, make_graph
 from oversmooth.spectral import (centered_eig, krylov_basis,
@@ -18,55 +17,6 @@ def _rand_sym(n, seed):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(n, n))
     return (m + m.T) / 2.0
-
-
-# ---------------------------------------------------------------- kernels
-
-@pytest.mark.parametrize("n", [1, 2, 5, 20, 60])
-def test_jacobi_eigh_reconstruction(n):
-    m = _rand_sym(n, n)
-    vals, vecs = jacobi_eigh(m)
-    assert np.abs(vecs @ np.diag(vals) @ vecs.T - m).max() < 1e-10 * max(
-        1.0, np.abs(vals).max())
-    assert np.abs(vecs.T @ vecs - np.eye(n)).max() < 1e-10
-
-
-def test_jacobi_eigh_matches_lapack():
-    m = _rand_sym(30, 0)
-    vals, _ = jacobi_eigh(m)
-    assert np.abs(np.sort(vals) - np.linalg.eigvalsh(m)).max() < 1e-10
-
-
-def test_jacobi_eigh_edge_cases():
-    vals, vecs = jacobi_eigh(np.zeros((3, 3)))
-    assert np.array_equal(vals, np.zeros(3))
-    vals, vecs = jacobi_eigh(np.empty((0, 0)))
-    assert vals.size == 0
-
-
-def test_jacobi_singular_values_match_lapack():
-    rng = np.random.default_rng(1)
-    for shape in [(10, 4), (4, 10), (12, 12)]:
-        x = rng.normal(size=shape)
-        got = jacobi_singular_values(x)
-        want = np.linalg.svd(x, compute_uv=False)
-        assert np.abs(got - want).max() < 1e-10 * want[0]
-
-
-def test_jacobi_singular_values_relative_accuracy():
-    # graded columns spanning 12 orders of magnitude: one-sided Jacobi
-    # keeps the small singular values to relative precision
-    rng = np.random.default_rng(2)
-    q, _ = np.linalg.qr(rng.normal(size=(20, 4)))
-    scales = np.array([1.0, 1e-4, 1e-8, 1e-12])
-    got = jacobi_singular_values(q * scales)
-    assert np.abs(got / scales - 1.0).max() < 1e-10
-
-
-def test_jacobi_singular_values_empty_and_zero():
-    assert jacobi_singular_values(np.zeros((3, 0))).size == 0
-    assert np.array_equal(jacobi_singular_values(np.zeros((3, 2))),
-                          np.zeros(2))
 
 
 # ----------------------------------------------------------- eigensystems
@@ -82,6 +32,8 @@ def test_identity_and_zero():
     assert np.abs(es.values - 1.0).max() < 1e-12
     es = symmetric_eig(np.zeros((4, 4)))
     assert np.abs(es.values).max() == 0.0
+    es = symmetric_eig(np.empty((0, 0)))
+    assert es.values.shape == (0,) and es.vectors.shape == (0, 0)
 
 
 def test_eigensystem_invariants():
@@ -168,6 +120,7 @@ def test_top_k():
 
 def test_numerical_rank_goldens():
     assert numerical_rank(np.zeros((4, 3))) == 0
+    assert numerical_rank(np.zeros((3, 0))) == 0
     v = np.array([1.0, 2.0, 3.0])
     assert numerical_rank(np.stack([v, 2 * v], axis=1)) == 1
     rng = np.random.default_rng(0)
@@ -186,6 +139,17 @@ def test_numerical_rank_column_scaling():
     # a column below the threshold no longer counts
     far = x * np.array([1.0, 1e-16, 1.0, 1.0])
     assert numerical_rank(far) == 3
+
+
+def test_numerical_rank_graded_columns():
+    # orthonormal columns graded over 12 orders of magnitude: the
+    # smallest singular value (1e-12) decides the count on either side
+    # of its threshold rel_tol * sigma_max * max(n, k) = rel_tol * 20
+    rng = np.random.default_rng(2)
+    q, _ = np.linalg.qr(rng.normal(size=(20, 4)))
+    x = q * np.array([1.0, 1e-4, 1e-8, 1e-12])
+    assert numerical_rank(x, rel_tol=1e-14) == 4
+    assert numerical_rank(x, rel_tol=1e-12) == 3
 
 
 # ------------------------------------------------------------- projections
