@@ -32,6 +32,12 @@ def test_identity_and_zero():
     assert np.abs(es.values - 1.0).max() < 1e-12
     es = symmetric_eig(np.zeros((4, 4)))
     assert np.abs(es.values).max() == 0.0
+
+
+def test_symmetric_eig_edge_cases():
+    es = symmetric_eig(np.zeros((3, 3)))
+    assert np.array_equal(es.values, np.zeros(3))
+    assert np.abs(es.vectors.T @ es.vectors - np.eye(3)).max() < 1e-12
     es = symmetric_eig(np.empty((0, 0)))
     assert es.values.shape == (0,) and es.vectors.shape == (0, 0)
 
@@ -120,13 +126,17 @@ def test_top_k():
 
 def test_numerical_rank_goldens():
     assert numerical_rank(np.zeros((4, 3))) == 0
-    assert numerical_rank(np.zeros((3, 0))) == 0
     v = np.array([1.0, 2.0, 3.0])
     assert numerical_rank(np.stack([v, 2 * v], axis=1)) == 1
     rng = np.random.default_rng(0)
     assert numerical_rank(rng.normal(size=(20, 6))) == 6
     with pytest.raises(DomainError):
         numerical_rank(np.eye(2), rel_tol=0.0)
+
+
+def test_numerical_rank_empty_and_zero():
+    assert numerical_rank(np.zeros((3, 0))) == 0
+    assert numerical_rank(np.zeros((3, 2))) == 0
 
 
 def test_numerical_rank_column_scaling():
