@@ -153,7 +153,7 @@ def cmd_simulate(cfg: RunConfig, jobs: int = 1) -> int:
                            weight_spec=WeightSpec(std=cfg.weight_std),
                            weight_spec2=spec2, alpha=cfg.alpha,
                            scale=cfg.scale, gnv2_k=cfg.gnv2_k)
-        observer = MetricObserver(g, es, v, top_k_basis=tk)
+        observer = MetricObserver(g, v, top_k_basis=tk)
         return seed, run_trajectory(a, x0, lcfg, cfg.steps, rng,
                                     observer=observer)
 
@@ -315,7 +315,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--largest-cc", action="store_true", default=None)
     sim.add_argument("--top-k-metric", type=int)
     sim.add_argument("--outdir")
-    sim.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    sim.add_argument("--jobs", type=int, default=1,
+                     help="threads across seeds (default 1; more were "
+                          "slower when measured, as they compete with BLAS)")
 
     ver = sub.add_parser("verify", help="run proposition checks")
     ver.add_argument("--props", default="all",

@@ -9,7 +9,8 @@ call, so a (spec, seed) pair reproduces exactly within this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -55,6 +56,23 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (u, v, w): endpoint indices and weights, in the
+        order of ``edges``."""
+        table = np.array(self.edges, dtype=np.float64).reshape(-1, 3)
+        u, v = table[:, :2].T.astype(np.intp)
+        w = table[:, 2]
+        for arr in (u, v, w):
+            arr.setflags(write=False)
+        return u, v, w
+
+    @cached_property
+    def _degrees(self) -> np.ndarray:
+        deg = self.adjacency().sum(axis=1)
+        deg.setflags(write=False)
+        return deg
+
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
         for u, v, w in self.edges:
@@ -63,7 +81,9 @@ class Graph:
         return a
 
     def degrees(self) -> np.ndarray:
-        return self.adjacency().sum(axis=1)
+        """Weighted degree vector (row sums of the adjacency), computed
+        once per graph and returned as the same read-only array."""
+        return self._degrees
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
 """Oversmoothing and convergence measures.
 
 CSV schema for trajectory logs (exact header order):
-step,mu_v,dirichlet,d_col,d_pcol,d_ev,rank,top_k_dist
+step,mu_v,dirichlet,d_col,d_pcol,rank,top_k_dist
+
+There is no distance to the full eigenbasis: that basis spans R^n, so
+the distance is rounding noise; top_k_dist is the meaningful version.
 """
 
 from __future__ import annotations
@@ -12,13 +15,17 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .graphio import Graph, OperatorMatrix, build_operator, is_connected
-from .spectral import EigenSystem, numerical_rank, subspace_distance, symmetric_eig
+from .graphio import Graph, is_connected
+from .spectral import EigenSystem, numerical_rank, subspace_distance
 
-CSV_COLUMNS = ("step", "mu_v", "dirichlet", "d_col", "d_pcol", "d_ev",
-               "rank", "top_k_dist")
+CSV_COLUMNS = ("step", "mu_v", "dirichlet", "d_col", "d_pcol", "rank",
+               "top_k_dist")
 
 _ZERO_COL_TOL = 1e-12
+
+# Edges gathered at once by dirichlet: bounds its block x k temporaries
+# (2 MB each at k=32) however dense the graph.
+_EDGE_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -28,13 +35,12 @@ class MetricRecord:
     dirichlet: float
     d_col: float
     d_pcol: float
-    d_ev: float
     rank: int
     top_k_dist: float
 
     def row(self) -> tuple:
         return (self.step, self.mu_v, self.dirichlet, self.d_col,
-                self.d_pcol, self.d_ev, self.rank, self.top_k_dist)
+                self.d_pcol, self.rank, self.top_k_dist)
 
 
 @dataclass(frozen=True)
@@ -83,10 +89,12 @@ def dirichlet(g: Graph, x: np.ndarray) -> float:
     if x.shape[0] != g.n:
         x = x.T
     scaled = x / np.sqrt(deg)[:, None]
+    u, v, w = g.edge_arrays
     total = 0.0
-    for u, v, w in g.edges:
-        diff = scaled[u] - scaled[v]
-        total += w * float(diff @ diff)
+    for lo in range(0, len(w), _EDGE_BLOCK):
+        hi = lo + _EDGE_BLOCK
+        diff = scaled[u[lo:hi]] - scaled[v[lo:hi]]
+        total += float(w[lo:hi] @ np.einsum("ij,ij->i", diff, diff))
     return 0.5 * total
 
 
@@ -172,15 +180,14 @@ def measure_equivalence_check(g: Graph, x: np.ndarray) -> EquivalenceReport:
 class MetricObserver:
     """Computes one MetricRecord per step for run_trajectory.
 
-    Holds the per-graph context (eigenbasis, reference vector, rank
-    tolerance, top-k basis) so the per-step work is pure evaluation.
+    Holds the per-graph context (reference vector, rank tolerance,
+    top-k basis) so the per-step work is pure evaluation.
     """
 
-    def __init__(self, g: Graph, es: EigenSystem, v: ReferenceVector,
+    def __init__(self, g: Graph, v: ReferenceVector,
                  top_k_basis: Optional[np.ndarray] = None,
                  rank_rel_tol: float = 1e-10):
         self.g = g
-        self.es = es
         self.v = v
         self.top_k_basis = top_k_basis
         self.rank_rel_tol = rank_rel_tol
@@ -194,7 +201,6 @@ class MetricObserver:
             dirichlet=dirichlet(self.g, x),
             d_col=col_distance(x),
             d_pcol=col_projection_distance(x),
-            d_ev=eigenspace_distance(x, self.es),
             rank=numerical_rank(x, self.rank_rel_tol),
             top_k_dist=tkd,
         )

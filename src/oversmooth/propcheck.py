@@ -5,7 +5,8 @@ are independent and may be dispatched to a thread pool (``jobs``);
 reports are always reduced single-threaded.  Probability-bound checks
 compare an empirical frequency against the theoretical bound with a
 3-sigma binomial slack, so only one-sided violations fail.  Spectral-gap
-degeneracies yield "inconclusive", never "fail".
+degeneracies yield "inconclusive", never "fail"; a trial check asked for
+zero trials yields "undefined", never a vacuous "pass".
 """
 
 from __future__ import annotations
@@ -140,6 +141,9 @@ def check_prop1_residual_no_collapse(
     """
     if mu(x0, v) <= 1e-20 * max(1.0, float(np.sum(x0 * x0))):
         raise DomainError("x0 already collapsed onto v: mu_v(x0) = 0")
+    if trials == 0:
+        return PropReport(proposition=1, verdict=UNDEFINED, trials=0,
+                          successes=0, bound=0.9, notes="no trials requested")
     a = build_operator(g, operator_kind)
     spec = WeightSpec(std=s)
     c_star = 1e-6
@@ -302,6 +306,10 @@ def check_prop4_bn_no_collapse(
             "rank precondition failed: V_nonzero^T x0 has rank < 2")
     k = x0.shape[1]
     c_star = max(k * ones_overlap**2 * (1.0 - 1e-6), 1e-8)
+    if trials == 0:
+        return PropReport(proposition=4, verdict=UNDEFINED, trials=0,
+                          successes=0, bound=float(c_star),
+                          notes="no trials requested")
 
     def one(t: int) -> float:
         rng = np.random.default_rng((seed, t))

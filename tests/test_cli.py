@@ -52,7 +52,7 @@ def test_simulate_outputs_and_aggregate(tmp_path, capsys):
     for seed in (0, 1):
         text = (outdir / f"vanilla_seed{seed}.csv").read_text()
         lines = text.strip().splitlines()
-        assert lines[0] == "step,mu_v,dirichlet,d_col,d_pcol,d_ev,rank,top_k_dist"
+        assert lines[0] == "step,mu_v,dirichlet,d_col,d_pcol,rank,top_k_dist"
         assert len(lines) == 4  # header + 3 steps
         assert text.endswith("\n")
     agg = (outdir / "vanilla_aggregate.csv").read_text().strip().splitlines()
@@ -106,6 +106,20 @@ def test_simulate_edge_list_file(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("reference", ["all_ones", "degree_sqrt"])
+def test_simulate_row_stochastic(tmp_path, capsys, reference):
+    # a non-symmetric operator has no eigensystem; the metrics need none
+    outdir = tmp_path / "out"
+    code, _, err = _run(capsys, [
+        "simulate", "--graph", "er:30,0.2", "--largest-cc",
+        "--operator", "row_stochastic", "--reference", reference,
+        "--steps", "3", "--seeds", "0", "--k", "4", "--outdir", str(outdir)])
+    assert code == 0, err
+    lines = (outdir / "vanilla_seed0.csv").read_text().splitlines()
+    assert lines[0] == "step,mu_v,dirichlet,d_col,d_pcol,rank,top_k_dist"
+    assert len(lines) == 4
+
+
 def test_simulate_config_error(capsys):
     code, _, err = _run(capsys, ["simulate", "--graph", "nope:3"])
     assert code == 1
@@ -138,6 +152,16 @@ def test_verify_multiple_props_fast(capsys):
     reports = json.loads(out)
     assert [r["id"] for r in reports] == [2, 3, 7]
     assert all(r["verdict"] == "pass" for r in reports)
+
+
+def test_verify_zero_trials_undefined(capsys):
+    code, out, _ = _run(capsys, [
+        "verify", "--props", "1,4", "--graph", "er:30,0.3",
+        "--trials", "0"])
+    assert code == 0
+    reports = json.loads(out)
+    assert [(r["id"], r["verdict"]) for r in reports] == [
+        (1, "undefined"), (4, "undefined")]
 
 
 def test_verify_determinism(capsys):

@@ -100,6 +100,25 @@ def test_gen_graph_specs():
         gen_graph("reg:5,3")  # odd degree needs even n
 
 
+def test_degrees_cached_read_only():
+    g = make_graph(4, [(0, 1, 0.3), (1, 2, 0.1), (2, 3, 2.5), (0, 3, 0.7)])
+    d = g.degrees()
+    assert d is g.degrees()
+    assert not d.flags.writeable
+    assert np.array_equal(d, g.adjacency().sum(axis=1))
+    with pytest.raises(ValueError):
+        d[0] = 1.0
+
+
+def test_edge_arrays():
+    g = make_graph(4, [(0, 1, 0.3), (2, 1, 0.1), (2, 3, 2.5)])
+    u, v, w = g.edge_arrays
+    assert list(zip(u.tolist(), v.tolist(), w.tolist())) == list(g.edges)
+    assert u.dtype == np.intp and not w.flags.writeable
+    eu, ev, ew = make_graph(3, []).edge_arrays
+    assert eu.shape == ev.shape == ew.shape == (0,)
+
+
 def test_sym_normalized_path3_golden():
     # degrees (1,2,1): off-diagonal entries are 1/sqrt(2)
     a = build_operator(gen_graph("path:3"), "sym_normalized")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oversmooth import metrics
 from oversmooth.errors import ContractError, DomainError
 from oversmooth.graphio import build_operator, gen_graph, make_graph
 from oversmooth.metrics import (CSV_COLUMNS, MetricObserver, ReferenceVector,
@@ -66,6 +67,56 @@ def test_dirichlet_quadratic_scaling():
 def test_dirichlet_rejects_isolated_node():
     with pytest.raises(DomainError):
         dirichlet(make_graph(3, [(0, 1, 1.0)]), np.ones((3, 1)))
+
+
+def _dirichlet_loop(g, x):
+    """Reference: one Python term per undirected edge."""
+    s = x / np.sqrt(g.degrees())[:, None]
+    return 0.5 * sum(w * float((s[u] - s[v]) @ (s[u] - s[v]))
+                     for u, v, w in g.edges)
+
+
+def _weighted_er(n, p, seed):
+    g = gen_graph(f"er:{n},{p}", seed=seed, largest_cc=True)
+    w = np.random.default_rng(seed).uniform(0.1, 3.0, size=g.num_edges)
+    return make_graph(g.n, [(u, v, float(wi))
+                            for (u, v, _), wi in zip(g.edges, w)])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dirichlet_matches_edge_loop_weighted(seed):
+    g = _weighted_er(40, 0.2, seed)
+    assert len(set(w for _, _, w in g.edges)) > 1
+    x = np.random.default_rng((seed, 1)).normal(size=(g.n, 5))
+    ref = _dirichlet_loop(g, x)
+    assert abs(dirichlet(g, x) - ref) <= 1e-12 * ref
+    assert abs(dirichlet(g, x.T) - ref) <= 1e-12 * ref  # transposed input
+
+
+def test_dirichlet_many_edge_blocks():
+    # more edges than one gather block
+    g = gen_graph("er:200,0.5", seed=3)
+    assert g.num_edges > metrics._EDGE_BLOCK
+    x = np.random.default_rng(3).normal(size=(g.n, 2))
+    ref = _dirichlet_loop(g, x)
+    assert abs(dirichlet(g, x) - ref) <= 1e-12 * ref
+
+
+def test_dirichlet_matches_laplacian_trace_on_trajectory():
+    g = _weighted_er(30, 0.3, 4)
+    a = build_operator(g, "sym_normalized")
+    lap = np.eye(g.n) - a.data
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(g.n, 3))
+    for _ in range(5):
+        ref = 0.5 * float(np.trace(x.T @ lap @ x))
+        assert abs(dirichlet(g, x) - ref) <= 1e-12 * ref
+        x = a.data @ x @ rng.normal(size=(3, 3))
+
+
+def test_dirichlet_rejects_edgeless_graph():
+    with pytest.raises(DomainError):
+        dirichlet(make_graph(3, []), np.ones((3, 2)))
 
 
 def test_dirichlet_permutation_equivariance():
@@ -157,12 +208,11 @@ def test_metric_observer_record():
     a = build_operator(g, "sym_normalized")
     es = symmetric_eig(a)
     v = dominant_eig_reference(es)
-    obs = MetricObserver(g, es, v, top_k_basis=es.vectors[:, :2])
+    obs = MetricObserver(g, v, top_k_basis=es.vectors[:, :2])
     x = np.random.default_rng(6).normal(size=(g.n, 3))
     rec = obs(5, x)
     assert rec.step == 5
     assert rec.rank == 3
-    assert rec.d_ev < 1e-8
     assert len(rec.row()) == len(CSV_COLUMNS)
     assert abs(rec.mu_v - mu(x, v)) < 1e-12
 

@@ -58,6 +58,8 @@ def test_prop1_pass_and_precondition():
     collapsed = np.outer(v.v, np.ones(4))
     with pytest.raises(DomainError):
         check_prop1_residual_no_collapse(g, collapsed, v, trials=1)
+    rep0 = check_prop1_residual_no_collapse(g, x0, v, trials=0)
+    assert rep0.verdict == UNDEFINED and rep0.trials == 0
 
 
 def test_prop2_bound_and_degenerate_cases():
@@ -120,6 +122,9 @@ def test_prop4_pass_and_rank_precondition():
     rank1 = np.tile(x0[:, :1], (1, 4))
     with pytest.raises(DomainError):
         check_prop4_bn_no_collapse(g, rank1, v, trials=1)
+    rep0 = check_prop4_bn_no_collapse(g, x0, v, trials=0)
+    assert rep0.verdict == UNDEFINED and rep0.trials == 0
+    assert rep0.bound == rep.bound
 
 
 def test_prop5_star8_k2_decay_rate():
