@@ -3,8 +3,8 @@
 Configuration is a JSON file plus flag overrides (flags win).  All
 outputs are deterministic given (config, seed): floats are printed with
 12 significant digits, every file ends with a newline, and JSON keys
-are sorted.  Exit codes: 0 ok, 1 config error, 2 degenerate runtime
-abort (partial CSV kept), 3 verification failure.
+are sorted.  Exit codes: 0 ok, 1 config or usage error, 2 degenerate
+runtime abort (partial CSV kept), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -13,21 +13,19 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import propcheck
 from .errors import OversmoothError
-from .graphio import Graph, build_operator, gen_graph, parse_edge_list
-from .layers import VARIANTS, LayerConfig, WeightSpec
-from .layers import run_trajectory
+from .graphio import Graph, build_operator, load_graph
+from .layers import VARIANTS, LayerConfig, WeightSpec, run_trajectory
 from .metrics import (CSV_COLUMNS, MetricObserver, all_ones_reference,
                       degree_sqrt_reference, dominant_eig_reference)
 from .partition import quotient, split_eigenpairs, wl_refine
-from .spectral import centered_eig, symmetric_eig, top_k
+from .spectral import centered_eig, krylov_basis, symmetric_eig, top_k
 
 FLOAT_FMT = "%.12g"
 
@@ -75,12 +73,6 @@ def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return FLOAT_FMT % float(x)
-
-
-def _load_graph(cfg: RunConfig) -> Graph:
-    if os.path.exists(cfg.graph):
-        return parse_edge_list(Path(cfg.graph).read_text())
-    return gen_graph(cfg.graph, seed=cfg.graph_seed, largest_cc=cfg.largest_cc)
 
 
 def _reference(cfg: RunConfig, g: Graph, es):
@@ -131,41 +123,35 @@ def _write_aggregate(path: Path, all_records):
     path.write_text("\n".join(lines) + "\n")
 
 
-def cmd_simulate(cfg: RunConfig, jobs: int = 1) -> int:
-    g = _load_graph(cfg)
+def cmd_simulate(cfg: RunConfig) -> int:
+    g = load_graph(cfg.graph, seed=cfg.graph_seed, largest_cc=cfg.largest_cc)
     a = build_operator(g, cfg.operator)
     es = symmetric_eig(a) if a.symmetric else None
     if es is None and cfg.reference == "dominant_eig":
         print("config error: dominant_eig reference needs a symmetric "
               "operator", file=sys.stderr)
         return EXIT_CONFIG
+    if es is None and cfg.top_k_metric > 0:
+        print("config error: --top-k-metric needs a symmetric operator",
+              file=sys.stderr)
+        return EXIT_CONFIG
     v = _reference(cfg, g, es)
-    tk = top_k(es, cfg.top_k_metric) if (es is not None
-                                         and cfg.top_k_metric > 0) else None
+    tk = top_k(es, cfg.top_k_metric) if cfg.top_k_metric > 0 else None
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    def one_seed(seed: int):
-        rng = np.random.default_rng(seed)
-        x0 = _initial_features(g, cfg.k, seed, cfg.normalize_features)
-        spec2 = WeightSpec(mode="identity") if cfg.identity_w2 else None
-        lcfg = LayerConfig(variant=cfg.variant, nonlinearity=cfg.nonlinearity,
-                           weight_spec=WeightSpec(std=cfg.weight_std),
-                           weight_spec2=spec2, alpha=cfg.alpha,
-                           scale=cfg.scale, gnv2_k=cfg.gnv2_k)
-        observer = MetricObserver(g, v, top_k_basis=tk)
-        return seed, run_trajectory(a, x0, lcfg, cfg.steps, rng,
-                                    observer=observer)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one_seed, cfg.seeds))
-    else:
-        results = [one_seed(s) for s in cfg.seeds]
-
+    spec2 = WeightSpec(mode="identity") if cfg.identity_w2 else None
+    lcfg = LayerConfig(variant=cfg.variant, nonlinearity=cfg.nonlinearity,
+                       weight_spec=WeightSpec(std=cfg.weight_std),
+                       weight_spec2=spec2, alpha=cfg.alpha, scale=cfg.scale,
+                       gnv2_k=cfg.gnv2_k)
     status = EXIT_OK
     complete = []
-    for seed, log in results:
+    for seed in cfg.seeds:
+        x0 = _initial_features(g, cfg.k, seed, cfg.normalize_features)
+        log = run_trajectory(a, x0, lcfg, cfg.steps,
+                             np.random.default_rng(seed),
+                             observer=MetricObserver(g, v, top_k_basis=tk))
         aborted = (log.abort_step, log.abort_reason) if log.aborted else None
         _write_csv(outdir / f"{cfg.variant}_seed{seed}.csv", log.records,
                    aborted)
@@ -189,12 +175,12 @@ def cmd_verify(prop_ids, graph_spec: str, seed: int = 0, k: int = 4,
                trials: int = propcheck.DEFAULT_TRIALS,
                steps: int = propcheck.DEFAULT_STEPS, tau: float = 1.0,
                eps: float = 0.01, alpha: float = 0.2,
-               out=None, jobs: int = 1) -> int:
+               out=None) -> int:
     for pid in prop_ids:
         if pid not in propcheck.CHECKS:
             print(f"unknown proposition id {pid}", file=sys.stderr)
             return EXIT_CONFIG
-    g = gen_graph(graph_spec, seed=seed, largest_cc=True)
+    g = load_graph(graph_spec, seed=seed, largest_cc=True)
     x0 = _verify_inputs(g, k, seed)
     v = all_ones_reference(g.n)
     reports = []
@@ -202,15 +188,14 @@ def cmd_verify(prop_ids, graph_spec: str, seed: int = 0, k: int = 4,
         if pid == 1:
             rep = propcheck.check_prop1_residual_no_collapse(
                 g, x0, v, alpha=alpha, trials=trials, steps=steps,
-                seed=seed, jobs=jobs)
+                seed=seed)
         elif pid == 2:
             s = 1.0
             eps2 = 0.5 * s * np.sqrt(2.0 * np.log(2.0))  # p = 0.5
             rep = propcheck.check_prop2_signal_retention(
-                g, x0, 0.5, s, eps2, trials=trials, seed=seed, jobs=jobs)
+                g, x0, 0.5, s, eps2, trials=trials, seed=seed)
         elif pid == 3:
             a = build_operator(g, "adjacency")
-            from .spectral import krylov_basis
             kb = krylov_basis(a, x0)
             y = kb.basis @ np.random.default_rng((seed, 303)).normal(
                 size=(kb.r, k))
@@ -218,7 +203,7 @@ def cmd_verify(prop_ids, graph_spec: str, seed: int = 0, k: int = 4,
                                                             seed=seed)
         elif pid == 4:
             rep = propcheck.check_prop4_bn_no_collapse(
-                g, x0, v, trials=trials, steps=steps, seed=seed, jobs=jobs)
+                g, x0, v, trials=trials, steps=steps, seed=seed)
         elif pid == 5:
             trace = propcheck.check_prop5_topk_convergence(
                 g, x0, k, steps=steps, seed=seed)
@@ -240,7 +225,7 @@ def cmd_verify(prop_ids, graph_spec: str, seed: int = 0, k: int = 4,
 def cmd_spectrum(graph_spec: str, operator: str = "adjacency",
                  tau: float | None = None, seed: int = 0,
                  vectors: bool = False, show_partition: bool = False) -> int:
-    g = gen_graph(graph_spec, seed=seed)
+    g = load_graph(graph_spec, seed=seed)
     a = build_operator(g, operator)
     es = centered_eig(a, tau) if tau is not None else symmetric_eig(a)
     lines = ["index,eigenvalue"]
@@ -267,7 +252,7 @@ def cmd_spectrum(graph_spec: str, operator: str = "adjacency",
 
 
 def cmd_partition(graph_spec: str, seed: int = 0) -> int:
-    g = gen_graph(graph_spec, seed=seed)
+    g = load_graph(graph_spec, seed=seed)
     ep = wl_refine(g)
     q = quotient(g, ep)
     lines = ["node,class"]
@@ -280,8 +265,16 @@ def cmd_partition(graph_spec: str, seed: int = 0) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one line with the config exit code, so
+    exit 2 keeps meaning a degenerate abort.  Subparsers inherit it."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="oversmooth",
         description="Simulate message-passing dynamics and verify their "
                     "collapse/no-collapse properties.",
@@ -315,9 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--largest-cc", action="store_true", default=None)
     sim.add_argument("--top-k-metric", type=int)
     sim.add_argument("--outdir")
-    sim.add_argument("--jobs", type=int, default=1,
-                     help="threads across seeds (default 1; more were "
-                          "slower when measured, as they compete with BLAS)")
 
     ver = sub.add_parser("verify", help="run proposition checks")
     ver.add_argument("--props", default="all",
@@ -331,7 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--eps", type=float, default=0.01)
     ver.add_argument("--alpha", type=float, default=0.2)
     ver.add_argument("--out", help="write the JSON report here")
-    ver.add_argument("--jobs", type=int, default=1)
 
     spec = sub.add_parser("spectrum", help="print eigenvalues as CSV")
     spec.add_argument("graph")
@@ -376,7 +365,10 @@ def _config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help (0) or a usage error (1)
+        return exc.code
     try:
         if args.command == "simulate":
             cfg = _config_from_args(args)
@@ -386,7 +378,7 @@ def main(argv=None) -> int:
                 sys.stdout.write(json.dumps(d, indent=2, sort_keys=True)
                                  + "\n")
                 return EXIT_OK
-            return cmd_simulate(cfg, jobs=args.jobs)
+            return cmd_simulate(cfg)
         if args.command == "verify":
             if args.props.strip().lower() == "all":
                 ids = list(range(1, 8))
@@ -395,7 +387,7 @@ def main(argv=None) -> int:
             return cmd_verify(ids, args.graph, seed=args.seed, k=args.k,
                               trials=args.trials, steps=args.steps,
                               tau=args.tau, eps=args.eps, alpha=args.alpha,
-                              out=args.out, jobs=args.jobs)
+                              out=args.out)
         if args.command == "spectrum":
             return cmd_spectrum(args.graph, operator=args.operator,
                                 tau=args.tau, seed=args.seed,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 from typing import Iterable, Optional
 
 import numpy as np
@@ -292,6 +293,17 @@ def gen_graph(spec: str, seed: int = 0, largest_cc: bool = False) -> Graph:
     except (IndexError, ValueError) as exc:
         raise DomainError(f"bad generator arguments in {spec!r}: {exc}") from exc
     return largest_component(g) if largest_cc else g
+
+
+def load_graph(source: str, seed: int = 0, largest_cc: bool = False) -> Graph:
+    """Read an edge-list file if ``source`` names one, else build the
+    generator spec through ``gen_graph``; optionally keep only the
+    largest connected component."""
+    path = Path(source)
+    if path.is_file():
+        g = parse_edge_list(path.read_text())
+        return largest_component(g) if largest_cc else g
+    return gen_graph(source, seed=seed, largest_cc=largest_cc)
 
 
 def build_operator(g: Graph, kind: str) -> OperatorMatrix:

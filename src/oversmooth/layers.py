@@ -2,9 +2,9 @@
 
 Feature matrices are plain float64 arrays of shape (n, k).  All layer
 functions are pure; ``run_trajectory`` owns the only mutable state of a
-run.  Degenerate (zero/constant) normalization columns abort a run
-rather than being masked with an epsilon; an optional denominator floor
-exists for robustness experiments only and is off by default.
+run and looks each variant's step up in one table.  Degenerate
+(zero/constant) normalization columns abort a run rather than being
+masked with an epsilon.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from .errors import ContractError, DegenerateColumnError, DomainError
 from .graphio import OperatorMatrix
 from .spectral import symmetric_eig, top_k
 
-VARIANTS = ("vanilla", "residual", "batchnorm", "pairnorm", "graphnorm",
-            "graphnormv2", "powerembed")
 NONLINEARITIES = ("identity", "relu")
 
 _DEGENERATE_TOL = 1e-14
@@ -29,13 +27,12 @@ _DEGENERATE_TOL = 1e-14
 class WeightSpec:
     """How layer weights are produced.
 
-    gaussian: i.i.d. N(mean, std^2) entries, std=None meaning 1/sqrt(k)
+    gaussian: i.i.d. N(0, std^2) entries, std=None meaning 1/sqrt(k)
     (variance-preserving at init).  identity: I_k.  explicit: a fixed
     per-step list of matrices.
     """
 
     mode: str = "gaussian"
-    mean: float = 0.0
     std: Optional[float] = None
     matrices: Optional[tuple] = None
 
@@ -61,7 +58,7 @@ def sample_weight(spec: WeightSpec, shape: tuple[int, int],
             raise ContractError(f"explicit weight shape {w.shape} != {shape}")
         return w
     std = spec.std if spec.std is not None else 1.0 / np.sqrt(shape[0])
-    return rng.normal(spec.mean, std, size=shape)
+    return rng.normal(0.0, std, size=shape)
 
 
 @dataclass(frozen=True)
@@ -112,14 +109,8 @@ class LayerConfig:
     weight_spec2: Optional[WeightSpec] = None  # residual W2 (default: weight_spec)
     alpha: float = 0.2                # residual strength
     scale: float = 1.0                # pairnorm target scale
-    graphnorm_tau: Optional[np.ndarray] = None   # (k,), default all ones
     gnv2_k: int = 2                   # projection width
-    gnv2_tau: Optional[np.ndarray] = None        # (k+1, k), default bn-emulating
-    gnv2_tau_mode: str = "bn"         # bn | gaussian (untrained ablation)
-    gamma: Optional[np.ndarray] = None
-    beta: Optional[np.ndarray] = None
     norm_context: Optional[NormContext] = None   # precomputed V_{k+}
-    denom_floor: float = 0.0          # robustness-only epsilon, off by default
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -156,32 +147,23 @@ def step_residual(a: OperatorMatrix, x: np.ndarray, x0: np.ndarray,
     return _apply_nl((1.0 - alpha) * (a.data @ x @ w1) + alpha * (x0 @ w2), nl)
 
 
-def _check_denominators(norms: np.ndarray, ref: np.ndarray, floor: float,
-                        what: str) -> np.ndarray:
+def _check_denominators(norms: np.ndarray, ref: np.ndarray, what: str):
     bad = norms <= _DEGENERATE_TOL * np.maximum(1.0, ref)
     if np.any(bad):
-        if floor > 0.0:
-            return np.maximum(norms, floor)
         raise DegenerateColumnError(int(np.flatnonzero(bad)[0]), what)
-    return norms
 
 
-def batch_norm(x: np.ndarray, denom_floor: float = 0.0) -> np.ndarray:
+def batch_norm(x: np.ndarray) -> np.ndarray:
     """Center each column, then divide by its 2-norm."""
     centered = x - x.mean(axis=0, keepdims=True)
     norms = np.linalg.norm(centered, axis=0)
-    norms = _check_denominators(norms, np.linalg.norm(x, axis=0), denom_floor,
-                                "zero vector after centering")
+    _check_denominators(norms, np.linalg.norm(x, axis=0),
+                        "zero vector after centering")
     return centered / norms
 
 
-def step_batchnorm(a: OperatorMatrix, x: np.ndarray, w: np.ndarray,
-                   nl: str = "identity", denom_floor: float = 0.0) -> np.ndarray:
-    return batch_norm(step_vanilla(a, x, w, nl), denom_floor)
-
-
-def graph_norm(x: np.ndarray, tau: np.ndarray, gamma=None, beta=None,
-               denom_floor: float = 0.0) -> np.ndarray:
+def graph_norm(x: np.ndarray, tau: np.ndarray, gamma=None,
+               beta=None) -> np.ndarray:
     """Partial-mean centering: subtract tau_j of the column mean, scale
     by the root-mean-square, then apply the affine parameters."""
     n, k = x.shape
@@ -190,13 +172,13 @@ def graph_norm(x: np.ndarray, tau: np.ndarray, gamma=None, beta=None,
     beta = np.zeros(k) if beta is None else np.asarray(beta, dtype=np.float64)
     centered = x - tau[None, :] * x.mean(axis=0, keepdims=True)
     sigma = np.linalg.norm(centered, axis=0) / np.sqrt(n)
-    sigma = _check_denominators(sigma, np.linalg.norm(x, axis=0), denom_floor,
-                                "zero spread after partial centering")
+    _check_denominators(sigma, np.linalg.norm(x, axis=0),
+                        "zero spread after partial centering")
     return gamma[None, :] * centered / sigma[None, :] + beta[None, :]
 
 
 def graph_norm_v2(x: np.ndarray, ctx: NormContext, tau: np.ndarray,
-                  gamma=None, beta=None, denom_floor: float = 0.0) -> np.ndarray:
+                  gamma=None, beta=None) -> np.ndarray:
     """Projection centering: subtract (V_{k+} tau_j tau_j^T V_{k+}^T) x_j,
     scale each column by the 2-norm of the result, apply the affine."""
     n, k = x.shape
@@ -211,34 +193,81 @@ def graph_norm_v2(x: np.ndarray, ctx: NormContext, tau: np.ndarray,
     scal = np.sum(tau * coords, axis=0)             # tau_j^T V^T x_j
     centered = x - ctx.vkplus @ (tau * scal[None, :])
     sigma = np.linalg.norm(centered, axis=0)
-    sigma = _check_denominators(sigma, np.linalg.norm(x, axis=0), denom_floor,
-                                "zero vector after projection centering")
+    _check_denominators(sigma, np.linalg.norm(x, axis=0),
+                        "zero vector after projection centering")
     return gamma[None, :] * centered / sigma[None, :] + beta[None, :]
 
 
-def pair_norm(x: np.ndarray, s: float = 1.0,
-              denom_floor: float = 0.0) -> np.ndarray:
+def pair_norm(x: np.ndarray, s: float = 1.0) -> np.ndarray:
     """Column-mean centering followed by global Frobenius rescaling to
     s * sqrt(n)."""
     n = x.shape[0]
     centered = x - x.mean(axis=0, keepdims=True)
     total = np.linalg.norm(centered)
     if total <= _DEGENERATE_TOL * max(1.0, float(np.linalg.norm(x))):
-        if denom_floor > 0.0:
-            total = max(total, denom_floor)
-        else:
-            raise DegenerateColumnError(0, "all columns zero after centering")
+        raise DegenerateColumnError(0, "all columns zero after centering")
     return s * np.sqrt(n) * centered / total
 
 
 def power_embed_step(a: OperatorMatrix, x: np.ndarray, w: np.ndarray,
-                     nl: str = "identity", denom_floor: float = 0.0) -> np.ndarray:
+                     nl: str = "identity") -> np.ndarray:
     """sigma(A X W) followed by per-column 2-norm scaling (no centering)."""
     y = step_vanilla(a, x, w, nl)
     norms = np.linalg.norm(y, axis=0)
-    norms = _check_denominators(norms, np.linalg.norm(x, axis=0), denom_floor,
-                                "zero column")
+    _check_denominators(norms, np.linalg.norm(x, axis=0), "zero column")
     return y / norms
+
+
+# A variant's factory runs once per trajectory with (a, x0, cfg) and
+# returns its step X <- step(X, *weights).
+
+def _vanilla(a, x0, cfg):
+    return lambda x, w: step_vanilla(a, x, w, cfg.nonlinearity)
+
+
+def _residual(a, x0, cfg):
+    return lambda x, w1, w2: step_residual(a, x, x0, w1, w2, cfg.alpha,
+                                           cfg.nonlinearity)
+
+
+def _batchnorm(a, x0, cfg):
+    return lambda x, w: batch_norm(step_vanilla(a, x, w, cfg.nonlinearity))
+
+
+def _pairnorm(a, x0, cfg):
+    return lambda x, w: pair_norm(step_vanilla(a, x, w, cfg.nonlinearity),
+                                  cfg.scale)
+
+
+def _graphnorm(a, x0, cfg):
+    tau = np.ones(x0.shape[1])
+    return lambda x, w: graph_norm(step_vanilla(a, x, w, cfg.nonlinearity),
+                                   tau)
+
+
+def _graphnormv2(a, x0, cfg):
+    ctx = cfg.norm_context or build_norm_context(a, cfg.gnv2_k)
+    tau = np.tile(bn_emulating_tau(ctx)[:, None], (1, x0.shape[1]))
+    return lambda x, w: graph_norm_v2(step_vanilla(a, x, w, cfg.nonlinearity),
+                                      ctx, tau)
+
+
+def _powerembed(a, x0, cfg):
+    return lambda x, w: power_embed_step(a, x, w, cfg.nonlinearity)
+
+
+# variant -> (step factory, weights drawn per step); the weights are
+# drawn from (weight_spec, weight_spec2) in that order.
+_STEPS = {
+    "vanilla": (_vanilla, 1),
+    "residual": (_residual, 2),
+    "batchnorm": (_batchnorm, 1),
+    "pairnorm": (_pairnorm, 1),
+    "graphnorm": (_graphnorm, 1),
+    "graphnormv2": (_graphnormv2, 1),
+    "powerembed": (_powerembed, 1),
+}
+VARIANTS = tuple(_STEPS)
 
 
 @dataclass
@@ -253,18 +282,6 @@ class TrajectoryLog:
 
     def __len__(self):
         return len(self.records)
-
-
-def _resolve_gnv2(a: OperatorMatrix, x0: np.ndarray, cfg: LayerConfig,
-                  rng: np.random.Generator):
-    ctx = cfg.norm_context or build_norm_context(a, cfg.gnv2_k)
-    if cfg.gnv2_tau is not None:
-        tau = np.asarray(cfg.gnv2_tau, dtype=np.float64)
-    elif cfg.gnv2_tau_mode == "gaussian":
-        tau = rng.normal(0.0, 1.0, size=(ctx.vkplus.shape[1], x0.shape[1]))
-    else:
-        tau = np.tile(bn_emulating_tau(ctx)[:, None], (1, x0.shape[1]))
-    return ctx, tau
 
 
 def run_trajectory(a: OperatorMatrix, x0: np.ndarray, cfg: LayerConfig,
@@ -284,41 +301,14 @@ def run_trajectory(a: OperatorMatrix, x0: np.ndarray, cfg: LayerConfig,
     if x.ndim != 2 or x.shape[0] != a.n:
         raise ContractError(f"x0 shape {x.shape} incompatible with n={a.n}")
     k = x.shape[1]
-    spec2 = cfg.weight_spec2 or cfg.weight_spec
-    if cfg.variant == "graphnormv2":
-        ctx, gnv2_tau = _resolve_gnv2(a, x0, cfg, rng)
-    gn_tau = cfg.graphnorm_tau if cfg.graphnorm_tau is not None else np.ones(k)
+    factory, n_weights = _STEPS[cfg.variant]
+    step = factory(a, x0, cfg)
+    specs = (cfg.weight_spec, cfg.weight_spec2 or cfg.weight_spec)[:n_weights]
     records: list = []
     for t in range(steps):
         try:
-            if cfg.variant == "residual":
-                w1 = sample_weight(cfg.weight_spec, (k, k), rng, step=t)
-                w2 = sample_weight(spec2, (k, k), rng, step=t)
-                x_new = step_residual(a, x, x0, w1, w2, cfg.alpha,
-                                      cfg.nonlinearity)
-            else:
-                w = sample_weight(cfg.weight_spec, (k, k), rng, step=t)
-                if cfg.variant == "vanilla":
-                    x_new = step_vanilla(a, x, w, cfg.nonlinearity)
-                elif cfg.variant == "batchnorm":
-                    x_new = step_batchnorm(a, x, w, cfg.nonlinearity,
-                                           cfg.denom_floor)
-                elif cfg.variant == "pairnorm":
-                    x_new = pair_norm(step_vanilla(a, x, w, cfg.nonlinearity),
-                                      cfg.scale, cfg.denom_floor)
-                elif cfg.variant == "graphnorm":
-                    x_new = graph_norm(step_vanilla(a, x, w, cfg.nonlinearity),
-                                       gn_tau, cfg.gamma, cfg.beta,
-                                       cfg.denom_floor)
-                elif cfg.variant == "graphnormv2":
-                    x_new = graph_norm_v2(
-                        step_vanilla(a, x, w, cfg.nonlinearity),
-                        ctx, gnv2_tau, cfg.gamma, cfg.beta, cfg.denom_floor)
-                elif cfg.variant == "powerembed":
-                    x_new = power_embed_step(a, x, w, cfg.nonlinearity,
-                                             cfg.denom_floor)
-                else:  # pragma: no cover
-                    raise DomainError(f"unhandled variant {cfg.variant!r}")
+            ws = [sample_weight(spec, (k, k), rng, step=t) for spec in specs]
+            x_new = step(x, *ws)
         except DegenerateColumnError as exc:
             return TrajectoryLog(records=records, final=x, aborted=True,
                                  abort_step=t + 1, abort_reason=str(exc))

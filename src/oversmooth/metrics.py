@@ -180,17 +180,15 @@ def measure_equivalence_check(g: Graph, x: np.ndarray) -> EquivalenceReport:
 class MetricObserver:
     """Computes one MetricRecord per step for run_trajectory.
 
-    Holds the per-graph context (reference vector, rank tolerance,
-    top-k basis) so the per-step work is pure evaluation.
+    Holds the per-graph context (reference vector, top-k basis) so the
+    per-step work is pure evaluation; rank uses spectral.RANK_REL_TOL.
     """
 
     def __init__(self, g: Graph, v: ReferenceVector,
-                 top_k_basis: Optional[np.ndarray] = None,
-                 rank_rel_tol: float = 1e-10):
+                 top_k_basis: Optional[np.ndarray] = None):
         self.g = g
         self.v = v
         self.top_k_basis = top_k_basis
-        self.rank_rel_tol = rank_rel_tol
 
     def __call__(self, step: int, x: np.ndarray) -> MetricRecord:
         tkd = (subspace_distance(x, self.top_k_basis)
@@ -201,6 +199,6 @@ class MetricObserver:
             dirichlet=dirichlet(self.g, x),
             d_col=col_distance(x),
             d_pcol=col_projection_distance(x),
-            rank=numerical_rank(x, self.rank_rel_tol),
+            rank=numerical_rank(x),
             top_k_dist=tkd,
         )

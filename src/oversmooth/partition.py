@@ -145,9 +145,7 @@ class CenteringReport:
     trace_gap_positive: bool
 
 
-def check_centering_effect(g: Graph, tau: float,
-                           operator: OperatorMatrix | None = None
-                           ) -> CenteringReport:
+def check_centering_effect(g: Graph, tau: float) -> CenteringReport:
     """Evaluate the effect of the centering operator (I - tau 11^T/n)
     on the adjacency spectrum.
 
@@ -159,8 +157,7 @@ def check_centering_effect(g: Graph, tau: float,
     """
     if tau <= 0:
         raise DomainError(f"tau={tau} must be positive")
-    a = operator if operator is not None else OperatorMatrix(
-        data=g.adjacency(), kind="adjacency", symmetric=True)
+    a = OperatorMatrix(data=g.adjacency(), kind="adjacency", symmetric=True)
     es = symmetric_eig(a)
     ep = wl_refine(g)
     split = split_eigenpairs(es, ep)

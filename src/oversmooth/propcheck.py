@@ -1,8 +1,8 @@
 """Numerical verification of the package's seven dynamical claims.
 
 Each check is deterministic given (graph, seed, trial count).  Trials
-are independent and may be dispatched to a thread pool (``jobs``);
-reports are always reduced single-threaded.  Probability-bound checks
+run one after another, each from its own (seed, trial) generator, and
+each check uses one fixed operator.  Probability-bound checks
 compare an empirical frequency against the theoretical bound with a
 3-sigma binomial slack, so only one-sided violations fail.  Spectral-gap
 degeneracies yield "inconclusive", never "fail"; a trial check asked for
@@ -11,13 +11,12 @@ zero trials yields "undefined", never a vacuous "pass".
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .graphio import Graph, OperatorMatrix, build_operator, is_connected, is_regular
+from .graphio import Graph, OperatorMatrix, build_operator, is_connected
 from .layers import LayerConfig, WeightSpec, batch_norm, run_trajectory
 from .metrics import ReferenceVector, mu
 from .partition import check_centering_effect
@@ -120,19 +119,11 @@ def fit_log_slope(values: np.ndarray, skip: int = 4) -> float:
     return float(np.polyfit(t[window], np.log(values[window]), 1)[0])
 
 
-def _run_trials(fn, trials: int, jobs: int = 1) -> list:
-    if jobs <= 1:
-        return [fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, range(trials)))
-
-
 def check_prop1_residual_no_collapse(
         g: Graph, x0: np.ndarray, v: ReferenceVector | np.ndarray,
         alpha: float = 0.2, s: float | None = None,
         trials: int = DEFAULT_TRIALS, steps: int = DEFAULT_STEPS,
-        seed: int = 0, operator_kind: str = "sym_normalized",
-        jobs: int = 1) -> PropReport:
+        seed: int = 0) -> PropReport:
     """Residual updates keep mu_v bounded away from zero.
 
     Per trial, records min_t mu_v(X^(t)) over ``steps`` residual layers
@@ -144,7 +135,7 @@ def check_prop1_residual_no_collapse(
     if trials == 0:
         return PropReport(proposition=1, verdict=UNDEFINED, trials=0,
                           successes=0, bound=0.9, notes="no trials requested")
-    a = build_operator(g, operator_kind)
+    a = build_operator(g, "sym_normalized")
     spec = WeightSpec(std=s)
     c_star = 1e-6
 
@@ -157,7 +148,7 @@ def check_prop1_residual_no_collapse(
             return 0.0
         return float(min(log.records))
 
-    mins = _run_trials(one, trials, jobs)
+    mins = [one(t) for t in range(trials)]
     successes = int(sum(m >= c_star for m in mins))
     verdict = PASS if successes >= int(np.ceil(0.9 * trials)) else FAIL
     return PropReport(proposition=1, verdict=verdict, trials=trials,
@@ -166,8 +157,8 @@ def check_prop1_residual_no_collapse(
 
 def check_prop2_signal_retention(
         g: Graph, x0: np.ndarray, alpha: float, s: float, eps: float,
-        trials: int = DEFAULT_TRIALS, steps: int = 64, seed: int = 0,
-        operator_kind: str = "sym_normalized", jobs: int = 1) -> PropReport:
+        trials: int = DEFAULT_TRIALS, steps: int = 64,
+        seed: int = 0) -> PropReport:
     """Initial-signal retention: ||x_0^T X^(steps)|| >= eps with
     probability at least p = 1 - exp(-eps^2 / (2 alpha^2 s^2)).
 
@@ -181,9 +172,8 @@ def check_prop2_signal_retention(
     if trials == 0:
         return PropReport(proposition=2, verdict=UNDEFINED, trials=0,
                           successes=0, bound=p, notes="no trials requested")
-    a = build_operator(g, operator_kind)
-    spec = (WeightSpec(mode="identity") if s == 0.0
-            else WeightSpec(mean=0.0, std=s))
+    a = build_operator(g, "sym_normalized")
+    spec = WeightSpec(mode="identity") if s == 0.0 else WeightSpec(std=s)
 
     def one(t: int) -> float:
         rng = np.random.default_rng((seed, t))
@@ -191,7 +181,7 @@ def check_prop2_signal_retention(
         log = run_trajectory(a, x0, cfg, steps, rng)
         return float(np.linalg.norm(x0[:, 0] @ log.final))
 
-    values = _run_trials(one, trials, jobs)
+    values = [one(t) for t in range(trials)]
     successes = int(sum(val >= eps for val in values))
     slack = 3.0 * np.sqrt(p * (1.0 - p) / trials)
     verdict = PASS if successes / trials >= p - slack else FAIL
@@ -224,8 +214,7 @@ def _krylov_schedule(a: OperatorMatrix, x0: np.ndarray, y: np.ndarray):
 
 
 def check_prop3_krylov_reachability(
-        g: Graph, x0: np.ndarray, y: np.ndarray, seed: int = 0,
-        operator_kind: str = "adjacency") -> PropReport:
+        g: Graph, x0: np.ndarray, y: np.ndarray, seed: int = 0) -> PropReport:
     """Exact reachability of the Krylov subspace under residual updates.
 
     Forward: if y lies in Kr(A, x0), the constructed n-step schedule
@@ -233,7 +222,7 @@ def check_prop3_krylov_reachability(
     component of norm rho outside the subspace, every produced X^(n)
     stays at distance >= rho - 1e-8 from y.
     """
-    a = build_operator(g, operator_kind)
+    a = build_operator(g, "adjacency")
     n, k = x0.shape
     kb = krylov_basis(a, x0)
     proj_resid = float(np.linalg.norm(y - kb.basis @ (kb.basis.T @ y)))
@@ -283,8 +272,7 @@ def check_prop3_krylov_reachability(
 def check_prop4_bn_no_collapse(
         g: Graph, x0: np.ndarray, v: ReferenceVector | np.ndarray,
         trials: int = DEFAULT_TRIALS, steps: int = DEFAULT_STEPS,
-        seed: int = 0, operator_kind: str = "sym_normalized",
-        jobs: int = 1) -> PropReport:
+        seed: int = 0) -> PropReport:
     """BatchNorm keeps mu_v above a positive constant.
 
     The floor follows from BatchNorm output columns being centered unit
@@ -296,7 +284,7 @@ def check_prop4_bn_no_collapse(
     ones_overlap = float(vec @ np.ones(n)) / np.sqrt(n)
     if ones_overlap <= 0:
         raise DomainError("v must have positive overlap with the ones vector")
-    a = build_operator(g, operator_kind)
+    a = build_operator(g, "sym_normalized")
     es_hat = centered_eig(a, 1.0)
     scale = max(1.0, float(np.abs(es_hat.values).max(initial=0.0)))
     nonzero = np.abs(es_hat.values) > 1e-10 * scale
@@ -320,7 +308,7 @@ def check_prop4_bn_no_collapse(
             return 0.0
         return float(min(log.records))
 
-    mins = _run_trials(one, trials, jobs)
+    mins = [one(t) for t in range(trials)]
     successes = int(sum(m >= c_star for m in mins))
     verdict = PASS if successes == trials else FAIL
     return PropReport(proposition=4, verdict=verdict, trials=trials,
@@ -328,10 +316,10 @@ def check_prop4_bn_no_collapse(
                       evidence=tuple(mins))
 
 
-def _centered_system(a: OperatorMatrix, k: int):
+def _centered_system(a: OperatorMatrix):
     """Centered eigensystem plus the pieces the BN convergence checks
-    need: orthonormal eigenvectors of the ones-complement restriction,
-    absolute eigenvalues, and the top-k basis."""
+    need: orthonormal eigenvectors of the ones-complement restriction
+    and the absolute eigenvalues."""
     es = centered_eig(a, 1.0)
     n = a.n
     lifted = es.vectors[:, :n - 1]   # orthonormal, spans the 1-complement
@@ -341,7 +329,7 @@ def _centered_system(a: OperatorMatrix, k: int):
 
 def check_prop5_topk_convergence(
         g: Graph, x0: np.ndarray, k: int, steps: int = DEFAULT_STEPS,
-        seed: int = 0, operator_kind: str = "adjacency") -> ConvergenceTrace:
+        seed: int = 0) -> ConvergenceTrace:
     """BatchNorm dynamics converge to the top-k centered eigenspace.
 
     Records ||nu_q^T X^(t)|| for every q > k under Gaussian weights and
@@ -349,11 +337,11 @@ def check_prop5_topk_convergence(
     the one-sided bound log(|l_{k+1}|/|l_k|) + 0.05 and the top-k
     distance to drop below 1e-6.
     """
-    a = build_operator(g, operator_kind)
+    a = build_operator(g, "adjacency")
     n = g.n
     if not 1 <= k <= n - 2:
         raise DomainError(f"k={k} outside [1, n-2]")
-    es, lifted, absl = _centered_system(a, k)
+    es, lifted, absl = _centered_system(a)
     target = None
     if absl[k - 1] <= _GAP_TOL or (absl[k - 1] - absl[k]) <= _GAP_TOL * max(
             1.0, absl[0]):
@@ -403,7 +391,7 @@ def build_tightness_schedule(a: OperatorMatrix, x0: np.ndarray, k: int,
     n, kdim = x0.shape
     if k > kdim:
         raise DomainError(f"k={k} exceeds feature width {kdim}")
-    es, lifted, absl = _centered_system(a, k)
+    es, lifted, absl = _centered_system(a)
     scale = max(1.0, absl[0])
     if absl[k - 1] <= 1e-12 * scale:
         raise DomainError("elimination failure: |l_k| is numerically zero")
@@ -440,13 +428,12 @@ def build_tightness_schedule(a: OperatorMatrix, x0: np.ndarray, k: int,
 
 
 def check_prop6_tightness(g: Graph, x0: np.ndarray, k: int, eps: float,
-                          seed: int = 0,
-                          operator_kind: str = "adjacency") -> PropReport:
+                          seed: int = 0) -> PropReport:
     """The top-k convergence is tight: an explicit schedule aligns
     column i with the i-th centered eigenvector, |nu_i^T X_{:,i}| >=
     1/sqrt(1+eps) for all i <= k after the analytic step bound."""
-    a = build_operator(g, operator_kind)
-    es, lifted, absl = _centered_system(a, k)
+    a = build_operator(g, "adjacency")
+    es, lifted, absl = _centered_system(a)
     scale = max(1.0, absl[0])
     if absl[k - 1] <= 1e-12 * scale:
         return PropReport(proposition=6, verdict=INCONCLUSIVE, trials=k,
@@ -510,8 +497,8 @@ def check_prop7_centering(g: Graph, tau: float) -> PropReport:
 
 
 def check_vanilla_oversmoothing(
-        g: Graph, x0: np.ndarray, steps: int = DEFAULT_STEPS, seed: int = 0,
-        operator_kind: str = "sym_normalized") -> ConvergenceTrace:
+        g: Graph, x0: np.ndarray, steps: int = DEFAULT_STEPS,
+        seed: int = 0) -> ConvergenceTrace:
     """Baseline contrast: plain updates collapse onto the dominant
     eigenvector exponentially.
 
@@ -521,7 +508,7 @@ def check_vanilla_oversmoothing(
     """
     if not is_connected(g):
         raise DomainError("oversmoothing baseline requires a connected graph")
-    a = build_operator(g, operator_kind)
+    a = build_operator(g, "sym_normalized")
     es = symmetric_eig(a)
     v = es.vectors[:, 0]
     target = float(np.log(abs(es.values[1] / es.values[0])))

@@ -9,7 +9,7 @@ fixed so its largest-magnitude entry is positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,15 +106,14 @@ def _ones_complement_basis(n: int) -> np.ndarray:
     return q
 
 
-def centered_eig(a: OperatorMatrix, tau: float,
-                 require_all_real: bool = False) -> EigenSystem:
+def centered_eig(a: OperatorMatrix, tau: float) -> EigenSystem:
     """Eigenpairs of the centered operator (I - tau 11^T/n) A.
 
     tau=0 falls back to the symmetric decomposition of A.  tau=1 is
     computed exactly through the symmetric restriction to the complement
     of the all-ones direction, augmented with the kernel direction.
     Other tau use a dense general eigensolver; complex pairs are skipped
-    and counted in ``skipped_complex`` (error if require_all_real).
+    and counted in ``skipped_complex``.
     """
     if not a.symmetric:
         raise ContractError("centered_eig requires a symmetric source operator")
@@ -137,9 +136,6 @@ def centered_eig(a: OperatorMatrix, tau: float,
     scale = max(1.0, float(np.abs(vals_c).max(initial=0.0)))
     real = np.abs(vals_c.imag) <= 1e-9 * scale
     skipped = int(np.sum(~real))
-    if skipped and require_all_real:
-        raise DomainError(
-            f"centered operator (tau={tau}) has {skipped} complex eigenpairs")
     values = vals_c[real].real.copy()
     vectors = vecs_c[:, real].real.copy()
     norms = np.sqrt(np.sum(vectors * vectors, axis=0))

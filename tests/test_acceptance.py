@@ -79,7 +79,7 @@ def test_criterion_02_residual_no_collapse():
     es = symmetric_eig(build_operator(g, "sym_normalized"))
     rep = check_prop1_residual_no_collapse(
         g, _unit_features(g.n, 32, 0), es.vectors[:, 0], alpha=0.2,
-        trials=50, steps=256, seed=0, jobs=4)
+        trials=50, steps=256, seed=0)
     ok = rep.verdict == "pass"
     _budget(2, t0, 60.0)
     _report(2, ok, f"min mu_v >= 1e-6 in {rep.successes}/50 trials "
@@ -98,7 +98,7 @@ def test_criterion_03_signal_retention_bound():
     for p_target in (0.5, 0.9):
         eps = alpha * s * np.sqrt(-2.0 * np.log(1.0 - p_target))
         rep = check_prop2_signal_retention(g, x0, alpha, s, eps,
-                                           trials=200, seed=0, jobs=4)
+                                           trials=200, seed=0)
         results.append((p_target, rep))
     ok = all(rep.verdict == "pass" for _, rep in results)
     _budget(3, t0, 60.0)

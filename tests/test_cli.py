@@ -1,11 +1,15 @@
 """Command-line driver: subcommands, exit codes, determinism."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oversmooth import cli
+from oversmooth.graphio import gen_graph
 
 
 @pytest.fixture(autouse=True)
@@ -46,8 +50,7 @@ def test_simulate_outputs_and_aggregate(tmp_path, capsys):
     outdir = tmp_path / "out"
     code, _, _ = _run(capsys, [
         "simulate", "--graph", "er:20,0.3", "--steps", "3",
-        "--seeds", "0,1", "--k", "4", "--outdir", str(outdir),
-        "--jobs", "1"])
+        "--seeds", "0,1", "--k", "4", "--outdir", str(outdir)])
     assert code == 0
     for seed in (0, 1):
         text = (outdir / f"vanilla_seed{seed}.csv").read_text()
@@ -104,6 +107,93 @@ def test_simulate_edge_list_file(tmp_path, capsys):
         "simulate", "--graph", str(edge_file), "--steps", "2",
         "--seeds", "0", "--k", "2", "--outdir", str(outdir)])
     assert code == 0
+
+
+def test_simulate_edge_list_largest_cc(tmp_path, capsys):
+    # node 3 is isolated: the normalized operator exists only once
+    # --largest-cc has kept the triangle
+    edge_file = tmp_path / "g.txt"
+    edge_file.write_text("0 1\n1 2\n2 0\n4 5\n")
+    args = ["simulate", "--graph", str(edge_file), "--steps", "2",
+            "--seeds", "0", "--k", "2", "--outdir", str(tmp_path / "out")]
+    code, _, err = _run(capsys, args)
+    assert code == 1 and "degree 0" in err
+    code, _, err = _run(capsys, args + ["--largest-cc"])
+    assert code == 0, err
+
+
+def _write_edge_list(path, g):
+    path.write_text("".join(f"{u} {v} {w}\n" for u, v, w in g.edges))
+    return str(path)
+
+
+def test_verify_edge_list_file(tmp_path, capsys):
+    # the file holds er:30,0.2's largest component plus a disjoint edge,
+    # which verify drops again
+    g = gen_graph("er:30,0.2", seed=0, largest_cc=True)
+    edge_file = tmp_path / "g.txt"
+    _write_edge_list(edge_file, g)
+    with edge_file.open("a") as fh:
+        fh.write(f"{g.n} {g.n + 1}\n")
+    args = ["--props", "1,7", "--trials", "3", "--steps", "16"]
+    from_spec = _run(capsys, ["verify", "--graph", "er:30,0.2", *args])
+    from_file = _run(capsys, ["verify", "--graph", str(edge_file), *args])
+    assert from_spec[0] == 0
+    assert from_file == from_spec
+
+
+@pytest.mark.parametrize("command", ["spectrum", "partition"])
+def test_edge_list_file_matches_spec(tmp_path, capsys, command):
+    edge_file = _write_edge_list(tmp_path / "g.txt", gen_graph("star:5"))
+    from_spec = _run(capsys, [command, "star:5"])
+    assert from_spec[0] == 0
+    assert _run(capsys, [command, edge_file]) == from_spec
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["simulate", "--jobs", "2"], 1),
+    (["verify", "--no-such-flag"], 1),
+    (["frobnicate"], 1),
+    (["--help"], 0),
+], ids=["simulate-jobs", "unknown-flag", "unknown-command", "help"])
+def test_usage_exit_codes(capsys, argv, code):
+    got, out, err = _run(capsys, argv)
+    assert got == code
+    if code:
+        assert len(err.strip().splitlines()) == 1 and "error:" in err
+    else:
+        assert "usage:" in out
+
+
+def test_simulate_top_k_metric_needs_symmetric_operator(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    code, _, err = _run(capsys, [
+        "simulate", "--graph", "er:30,0.2", "--operator", "row_stochastic",
+        "--reference", "all_ones", "--top-k-metric", "3", "--steps", "3",
+        "--outdir", str(outdir)])
+    assert code == 1
+    assert err.count("\n") == 1 and "--top-k-metric" in err
+    assert not outdir.exists()
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n+```sh\n(.*?)```", text, re.S).group(1)
+    joined = block.replace("\\\n", " ")
+    return [shlex.split(line)[3:]
+            for line in joined.splitlines()
+            if line.startswith("python -m oversmooth.cli ")]
+
+
+def test_readme_cli_commands(tmp_path, capsys, monkeypatch):
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {
+        "simulate", "verify", "spectrum", "partition"}
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, _, err = _run(capsys, argv)
+        assert code in ((0, 3) if argv[0] == "verify" else (0,)), (argv, err)
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("reference", ["all_ones", "degree_sqrt"])

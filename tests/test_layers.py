@@ -135,9 +135,6 @@ def test_batch_norm_postconditions_and_error():
     assert np.abs(np.linalg.norm(out, axis=0) - 1.0).max() < 1e-10
     with pytest.raises(DegenerateColumnError):
         batch_norm(np.full((3, 1), 5.0))
-    # floor keeps the constant column instead of raising
-    floored = batch_norm(np.full((3, 1), 5.0), denom_floor=1e-6)
-    assert np.all(np.isfinite(floored))
 
 
 def test_batch_norm_invariance_shift_scale():
