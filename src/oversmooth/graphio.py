@@ -303,6 +303,8 @@ def load_graph(source: str, seed: int = 0, largest_cc: bool = False) -> Graph:
     if path.is_file():
         g = parse_edge_list(path.read_text())
         return largest_component(g) if largest_cc else g
+    if source.partition(":")[0].strip().lower() not in _GENERATORS:
+        raise DomainError(f"no such file or generator spec {source!r}")
     return gen_graph(source, seed=seed, largest_cc=largest_cc)
 
 

@@ -2,15 +2,18 @@
 
 Feature matrices are plain float64 arrays of shape (n, k).  All layer
 functions are pure; ``run_trajectory`` owns the only mutable state of a
-run and looks each variant's step up in one table.  Degenerate
-(zero/constant) normalization columns abort a run rather than being
-masked with an epsilon.
+run and looks each variant's step up in one table.  Given one generator
+per trial, it advances T trials from a shared x0 as one stack: the
+operator is applied once per step to the (n, T*k) block, and the rest of
+the step runs on each trial's (n, k) slice.  Degenerate (zero/constant)
+normalization columns abort a trial rather than being masked with an
+epsilon; the other trials of a stack go on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -127,6 +130,12 @@ def _apply_nl(x: np.ndarray, nl: str) -> np.ndarray:
     return x
 
 
+def _residual_mix(ax: np.ndarray, x0: np.ndarray, w1: np.ndarray,
+                  w2: np.ndarray, alpha: float, nl: str) -> np.ndarray:
+    """sigma((1-alpha) AX W1 + alpha X0 W2) from the propagated AX."""
+    return _apply_nl((1.0 - alpha) * (ax @ w1) + alpha * (x0 @ w2), nl)
+
+
 def step_vanilla(a: OperatorMatrix, x: np.ndarray, w: np.ndarray,
                  nl: str = "identity") -> np.ndarray:
     """X <- sigma(A X W)."""
@@ -144,7 +153,7 @@ def step_residual(a: OperatorMatrix, x: np.ndarray, x0: np.ndarray,
         raise DomainError(f"alpha={alpha} outside (0,1)")
     if x0.shape != x.shape:
         raise ContractError(f"x0 shape {x0.shape} != x shape {x.shape}")
-    return _apply_nl((1.0 - alpha) * (a.data @ x @ w1) + alpha * (x0 @ w2), nl)
+    return _residual_mix(a.data @ x, x0, w1, w2, alpha, nl)
 
 
 def _check_denominators(norms: np.ndarray, ref: np.ndarray, what: str):
@@ -209,51 +218,57 @@ def pair_norm(x: np.ndarray, s: float = 1.0) -> np.ndarray:
     return s * np.sqrt(n) * centered / total
 
 
-def power_embed_step(a: OperatorMatrix, x: np.ndarray, w: np.ndarray,
-                     nl: str = "identity") -> np.ndarray:
-    """sigma(A X W) followed by per-column 2-norm scaling (no centering)."""
-    y = step_vanilla(a, x, w, nl)
+def _unit_columns(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per-column 2-norm scaling of the step output y of features x."""
     norms = np.linalg.norm(y, axis=0)
     _check_denominators(norms, np.linalg.norm(x, axis=0), "zero column")
     return y / norms
 
 
+def power_embed_step(a: OperatorMatrix, x: np.ndarray, w: np.ndarray,
+                     nl: str = "identity") -> np.ndarray:
+    """sigma(A X W) followed by per-column 2-norm scaling (no centering)."""
+    return _unit_columns(step_vanilla(a, x, w, nl), x)
+
+
 # A variant's factory runs once per trajectory with (a, x0, cfg) and
-# returns its step X <- step(X, *weights).
+# returns its step X <- step(X, AX, *weights), where AX = A @ X is the
+# trial's slice of the product run_trajectory forms for the whole stack.
 
 def _vanilla(a, x0, cfg):
-    return lambda x, w: step_vanilla(a, x, w, cfg.nonlinearity)
+    return lambda x, ax, w: _apply_nl(ax @ w, cfg.nonlinearity)
 
 
 def _residual(a, x0, cfg):
-    return lambda x, w1, w2: step_residual(a, x, x0, w1, w2, cfg.alpha,
-                                           cfg.nonlinearity)
+    return lambda x, ax, w1, w2: _residual_mix(ax, x0, w1, w2, cfg.alpha,
+                                               cfg.nonlinearity)
 
 
 def _batchnorm(a, x0, cfg):
-    return lambda x, w: batch_norm(step_vanilla(a, x, w, cfg.nonlinearity))
+    return lambda x, ax, w: batch_norm(_apply_nl(ax @ w, cfg.nonlinearity))
 
 
 def _pairnorm(a, x0, cfg):
-    return lambda x, w: pair_norm(step_vanilla(a, x, w, cfg.nonlinearity),
-                                  cfg.scale)
+    return lambda x, ax, w: pair_norm(_apply_nl(ax @ w, cfg.nonlinearity),
+                                      cfg.scale)
 
 
 def _graphnorm(a, x0, cfg):
     tau = np.ones(x0.shape[1])
-    return lambda x, w: graph_norm(step_vanilla(a, x, w, cfg.nonlinearity),
-                                   tau)
+    return lambda x, ax, w: graph_norm(_apply_nl(ax @ w, cfg.nonlinearity),
+                                       tau)
 
 
 def _graphnormv2(a, x0, cfg):
     ctx = cfg.norm_context or build_norm_context(a, cfg.gnv2_k)
     tau = np.tile(bn_emulating_tau(ctx)[:, None], (1, x0.shape[1]))
-    return lambda x, w: graph_norm_v2(step_vanilla(a, x, w, cfg.nonlinearity),
-                                      ctx, tau)
+    return lambda x, ax, w: graph_norm_v2(_apply_nl(ax @ w, cfg.nonlinearity),
+                                          ctx, tau)
 
 
 def _powerembed(a, x0, cfg):
-    return lambda x, w: power_embed_step(a, x, w, cfg.nonlinearity)
+    return lambda x, ax, w: _unit_columns(
+        _apply_nl(ax @ w, cfg.nonlinearity), x)
 
 
 # variant -> (step factory, weights drawn per step); the weights are
@@ -272,28 +287,47 @@ VARIANTS = tuple(_STEPS)
 
 @dataclass
 class TrajectoryLog:
-    """Per-step observer records for one simulated run."""
+    """Per-step observer records for one simulated run.
+
+    A stacked run returns one log whose ``trials`` holds each trial's
+    own log.  Its other fields then describe the shared loop: no
+    records, ``final`` is the (n, T*k) block of the trials' final
+    features, and the loop counts as aborted, at the step where it
+    stopped, only once every trial has aborted.
+    """
 
     records: list
     final: np.ndarray
     aborted: bool = False
     abort_step: Optional[int] = None
     abort_reason: Optional[str] = None
+    trials: tuple = ()
 
     def __len__(self):
         return len(self.records)
 
 
 def run_trajectory(a: OperatorMatrix, x0: np.ndarray, cfg: LayerConfig,
-                   steps: int, rng: np.random.Generator,
+                   steps: int,
+                   rng: np.random.Generator | Sequence[np.random.Generator],
                    observer: Optional[Callable[[int, np.ndarray], object]] = None,
                    ) -> TrajectoryLog:
     """Apply the configured layer ``steps`` times.
 
-    The observer is invoked after every step with (step, X) and its
-    return value is appended to the log.  Degenerate columns or
-    non-finite features truncate the run; the partial log is kept.
-    For the residual variant W1 is sampled before W2 at each step.
+    ``rng`` is one generator, or one generator per trial.  The T trials
+    of a sequence start from the shared x0 and advance as one stack:
+    each step applies the operator once to the (n, T*k) block of the
+    live trials.  Each trial draws its own weights (W1 before W2 for the
+    residual variant), and its X W, normalization, non-finite check and
+    observer record are computed on its own (n, k) slice.  The observer
+    is invoked after every step with (step, X) and its return value is
+    appended to that trial's records.
+
+    Degenerate columns or non-finite features stop a trial with its
+    partial records, the features before the failed step, the abort
+    step and the reason; the other trials go on.  A single generator
+    returns that trial's log; a sequence returns a stacked log whose
+    ``trials`` are the per-trial logs in order.
     """
     if steps < 1:
         raise DomainError("steps must be >= 1")
@@ -301,22 +335,49 @@ def run_trajectory(a: OperatorMatrix, x0: np.ndarray, cfg: LayerConfig,
     if x.ndim != 2 or x.shape[0] != a.n:
         raise ContractError(f"x0 shape {x.shape} incompatible with n={a.n}")
     k = x.shape[1]
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else list(rng)
+    if not rngs:
+        raise DomainError("a stacked run needs at least one generator")
     factory, n_weights = _STEPS[cfg.variant]
     step = factory(a, x0, cfg)
     specs = (cfg.weight_spec, cfg.weight_spec2 or cfg.weight_spec)[:n_weights]
-    records: list = []
+    xs = [x] * len(rngs)
+    records = [[] for _ in rngs]
+    logs: list = [None] * len(rngs)
+    live = list(range(len(rngs)))
     for t in range(steps):
-        try:
-            ws = [sample_weight(spec, (k, k), rng, step=t) for spec in specs]
-            x_new = step(x, *ws)
-        except DegenerateColumnError as exc:
-            return TrajectoryLog(records=records, final=x, aborted=True,
-                                 abort_step=t + 1, abort_reason=str(exc))
-        if not np.all(np.isfinite(x_new)):
-            return TrajectoryLog(records=records, final=x, aborted=True,
-                                 abort_step=t + 1,
-                                 abort_reason="non-finite features")
-        x = x_new
-        if observer is not None:
-            records.append(observer(t + 1, x))
-    return TrajectoryLog(records=records, final=x)
+        if not live:
+            break
+        ws = [[sample_weight(spec, (k, k), rngs[i], step=t) for spec in specs]
+              for i in live]
+        ax = a.data @ np.concatenate([xs[i] for i in live], axis=1)
+        still = []
+        for j, i in enumerate(live):
+            try:
+                x_new = step(xs[i], ax[:, j * k:(j + 1) * k], *ws[j])
+            except DegenerateColumnError as exc:
+                reason = str(exc)
+            else:
+                reason = (None if np.all(np.isfinite(x_new))
+                          else "non-finite features")
+            if reason is not None:
+                logs[i] = TrajectoryLog(records=records[i], final=xs[i],
+                                        aborted=True, abort_step=t + 1,
+                                        abort_reason=reason)
+                continue
+            xs[i] = x_new
+            if observer is not None:
+                records[i].append(observer(t + 1, x_new))
+            still.append(i)
+        live = still
+    for i in live:
+        logs[i] = TrajectoryLog(records=records[i], final=xs[i])
+    if single:
+        return logs[0]
+    stopped = not live
+    return TrajectoryLog(
+        records=[], final=np.concatenate(xs, axis=1), aborted=stopped,
+        abort_step=max(log.abort_step for log in logs) if stopped else None,
+        abort_reason="every trial aborted" if stopped else None,
+        trials=tuple(logs))

@@ -1,12 +1,14 @@
 """Numerical verification of the package's seven dynamical claims.
 
-Each check is deterministic given (graph, seed, trial count).  Trials
-run one after another, each from its own (seed, trial) generator, and
-each check uses one fixed operator.  Probability-bound checks
-compare an empirical frequency against the theoretical bound with a
-3-sigma binomial slack, so only one-sided violations fail.  Spectral-gap
-degeneracies yield "inconclusive", never "fail"; a trial check asked for
-zero trials yields "undefined", never a vacuous "pass".
+Each check is deterministic given (graph, seed, trial count).  Each
+trial draws its weights from its own (seed, trial) generator; a check's
+trials advance together as one stacked ``run_trajectory`` call, in which
+a trial that aborts stops alone.  Each check uses one fixed operator.
+Probability-bound checks compare an empirical frequency against the
+theoretical bound with a 3-sigma binomial slack, so only one-sided
+violations fail.  Spectral-gap degeneracies yield "inconclusive", never
+"fail"; a trial check asked for zero trials yields "undefined", never a
+vacuous "pass".
 """
 
 from __future__ import annotations
@@ -119,6 +121,11 @@ def fit_log_slope(values: np.ndarray, skip: int = 4) -> float:
     return float(np.polyfit(t[window], np.log(values[window]), 1)[0])
 
 
+def _trial_rngs(seed: int, trials: int) -> list:
+    """One generator per trial, trial t seeded with (seed, t)."""
+    return [np.random.default_rng((seed, t)) for t in range(trials)]
+
+
 def check_prop1_residual_no_collapse(
         g: Graph, x0: np.ndarray, v: ReferenceVector | np.ndarray,
         alpha: float = 0.2, s: float | None = None,
@@ -136,19 +143,13 @@ def check_prop1_residual_no_collapse(
         return PropReport(proposition=1, verdict=UNDEFINED, trials=0,
                           successes=0, bound=0.9, notes="no trials requested")
     a = build_operator(g, "sym_normalized")
-    spec = WeightSpec(std=s)
+    cfg = LayerConfig(variant="residual", alpha=alpha,
+                      weight_spec=WeightSpec(std=s))
     c_star = 1e-6
-
-    def one(t: int) -> float:
-        rng = np.random.default_rng((seed, t))
-        cfg = LayerConfig(variant="residual", alpha=alpha, weight_spec=spec)
-        log = run_trajectory(a, x0, cfg, steps, rng,
-                             observer=lambda _, x: mu(x, v))
-        if log.aborted:
-            return 0.0
-        return float(min(log.records))
-
-    mins = [one(t) for t in range(trials)]
+    log = run_trajectory(a, x0, cfg, steps, _trial_rngs(seed, trials),
+                         observer=lambda _, x: mu(x, v))
+    mins = [0.0 if tr.aborted else float(min(tr.records))
+            for tr in log.trials]
     successes = int(sum(m >= c_star for m in mins))
     verdict = PASS if successes >= int(np.ceil(0.9 * trials)) else FAIL
     return PropReport(proposition=1, verdict=verdict, trials=trials,
@@ -174,14 +175,10 @@ def check_prop2_signal_retention(
                           successes=0, bound=p, notes="no trials requested")
     a = build_operator(g, "sym_normalized")
     spec = WeightSpec(mode="identity") if s == 0.0 else WeightSpec(std=s)
-
-    def one(t: int) -> float:
-        rng = np.random.default_rng((seed, t))
-        cfg = LayerConfig(variant="residual", alpha=alpha, weight_spec=spec)
-        log = run_trajectory(a, x0, cfg, steps, rng)
-        return float(np.linalg.norm(x0[:, 0] @ log.final))
-
-    values = [one(t) for t in range(trials)]
+    cfg = LayerConfig(variant="residual", alpha=alpha, weight_spec=spec)
+    log = run_trajectory(a, x0, cfg, steps, _trial_rngs(seed, trials))
+    values = [float(np.linalg.norm(x0[:, 0] @ tr.final))
+              for tr in log.trials]
     successes = int(sum(val >= eps for val in values))
     slack = 3.0 * np.sqrt(p * (1.0 - p) / trials)
     verdict = PASS if successes / trials >= p - slack else FAIL
@@ -256,10 +253,9 @@ def check_prop3_krylov_reachability(
         weight_spec2=WeightSpec(mode="explicit", matrices=tuple(w2s)))
     finals.append(run_trajectory(a, x0, cfg, n,
                                  np.random.default_rng(seed)).final)
-    for t in range(5):
-        rng = np.random.default_rng((seed, t))
-        cfg = LayerConfig(variant="residual", alpha=0.5)
-        finals.append(run_trajectory(a, x0, cfg, n, rng).final)
+    log = run_trajectory(a, x0, LayerConfig(variant="residual", alpha=0.5),
+                         n, _trial_rngs(seed, 5))
+    finals.extend(tr.final for tr in log.trials)
     dists = [float(np.linalg.norm(f - y)) for f in finals]
     ok = all(d >= rho - 1e-8 for d in dists)
     return PropReport(proposition=3, verdict=PASS if ok else FAIL,
@@ -299,16 +295,11 @@ def check_prop4_bn_no_collapse(
                           successes=0, bound=float(c_star),
                           notes="no trials requested")
 
-    def one(t: int) -> float:
-        rng = np.random.default_rng((seed, t))
-        cfg = LayerConfig(variant="batchnorm")
-        log = run_trajectory(a, x0, cfg, steps, rng,
-                             observer=lambda _, x: mu(x, vec))
-        if log.aborted:
-            return 0.0
-        return float(min(log.records))
-
-    mins = [one(t) for t in range(trials)]
+    log = run_trajectory(a, x0, LayerConfig(variant="batchnorm"), steps,
+                         _trial_rngs(seed, trials),
+                         observer=lambda _, x: mu(x, vec))
+    mins = [0.0 if tr.aborted else float(min(tr.records))
+            for tr in log.trials]
     successes = int(sum(m >= c_star for m in mins))
     verdict = PASS if successes == trials else FAIL
     return PropReport(proposition=4, verdict=verdict, trials=trials,

@@ -5,18 +5,16 @@ Each test prints exactly one "criterion NN: PASS|FAIL" line and enforces
 its runtime budget.
 """
 
-import json
 import sys
 import time
 
 import numpy as np
-import pytest
 
 from oversmooth import cli
 from oversmooth.graphio import build_operator, gen_graph
-from oversmooth.layers import (LayerConfig, WeightSpec, batch_norm,
-                               bn_emulating_tau, build_norm_context,
-                               graph_norm_v2, run_trajectory)
+from oversmooth.layers import (LayerConfig, batch_norm, bn_emulating_tau,
+                               build_norm_context, graph_norm_v2,
+                               run_trajectory)
 from oversmooth.metrics import (all_ones_reference, col_distance,
                                 col_projection_distance, degree_sqrt_reference,
                                 dirichlet, mu)
@@ -25,7 +23,6 @@ from oversmooth.propcheck import (build_tightness_schedule,
                                   check_prop1_residual_no_collapse,
                                   check_prop2_signal_retention,
                                   check_prop3_krylov_reachability,
-                                  check_prop4_bn_no_collapse,
                                   check_prop5_topk_convergence,
                                   check_prop6_tightness,
                                   check_prop7_centering,

@@ -165,6 +165,19 @@ def test_usage_exit_codes(capsys, argv, code):
         assert "usage:" in out
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify", "spectrum",
+                                     "partition"])
+def test_missing_graph_file_message(tmp_path, capsys, command):
+    missing = str(tmp_path / "missing.txt")
+    argv = {"simulate": ["simulate", "--graph", missing, "--outdir",
+                         str(tmp_path / "out")],
+            "verify": ["verify", "--graph", missing]}.get(command,
+                                                           [command, missing])
+    code, _, err = _run(capsys, argv)
+    assert code == 1
+    assert err == f"error: no such file or generator spec {missing!r}\n"
+
+
 def test_simulate_top_k_metric_needs_symmetric_operator(tmp_path, capsys):
     outdir = tmp_path / "out"
     code, _, err = _run(capsys, [
@@ -194,6 +207,41 @@ def test_readme_cli_commands(tmp_path, capsys, monkeypatch):
         code, _, err = _run(capsys, argv)
         assert code in ((0, 3) if argv[0] == "verify" else (0,)), (argv, err)
         assert "Traceback" not in err
+
+
+def test_simulate_rank_column_matches_svd_replay(tmp_path, capsys):
+    # Plain updates collapse the features onto one direction, so the
+    # rank column falls from k to 1.  Replay the run in numpy (W ~ N(0,
+    # 1/k) from default_rng(seed), x0 from default_rng((seed, 101)) with
+    # unit columns) and count singular values above 1e-10 * sigma_max *
+    # max(n, k); steps with a singular value within 1% of that
+    # threshold are skipped.
+    seed, k, steps = 2, 4, 64
+    outdir = tmp_path / "out"
+    code, _, _ = _run(capsys, [
+        "simulate", "--graph", "er:30,0.3", "--largest-cc", "--k", str(k),
+        "--steps", str(steps), "--seeds", str(seed), "--outdir",
+        str(outdir)])
+    assert code == 0
+    lines = (outdir / f"vanilla_seed{seed}.csv").read_text().splitlines()
+    col = lines[0].split(",").index("rank")
+    ranks = [int(line.split(",")[col]) for line in lines[1:]]
+    adj = gen_graph("er:30,0.3", seed=0, largest_cc=True).adjacency()
+    dinv = 1.0 / np.sqrt(adj.sum(axis=1))
+    a_hat = adj * dinv[:, None] * dinv[None, :]
+    x = np.random.default_rng((seed, 101)).normal(size=(adj.shape[0], k))
+    x /= np.linalg.norm(x, axis=0)
+    rng = np.random.default_rng(seed)
+    compared = []
+    for t in range(steps):
+        x = a_hat @ x @ rng.normal(0.0, 1.0 / np.sqrt(k), size=(k, k))
+        sigma = np.linalg.svd(x, compute_uv=False)
+        threshold = 1e-10 * sigma[0] * max(x.shape)
+        if np.all(np.abs(sigma / threshold - 1.0) >= 0.01):
+            assert ranks[t] == int(np.sum(sigma > threshold)), t + 1
+            compared.append(ranks[t])
+    assert len(compared) >= steps - 2
+    assert compared[0] == k and compared[-1] == 1
 
 
 @pytest.mark.parametrize("reference", ["all_ones", "degree_sqrt"])

@@ -6,7 +6,7 @@ import pytest
 from oversmooth.errors import (ContractError, DegenerateColumnError,
                                DomainError)
 from oversmooth.graphio import build_operator, gen_graph, make_graph
-from oversmooth.layers import (LayerConfig, WeightSpec, batch_norm,
+from oversmooth.layers import (VARIANTS, LayerConfig, WeightSpec, batch_norm,
                                bn_emulating_tau, build_norm_context,
                                graph_norm, graph_norm_v2, pair_norm,
                                power_embed_step, run_trajectory,
@@ -336,3 +336,84 @@ def test_run_trajectory_validation():
         LayerConfig(nonlinearity="tanh")
     with pytest.raises(DomainError):
         LayerConfig(variant="residual", alpha=0.0)
+
+
+# --------------------------------------------------------- stacked trials
+
+# Per variant: layer options and step count under which five trials stop
+# at different steps and, for every variant but residual, at least one
+# runs to the end.  Plain and residual updates with std 1e3 overflow
+# near step 100; the normalizing variants get weights so large that a
+# column norm overflows after a few steps; relu power embedding hits
+# zero columns.
+_STACK_CASES = {
+    "vanilla": (dict(weight_spec=WeightSpec(std=1e3)), 103),
+    "residual": (dict(weight_spec=WeightSpec(std=1e3)), 107),
+    "batchnorm": (dict(weight_spec=WeightSpec(std=1.2e154)), 10),
+    "pairnorm": (dict(weight_spec=WeightSpec(std=3e153)), 14),
+    "graphnorm": (dict(weight_spec=WeightSpec(std=3e153)), 10),
+    "graphnormv2": (dict(weight_spec=WeightSpec(std=1.2e154)), 10),
+    "powerembed": (dict(nonlinearity="relu"), 3),
+}
+
+
+def _stack_fixture():
+    a = build_operator(gen_graph("er:12,0.4", seed=3, largest_cc=True),
+                       "sym_normalized")
+    x0 = np.random.default_rng(5).normal(size=(a.n, 2))
+    return a, x0 / np.linalg.norm(x0, axis=0)
+
+
+def _trial_rngs(trials):
+    return [np.random.default_rng((9, t)) for t in range(trials)]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_stacked_trials_match_single_runs(variant):
+    a, x0 = _stack_fixture()
+    options, steps = _STACK_CASES[variant]
+    cfg = LayerConfig(variant=variant, **options)
+
+    def observe(t, x):
+        return x.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = run_trajectory(a, x0, cfg, steps, _trial_rngs(5),
+                                 observer=observe)
+        singles = [run_trajectory(a, x0, cfg, steps, rng, observer=observe)
+                   for rng in _trial_rngs(5)]
+    assert len({log.abort_step for log in singles if log.aborted}) > 1
+    assert len(stacked.trials) == 5
+    for got, want in zip(stacked.trials, singles):
+        assert (got.aborted, got.abort_step, got.abort_reason) == (
+            want.aborted, want.abort_step, want.abort_reason)
+        assert len(got.records) == len(want.records)
+        for rec, ref in zip(got.records, want.records):
+            np.testing.assert_allclose(rec, ref, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got.final, want.final, rtol=1e-12, atol=0)
+
+
+def test_stacked_log_describes_the_loop():
+    a, x0 = _stack_fixture()
+    options, steps = _STACK_CASES["vanilla"]
+    cfg = LayerConfig(variant="vanilla", **options)
+    with np.errstate(over="ignore", invalid="ignore"):
+        partial = run_trajectory(a, x0, cfg, steps, _trial_rngs(5))
+        stopped = run_trajectory(a, x0, cfg, 200, _trial_rngs(5))
+    assert not partial.aborted and partial.abort_step is None
+    assert any(tr.aborted for tr in partial.trials)
+    assert np.array_equal(partial.final, np.concatenate(
+        [tr.final for tr in partial.trials], axis=1))
+    assert stopped.aborted
+    assert stopped.abort_step == max(tr.abort_step for tr in stopped.trials)
+    assert stopped.records == []
+
+
+def test_single_generator_returns_the_trial_log():
+    a, x0 = _stack_fixture()
+    cfg = LayerConfig(variant="residual")
+    single = run_trajectory(a, x0, cfg, 5, np.random.default_rng((9, 0)))
+    stacked = run_trajectory(a, x0, cfg, 5, _trial_rngs(1))
+    assert single.trials == ()
+    assert np.array_equal(single.final, stacked.trials[0].final)
+    with pytest.raises(DomainError):
+        run_trajectory(a, x0, cfg, 5, [])

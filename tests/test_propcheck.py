@@ -8,8 +8,8 @@ from oversmooth.errors import DomainError
 from oversmooth.graphio import build_operator, gen_graph, make_graph
 from oversmooth.layers import LayerConfig, WeightSpec, run_trajectory
 from oversmooth.metrics import all_ones_reference
-from oversmooth.propcheck import (FAIL, INCONCLUSIVE, PASS, UNDEFINED,
-                                  PropReport, build_tightness_schedule,
+from oversmooth.propcheck import (INCONCLUSIVE, PASS, UNDEFINED, PropReport,
+                                  build_tightness_schedule,
                                   check_prop1_residual_no_collapse,
                                   check_prop2_signal_retention,
                                   check_prop3_krylov_reachability,
@@ -18,7 +18,7 @@ from oversmooth.propcheck import (FAIL, INCONCLUSIVE, PASS, UNDEFINED,
                                   check_prop6_tightness,
                                   check_prop7_centering,
                                   check_vanilla_oversmoothing, fit_log_slope)
-from oversmooth.spectral import centered_eig, krylov_basis
+from oversmooth.spectral import centered_eig
 
 
 def _unit_x0(n, k, seed=0):
