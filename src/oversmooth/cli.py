@@ -20,7 +20,7 @@ import numpy as np
 
 from . import propcheck
 from .errors import OversmoothError
-from .graphio import Graph, build_operator, load_graph
+from .graphio import Graph, build_operator, is_connected, load_graph
 from .layers import VARIANTS, LayerConfig, WeightSpec, run_trajectory
 from .metrics import (CSV_COLUMNS, MetricObserver, all_ones_reference,
                       degree_sqrt_reference, dominant_eig_reference)
@@ -83,11 +83,8 @@ def _reference(cfg: RunConfig, g: Graph, es):
     return dominant_eig_reference(es)
 
 
-def _initial_features(g: Graph, k: int, seed: int, normalize: bool):
-    if g.features is not None:
-        x0 = np.array(g.features, dtype=np.float64)
-    else:
-        x0 = np.random.default_rng((seed, 101)).normal(size=(g.n, k))
+def _initial_features(n: int, k: int, seed: int, normalize: bool):
+    x0 = np.random.default_rng((seed, 101)).normal(size=(n, k))
     if normalize:
         norms = np.linalg.norm(x0, axis=0)
         norms[norms == 0] = 1.0
@@ -126,6 +123,11 @@ def _write_aggregate(path: Path, all_records):
 def cmd_simulate(cfg: RunConfig) -> int:
     g = load_graph(cfg.graph, seed=cfg.graph_seed, largest_cc=cfg.largest_cc)
     a = build_operator(g, cfg.operator)
+    if cfg.reference == "dominant_eig" and not is_connected(g):
+        # the top eigenvalue is then repeated: its vector is arbitrary
+        print("config error: dominant_eig reference needs a connected "
+              "graph; pass --largest-cc", file=sys.stderr)
+        return EXIT_CONFIG
     es = symmetric_eig(a) if a.symmetric else None
     if es is None and cfg.reference == "dominant_eig":
         print("config error: dominant_eig reference needs a symmetric "
@@ -148,7 +150,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     status = EXIT_OK
     complete = []
     for seed in cfg.seeds:
-        x0 = _initial_features(g, cfg.k, seed, cfg.normalize_features)
+        x0 = _initial_features(g.n, cfg.k, seed, cfg.normalize_features)
         log = run_trajectory(a, x0, lcfg, cfg.steps,
                              np.random.default_rng(seed),
                              observer=MetricObserver(g, v, top_k_basis=tk))
@@ -171,48 +173,52 @@ def _verify_inputs(g: Graph, k: int, seed: int):
     return x0
 
 
+def _prop3(g, x0, o):
+    kb = krylov_basis(build_operator(g, "adjacency"), x0)
+    y = kb.basis @ np.random.default_rng((o.seed, 303)).normal(
+        size=(kb.r, o.k))
+    return propcheck.check_prop3_krylov_reachability(g, x0, y, seed=o.seed)
+
+
+# proposition id -> its check, called with the graph, x0, the all-ones
+# reference v and o, which holds cmd_verify's arguments.  Prop 2 runs at
+# alpha = 0.5, s = 1 and eps = sqrt(2 ln 2) / 2, so that p = 0.5.
+_VERIFY = {
+    1: lambda g, x0, v, o: propcheck.check_prop1_residual_no_collapse(
+        g, x0, v, alpha=o.alpha, trials=o.trials, steps=o.steps,
+        seed=o.seed),
+    2: lambda g, x0, v, o: propcheck.check_prop2_signal_retention(
+        g, x0, 0.5, 1.0, 0.5 * np.sqrt(2.0 * np.log(2.0)),
+        trials=o.trials, seed=o.seed),
+    3: lambda g, x0, v, o: _prop3(g, x0, o),
+    4: lambda g, x0, v, o: propcheck.check_prop4_bn_no_collapse(
+        g, x0, v, trials=o.trials, steps=o.steps, seed=o.seed),
+    5: lambda g, x0, v, o: propcheck.check_prop5_topk_convergence(
+        g, x0, o.k, steps=o.steps, seed=o.seed),
+    6: lambda g, x0, v, o: propcheck.check_prop6_tightness(
+        g, x0, o.k, o.eps, seed=o.seed),
+    7: lambda g, x0, v, o: propcheck.check_prop7_centering(g, o.tau),
+}
+
+
 def cmd_verify(prop_ids, graph_spec: str, seed: int = 0, k: int = 4,
                trials: int = propcheck.DEFAULT_TRIALS,
                steps: int = propcheck.DEFAULT_STEPS, tau: float = 1.0,
                eps: float = 0.01, alpha: float = 0.2,
                out=None) -> int:
     for pid in prop_ids:
-        if pid not in propcheck.CHECKS:
+        if pid not in _VERIFY:
             print(f"unknown proposition id {pid}", file=sys.stderr)
             return EXIT_CONFIG
+    o = argparse.Namespace(seed=seed, k=k, trials=trials, steps=steps,
+                           tau=tau, eps=eps, alpha=alpha)
     g = load_graph(graph_spec, seed=seed, largest_cc=True)
     x0 = _verify_inputs(g, k, seed)
     v = all_ones_reference(g.n)
     reports = []
     for pid in prop_ids:
-        if pid == 1:
-            rep = propcheck.check_prop1_residual_no_collapse(
-                g, x0, v, alpha=alpha, trials=trials, steps=steps,
-                seed=seed)
-        elif pid == 2:
-            s = 1.0
-            eps2 = 0.5 * s * np.sqrt(2.0 * np.log(2.0))  # p = 0.5
-            rep = propcheck.check_prop2_signal_retention(
-                g, x0, 0.5, s, eps2, trials=trials, seed=seed)
-        elif pid == 3:
-            a = build_operator(g, "adjacency")
-            kb = krylov_basis(a, x0)
-            y = kb.basis @ np.random.default_rng((seed, 303)).normal(
-                size=(kb.r, k))
-            rep = propcheck.check_prop3_krylov_reachability(g, x0, y,
-                                                            seed=seed)
-        elif pid == 4:
-            rep = propcheck.check_prop4_bn_no_collapse(
-                g, x0, v, trials=trials, steps=steps, seed=seed)
-        elif pid == 5:
-            trace = propcheck.check_prop5_topk_convergence(
-                g, x0, k, steps=steps, seed=seed)
-            rep = {"id": 5, **trace.to_json()}
-        elif pid == 6:
-            rep = propcheck.check_prop6_tightness(g, x0, k, eps, seed=seed)
-        else:
-            rep = propcheck.check_prop7_centering(g, tau)
-        reports.append(rep if isinstance(rep, dict) else rep.to_json())
+        # prop 5's trace has no id of its own
+        reports.append({"id": pid, **_VERIFY[pid](g, x0, v, o).to_json()})
     text = json.dumps(reports, indent=2, sort_keys=True) + "\n"
     if out:
         Path(out).write_text(text)

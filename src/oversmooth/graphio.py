@@ -1,8 +1,9 @@
 """Graph construction, parsing, generators and message-passing operators.
 
-Graphs are symmetric, non-negative and dense: the target scale is a few
-thousand nodes at most, so everything is a plain float64 array.  Edge
-lists are symmetrized on input (directed input is silently symmetrized).
+A graph is symmetric and non-negative, stored as edge arrays (one
+entry per unordered pair); operators are dense float64 matrices, as the
+target scale is a few thousand nodes at most.  Edge lists are
+symmetrized on input (directed input is silently symmetrized).
 Generators draw from ``numpy.random.default_rng`` (PCG64) seeded per
 call, so a (spec, seed) pair reproduces exactly within this package.
 """
@@ -28,45 +29,39 @@ OPERATOR_KINDS = (ADJACENCY, SYM_NORMALIZED, ROW_STOCHASTIC)
 _SYM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Symmetric weighted graph with optional node features.
-
-    edges holds one entry per unordered pair (u <= v), all weights >= 0.
-    """
+    """Symmetric weighted graph on nodes 0..n-1, stored as edge arrays:
+    read-only ``u``, ``v`` (intp) and ``w`` (float64) hold one entry
+    per unordered pair, with u <= v and w >= 0, sorted by (u, v).
+    ``make_graph`` builds one from pairs in any order."""
 
     n: int
-    edges: tuple[tuple[int, int, float], ...]
-    features: Optional[np.ndarray] = None
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
 
     def __post_init__(self):
-        seen = set()
-        for u, v, w in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise DomainError(f"edge ({u},{v}) outside [0,{self.n})")
-            if w < 0:
-                raise DomainError(f"negative weight {w} on edge ({u},{v})")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise DomainError(f"duplicate edge entry for pair {key}")
-            seen.add(key)
-        if self.features is not None and self.features.shape[0] != self.n:
-            raise DomainError("feature row count does not match node count")
+        u, v = np.array(self.u, dtype=np.intp), np.array(self.v, dtype=np.intp)
+        w = np.array(self.w, dtype=np.float64)
+        if not u.shape == v.shape == w.shape == (len(w),):
+            raise DomainError("u, v and w must be 1-d arrays of one length")
+        step = np.diff(u * self.n + v, prepend=-1)
+        for bad, what in ((u > v, "has u > v"),
+                          ((u < 0) | (v >= self.n), f"outside [0,{self.n})"),
+                          (w < 0, "has negative weight"),
+                          (step == 0, "is a duplicate entry for its pair"),
+                          (step < 0, "is out of (u, v) order")):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise DomainError(f"edge ({u[i]},{v[i]}) {what}")
+        for name, arr in (("u", u), ("v", v), ("w", w)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
-
-    @cached_property
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only (u, v, w): endpoint indices and weights, in the
-        order of ``edges``."""
-        table = np.array(self.edges, dtype=np.float64).reshape(-1, 3)
-        u, v = table[:, :2].T.astype(np.intp)
-        w = table[:, 2]
-        for arr in (u, v, w):
-            arr.setflags(write=False)
-        return u, v, w
+        return len(self.w)
 
     @cached_property
     def _degrees(self) -> np.ndarray:
@@ -76,9 +71,8 @@ class Graph:
 
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
-        for u, v, w in self.edges:
-            a[u, v] = w
-            a[v, u] = w
+        a[self.u, self.v] = self.w
+        a[self.v, self.u] = self.w
         return a
 
     def degrees(self) -> np.ndarray:
@@ -111,17 +105,16 @@ class OperatorMatrix:
         return self.data.shape[0]
 
 
-def _edges_from_pairs(pairs: Iterable[tuple[int, int, float]]):
-    """Symmetrize: keep one entry per unordered pair, last weight wins."""
-    merged: dict[tuple[int, int], float] = {}
-    for u, v, w in pairs:
-        merged[(min(u, v), max(u, v))] = float(w)
-    return tuple(sorted((u, v, w) for (u, v), w in merged.items()))
-
-
-def make_graph(n: int, pairs: Iterable[tuple[int, int, float]],
-               features: Optional[np.ndarray] = None) -> Graph:
-    return Graph(n=n, edges=_edges_from_pairs(pairs), features=features)
+def make_graph(n: int, pairs: Iterable | np.ndarray) -> Graph:
+    """Graph from (u, v, w) triples or an (m, 3) array: one entry per
+    unordered pair, the last weight given for a pair winning."""
+    table = np.asarray(pairs, dtype=np.float64).reshape(-1, 3)
+    ends = np.sort(table[:, :2].astype(np.intp), axis=1)
+    order = np.lexsort((ends[:, 1], ends[:, 0]))  # stable within a pair
+    ends, w = ends[order], table[order, 2]
+    last = np.ones(len(w), dtype=bool)
+    last[:-1] = np.any(ends[1:] != ends[:-1], axis=1)
+    return Graph(n, ends[last, 0], ends[last, 1], w[last])
 
 
 def parse_edge_list(text: str | bytes) -> Graph:
@@ -151,25 +144,6 @@ def parse_edge_list(text: str | bytes) -> Graph:
     return make_graph(max_index + 1, pairs)
 
 
-def parse_feature_csv(text: str | bytes, n: int) -> np.ndarray:
-    """Parse an n-row comma-separated feature matrix."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rows.append([float(cell) for cell in line.split(",")])
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: non-numeric cell ({exc})") from exc
-    if len(rows) != n:
-        raise ParseError(f"expected {n} feature rows, got {len(rows)}")
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise ParseError("ragged feature rows")
-    return np.array(rows, dtype=np.float64).reshape(n, -1)
-
-
 def _check_prob(p: float, name: str):
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"{name}={p} outside [0,1]")
@@ -178,10 +152,9 @@ def _check_prob(p: float, name: str):
 def gen_erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
     _check_prob(p, "p")
     rng = np.random.default_rng(seed)
-    iu = np.triu_indices(n, k=1)
-    mask = rng.random(len(iu[0])) < p
-    pairs = [(int(u), int(v), 1.0) for u, v in zip(iu[0][mask], iu[1][mask])]
-    return make_graph(n, pairs)
+    iu, ju = np.triu_indices(n, k=1)
+    mask = rng.random(len(iu)) < p
+    return Graph(n, iu[mask], ju[mask], np.ones(mask.sum()))
 
 
 def gen_sbm(block_sizes: list[int], p_in: float, p_out: float, seed: int = 0) -> Graph:
@@ -190,25 +163,27 @@ def gen_sbm(block_sizes: list[int], p_in: float, p_out: float, seed: int = 0) ->
     n = sum(block_sizes)
     block = np.repeat(np.arange(len(block_sizes)), block_sizes)
     rng = np.random.default_rng(seed)
-    iu = np.triu_indices(n, k=1)
-    prob = np.where(block[iu[0]] == block[iu[1]], p_in, p_out)
-    mask = rng.random(len(iu[0])) < prob
-    pairs = [(int(u), int(v), 1.0) for u, v in zip(iu[0][mask], iu[1][mask])]
-    return make_graph(n, pairs)
+    iu, ju = np.triu_indices(n, k=1)
+    prob = np.where(block[iu] == block[ju], p_in, p_out)
+    mask = rng.random(len(iu)) < prob
+    return Graph(n, iu[mask], ju[mask], np.ones(mask.sum()))
 
 
 def gen_path(n: int) -> Graph:
-    return make_graph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+    v = np.arange(1, n)
+    return Graph(n, v - 1, v, np.ones(len(v)))
 
 
 def gen_star(n: int) -> Graph:
-    return make_graph(n, [(0, i, 1.0) for i in range(1, n)])
+    v = np.arange(1, n)
+    return Graph(n, np.zeros_like(v), v, np.ones(len(v)))
 
 
 def gen_cycle(n: int) -> Graph:
     if n < 3:
         raise DomainError("cycle needs n >= 3")
-    return make_graph(n, [(i, (i + 1) % n, 1.0) for i in range(n)])
+    u = np.arange(n)
+    return make_graph(n, np.column_stack([u, (u + 1) % n, np.ones(n)]))
 
 
 def gen_complete_regular(n: int, d: int) -> Graph:
@@ -220,50 +195,46 @@ def gen_complete_regular(n: int, d: int) -> Graph:
         raise DomainError(f"degree d={d} must be in [1, n)")
     if d % 2 == 1 and n % 2 == 1:
         raise DomainError("odd degree requires an even node count")
-    pairs = []
-    for off in range(1, d // 2 + 1):
-        for i in range(n):
-            pairs.append((i, (i + off) % n, 1.0))
+    u = np.tile(np.arange(n), d // 2)
+    v = (u + np.repeat(np.arange(1, d // 2 + 1), n)) % n
     if d % 2 == 1:
-        for i in range(n // 2):
-            pairs.append((i, i + n // 2, 1.0))
-    return make_graph(n, pairs)
+        half = np.arange(n // 2)
+        u, v = np.concatenate([u, half]), np.concatenate([v, half + n // 2])
+    return make_graph(n, np.column_stack([u, v, np.ones(len(u))]))
+
+
+def _component_labels(g: Graph) -> np.ndarray:
+    """Each node's label: the smallest node index in its component,
+    by min-label propagation (take the smallest label at an edge's ends,
+    then the label's label) until nothing changes."""
+    label = np.arange(g.n)
+    while True:
+        low = np.minimum(label[g.u], label[g.v])
+        new = label.copy()
+        np.minimum.at(new, g.u, low)
+        np.minimum.at(new, g.v, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
 def largest_component(g: Graph) -> Graph:
-    """Restrict to the largest connected component, relabeling nodes."""
+    """Restrict to the largest connected component, relabeling nodes in
+    their original order; of equal-size components, the one holding the
+    smallest node index wins."""
     if g.n == 0:
         return g
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v, _ in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    comp = np.full(g.n, -1)
-    n_comp = 0
-    for start in range(g.n):
-        if comp[start] >= 0:
-            continue
-        stack = [start]
-        comp[start] = n_comp
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if comp[v] < 0:
-                    comp[v] = n_comp
-                    stack.append(v)
-        n_comp += 1
-    sizes = np.bincount(comp)
-    keep = int(np.argmax(sizes))
-    old_ids = np.flatnonzero(comp == keep)
-    relabel = {int(old): new for new, old in enumerate(old_ids)}
-    pairs = [(relabel[u], relabel[v], w) for u, v, w in g.edges
-             if comp[u] == keep and comp[v] == keep]
-    feats = g.features[old_ids] if g.features is not None else None
-    return make_graph(len(old_ids), pairs, features=feats)
+    label = _component_labels(g)
+    keep = label == np.argmax(np.bincount(label))
+    new_id = np.cumsum(keep) - 1
+    inside = keep[g.u]  # both ends share a component
+    return Graph(int(keep.sum()), new_id[g.u[inside]], new_id[g.v[inside]],
+                 g.w[inside])
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or largest_component(g).n == g.n
+    return not _component_labels(g).any()
 
 
 _GENERATORS = {

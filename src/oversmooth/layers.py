@@ -157,9 +157,13 @@ def step_residual(a: OperatorMatrix, x: np.ndarray, x0: np.ndarray,
 
 
 def _check_denominators(norms: np.ndarray, ref: np.ndarray, what: str):
-    bad = norms <= _DEGENERATE_TOL * np.maximum(1.0, ref)
-    if np.any(bad):
-        raise DegenerateColumnError(int(np.flatnonzero(bad)[0]), what)
+    # an overflowed norm passes the zero test too (its ref is inf), so
+    # an overflow anywhere is reported first
+    over = np.isinf(norms)
+    bad = over | (norms <= _DEGENERATE_TOL * np.maximum(1.0, ref))
+    if bad.any():
+        i = int(np.argmax(over if over.any() else bad))
+        raise DegenerateColumnError(i, "norm overflowed" if over[i] else what)
 
 
 def batch_norm(x: np.ndarray) -> np.ndarray:
@@ -171,32 +175,27 @@ def batch_norm(x: np.ndarray) -> np.ndarray:
     return centered / norms
 
 
-def graph_norm(x: np.ndarray, tau: np.ndarray, gamma=None,
-               beta=None) -> np.ndarray:
-    """Partial-mean centering: subtract tau_j of the column mean, scale
-    by the root-mean-square, then apply the affine parameters."""
+def graph_norm(x: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Partial-mean centering: subtract tau_j of the column mean, then
+    scale by the root-mean-square."""
     n, k = x.shape
     tau = np.broadcast_to(np.asarray(tau, dtype=np.float64), (k,))
-    gamma = np.ones(k) if gamma is None else np.asarray(gamma, dtype=np.float64)
-    beta = np.zeros(k) if beta is None else np.asarray(beta, dtype=np.float64)
     centered = x - tau[None, :] * x.mean(axis=0, keepdims=True)
     sigma = np.linalg.norm(centered, axis=0) / np.sqrt(n)
     _check_denominators(sigma, np.linalg.norm(x, axis=0),
                         "zero spread after partial centering")
-    return gamma[None, :] * centered / sigma[None, :] + beta[None, :]
+    return centered / sigma[None, :]
 
 
-def graph_norm_v2(x: np.ndarray, ctx: NormContext, tau: np.ndarray,
-                  gamma=None, beta=None) -> np.ndarray:
+def graph_norm_v2(x: np.ndarray, ctx: NormContext,
+                  tau: np.ndarray) -> np.ndarray:
     """Projection centering: subtract (V_{k+} tau_j tau_j^T V_{k+}^T) x_j,
-    scale each column by the 2-norm of the result, apply the affine."""
-    n, k = x.shape
+    then scale each column by the 2-norm of the result."""
+    k = x.shape[1]
     tau = np.asarray(tau, dtype=np.float64)
     if tau.shape != (ctx.vkplus.shape[1], k):
         raise ContractError(
             f"tau shape {tau.shape} != ({ctx.vkplus.shape[1]}, {k})")
-    gamma = np.ones(k) if gamma is None else np.asarray(gamma, dtype=np.float64)
-    beta = np.zeros(k) if beta is None else np.asarray(beta, dtype=np.float64)
     coords = ctx.vkplus.T @ x                       # (k+1, k)
     # column j: V tau_j tau_j^T coords_j
     scal = np.sum(tau * coords, axis=0)             # tau_j^T V^T x_j
@@ -204,7 +203,7 @@ def graph_norm_v2(x: np.ndarray, ctx: NormContext, tau: np.ndarray,
     sigma = np.linalg.norm(centered, axis=0)
     _check_denominators(sigma, np.linalg.norm(x, axis=0),
                         "zero vector after projection centering")
-    return gamma[None, :] * centered / sigma[None, :] + beta[None, :]
+    return centered / sigma[None, :]
 
 
 def pair_norm(x: np.ndarray, s: float = 1.0) -> np.ndarray:
@@ -213,8 +212,8 @@ def pair_norm(x: np.ndarray, s: float = 1.0) -> np.ndarray:
     n = x.shape[0]
     centered = x - x.mean(axis=0, keepdims=True)
     total = np.linalg.norm(centered)
-    if total <= _DEGENERATE_TOL * max(1.0, float(np.linalg.norm(x))):
-        raise DegenerateColumnError(0, "all columns zero after centering")
+    _check_denominators(np.array([total]), np.array([np.linalg.norm(x)]),
+                        "all columns zero after centering")
     return s * np.sqrt(n) * centered / total
 
 

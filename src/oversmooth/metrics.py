@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .graphio import Graph, is_connected
+from .graphio import Graph
 from .spectral import EigenSystem, numerical_rank, subspace_distance
 
 CSV_COLUMNS = ("step", "mu_v", "dirichlet", "d_col", "d_pcol", "rank",
@@ -89,7 +89,7 @@ def dirichlet(g: Graph, x: np.ndarray) -> float:
     if x.shape[0] != g.n:
         x = x.T
     scaled = x / np.sqrt(deg)[:, None]
-    u, v, w = g.edge_arrays
+    u, v, w = g.u, g.v, g.w
     total = 0.0
     for lo in range(0, len(w), _EDGE_BLOCK):
         hi = lo + _EDGE_BLOCK
@@ -149,32 +149,6 @@ def eigenspace_distance(x: np.ndarray, es: EigenSystem,
     """(1/n) ||X - V V^T X||_F against the full (or top-k) eigenbasis."""
     basis = es.vectors if k is None else es.vectors[:, :k]
     return subspace_distance(x, basis)
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    mu_value: float
-    dirichlet_value: float
-    zero_sets_match: bool
-    upper_bound_holds: bool
-    upper_bound_constant: float
-
-
-def measure_equivalence_check(g: Graph, x: np.ndarray) -> EquivalenceReport:
-    """Check the Dirichlet-energy equivalence against mu with the
-    degree-square-root reference: matching zero sets and the one-sided
-    bound E(X) <= 2 d_max mu(X)."""
-    if not is_connected(g):
-        raise DomainError("equivalence check requires a connected graph")
-    v = degree_sqrt_reference(g)
-    m = mu(x, v)
-    e = dirichlet(g, x)
-    c = 2.0 * float(g.degrees().max())
-    zero_match = (e <= 1e-12) == (m <= 1e-12)
-    return EquivalenceReport(mu_value=m, dirichlet_value=e,
-                             zero_sets_match=bool(zero_match),
-                             upper_bound_holds=bool(e <= c * m + 1e-12),
-                             upper_bound_constant=c)
 
 
 class MetricObserver:

@@ -64,23 +64,27 @@ def _canonical_colors(raw: list) -> tuple[tuple[int, ...], int]:
 def wl_refine(g: Graph) -> EquitablePartition:
     """Coarsest equitable partition via color refinement."""
     n = g.n
-    neigh: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for u, v, w in g.edges:
-        wq = round(w, 12)
-        neigh[u].append((v, wq))
-        if u != v:
-            neigh[v].append((u, wq))
-    colors = tuple([0] * n)
+    loop = g.u == g.v
+    src = np.concatenate([g.u, g.v[~loop]])
+    dst = np.concatenate([g.v, g.u[~loop]])
+    # edge weight classes, equal exactly when weights agree to 12 decimals
+    _, wcls = np.unique(np.round(g.w, 12), return_inverse=True)
+    wcls = np.concatenate([wcls, wcls[~loop]])
+    n_w = int(wcls.max(initial=-1)) + 1
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
+    colors = np.zeros(n, dtype=np.intp)
     m = 1 if n else 0
     while True:
-        sigs = []
-        for v in range(n):
-            multiset = tuple(sorted((colors[x], w) for x, w in neigh[v]))
-            sigs.append((colors[v], multiset))
+        # a node's signature: its color and the sorted multiset of
+        # (neighbor color, weight class) codes
+        code = colors[dst] * n_w + wcls
+        code = code[np.lexsort((code, src))]
+        sigs = [(colors[i], code[bounds[i]:bounds[i + 1]].tobytes())
+                for i in range(n)]
         new_colors, new_m = _canonical_colors(sigs)
         if new_m == m:
             return EquitablePartition(colors=new_colors, m=new_m)
-        colors, m = new_colors, new_m
+        colors, m = np.array(new_colors, dtype=np.intp), new_m
 
 
 def quotient(g: Graph, ep: EquitablePartition) -> QuotientGraph:

@@ -526,13 +526,3 @@ def check_vanilla_oversmoothing(
                             verdict=PASS if ok else FAIL,
                             notes=f"mu ratio {mus[-1] / mu0:.3e}")
 
-
-CHECKS = {
-    1: check_prop1_residual_no_collapse,
-    2: check_prop2_signal_retention,
-    3: check_prop3_krylov_reachability,
-    4: check_prop4_bn_no_collapse,
-    5: check_prop5_topk_convergence,
-    6: check_prop6_tightness,
-    7: check_prop7_centering,
-}

@@ -28,8 +28,6 @@ class EigenSystem:
 
     values: np.ndarray
     vectors: np.ndarray
-    source_symmetric: bool
-    skipped_complex: int = 0
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -92,7 +90,7 @@ def symmetric_eig(m) -> EigenSystem:
         raise ContractError("symmetric_eig requires a symmetric operator")
     values, vectors = np.linalg.eigh(data)
     values, vectors = _canonicalize(values, vectors)
-    return EigenSystem(values=values, vectors=vectors, source_symmetric=True)
+    return EigenSystem(values=values, vectors=vectors)
 
 
 def _ones_complement_basis(n: int) -> np.ndarray:
@@ -112,8 +110,8 @@ def centered_eig(a: OperatorMatrix, tau: float) -> EigenSystem:
     tau=0 falls back to the symmetric decomposition of A.  tau=1 is
     computed exactly through the symmetric restriction to the complement
     of the all-ones direction, augmented with the kernel direction.
-    Other tau use a dense general eigensolver; complex pairs are skipped
-    and counted in ``skipped_complex``.
+    Other tau use a dense general eigensolver; complex pairs are
+    dropped.
     """
     if not a.symmetric:
         raise ContractError("centered_eig requires a symmetric source operator")
@@ -129,21 +127,18 @@ def centered_eig(a: OperatorMatrix, tau: float) -> EigenSystem:
         values = np.concatenate([vals, [0.0]])
         vectors = np.concatenate([lifted, kernel[:, None]], axis=1)
         values, vectors = _canonicalize(values, vectors)
-        return EigenSystem(values=values, vectors=vectors,
-                           source_symmetric=False)
+        return EigenSystem(values=values, vectors=vectors)
     centered = center_operator(a, tau).data
     vals_c, vecs_c = np.linalg.eig(centered)
     scale = max(1.0, float(np.abs(vals_c).max(initial=0.0)))
     real = np.abs(vals_c.imag) <= 1e-9 * scale
-    skipped = int(np.sum(~real))
     values = vals_c[real].real.copy()
     vectors = vecs_c[:, real].real.copy()
     norms = np.sqrt(np.sum(vectors * vectors, axis=0))
     norms[norms == 0] = 1.0
     vectors = vectors / norms
     values, vectors = _canonicalize(values, vectors)
-    return EigenSystem(values=values, vectors=vectors,
-                       source_symmetric=False, skipped_complex=skipped)
+    return EigenSystem(values=values, vectors=vectors)
 
 
 def _centered_kernel_vector(data: np.ndarray) -> np.ndarray:

@@ -123,7 +123,8 @@ def test_simulate_edge_list_largest_cc(tmp_path, capsys):
 
 
 def _write_edge_list(path, g):
-    path.write_text("".join(f"{u} {v} {w}\n" for u, v, w in g.edges))
+    path.write_text("".join(f"{u} {v} {w}\n" for u, v, w in
+                            zip(g.u.tolist(), g.v.tolist(), g.w.tolist())))
     return str(path)
 
 
@@ -262,6 +263,21 @@ def test_simulate_config_error(capsys):
     code, _, err = _run(capsys, ["simulate", "--graph", "nope:3"])
     assert code == 1
     assert "error" in err
+
+
+def test_simulate_dominant_eig_needs_connected_graph(tmp_path, capsys):
+    # no edges between the blocks: lambda = 1 is repeated, so the
+    # dominant eigenvector would be an arbitrary vector of that eigenspace
+    outdir = tmp_path / "out"
+    args = ["simulate", "--graph", "sbm:20+20,0.3,0.0", "--steps", "2",
+            "--seeds", "0", "--k", "2", "--outdir", str(outdir)]
+    code, _, err = _run(capsys, args)
+    assert code == 1
+    assert err.count("\n") == 1 and "--largest-cc" in err
+    assert not outdir.exists()
+    for extra in (["--largest-cc"], ["--reference", "all_ones"]):
+        code, _, err = _run(capsys, args + extra)
+        assert code == 0, err
 
 
 def test_verify_prop7_star(tmp_path, capsys):

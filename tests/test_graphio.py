@@ -1,5 +1,7 @@
 """Graph parsing, generators and operator construction."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -7,20 +9,24 @@ from oversmooth.errors import ContractError, DomainError, ParseError
 from oversmooth.graphio import (Graph, build_operator, center_operator,
                                 gen_graph, is_connected, is_regular,
                                 largest_component, make_graph,
-                                parse_edge_list, parse_feature_csv)
+                                parse_edge_list)
 from oversmooth.spectral import symmetric_eig
+
+
+def _triples(g):
+    return list(zip(g.u.tolist(), g.v.tolist(), g.w.tolist()))
 
 
 def test_parse_edge_list_basic():
     g = parse_edge_list("0 1\n1 2")
     assert g.n == 3
-    assert g.edges == ((0, 1, 1.0), (1, 2, 1.0))
+    assert _triples(g) == [(0, 1, 1.0), (1, 2, 1.0)]
 
 
 def test_parse_edge_list_empty():
     g = parse_edge_list("")
     assert g.n == 0
-    assert g.edges == ()
+    assert _triples(g) == []
 
 
 def test_parse_edge_list_negative_weight():
@@ -31,13 +37,12 @@ def test_parse_edge_list_negative_weight():
 def test_parse_edge_list_comments_and_weights():
     g = parse_edge_list("# header\n0 1 2.5\n\n2 0\n")
     assert g.n == 3
-    assert (0, 1, 2.5) in g.edges
-    assert (0, 2, 1.0) in g.edges
+    assert _triples(g) == [(0, 1, 2.5), (0, 2, 1.0)]
 
 
 def test_parse_edge_list_symmetrizes_directed_input():
     g = parse_edge_list("0 1\n1 0")
-    assert g.edges == ((0, 1, 1.0),)
+    assert _triples(g) == [(0, 1, 1.0)]
 
 
 def test_parse_edge_list_malformed():
@@ -49,37 +54,42 @@ def test_parse_edge_list_malformed():
         parse_edge_list("-1 0")
 
 
-def test_parse_feature_csv():
-    x = parse_feature_csv("1,0\n0,1", n=2)
-    assert np.array_equal(x, np.eye(2))
-    with pytest.raises(ParseError):
-        parse_feature_csv("1,0\n0", n=2)
-    with pytest.raises(ParseError):
-        parse_feature_csv("1,2,3", n=2)
-
-
 def test_graph_validation():
-    with pytest.raises(DomainError):
-        Graph(n=2, edges=((0, 5, 1.0),))
-    with pytest.raises(DomainError):
-        Graph(n=2, edges=((0, 1, -1.0),))
-    with pytest.raises(DomainError):
-        Graph(n=2, edges=((0, 1, 1.0), (1, 0, 2.0)))
+    for u, v, w, message in (
+            ([0], [5], [1.0], "edge (0,5) outside [0,2)"),
+            ([-1], [1], [1.0], "edge (-1,1) outside [0,2)"),
+            ([0, 1], [1, 1], [1.0, -0.5], "edge (1,1) has negative weight"),
+            ([1], [0], [1.0], "edge (1,0) has u > v"),
+            ([0, 0], [1, 1], [1.0, 2.0], "edge (0,1) is a duplicate entry"),
+            ([1, 0], [1, 1], [1.0, 2.0], "edge (0,1) is out of (u, v) order"),
+            ([0, 1], [1], [1.0, 1.0], "1-d arrays of one length")):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            Graph(2, u, v, w)
+    g = Graph(3, [0, 1, 1], [2, 1, 2], [0.5, 3.0, 2.0])
+    assert _triples(g) == [(0, 2, 0.5), (1, 1, 3.0), (1, 2, 2.0)]
+
+
+def test_make_graph_last_weight_wins():
+    g = make_graph(4, [(0, 1, 1.0), (2, 3, 4.0), (1, 0, 2.0), (3, 2, 5.0),
+                       (0, 1, 3.0), (2, 2, 0.5), (2, 2, 0.25)])
+    assert _triples(g) == [(0, 1, 3.0), (2, 2, 0.25), (2, 3, 5.0)]
+    table = np.array([[1, 0, 2.0], [0, 1, 7.0], [3, 1, 1.5]])
+    assert _triples(make_graph(4, table)) == [(0, 1, 7.0), (1, 3, 1.5)]
 
 
 def test_star_path_generators():
     star = gen_graph("star:4")
-    assert set(star.edges) == {(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)}
+    assert _triples(star) == [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)]
     path = gen_graph("path:3")
-    assert set(path.edges) == {(0, 1, 1.0), (1, 2, 1.0)}
+    assert _triples(path) == [(0, 1, 1.0), (1, 2, 1.0)]
 
 
 def test_er_determinism():
     g1 = gen_graph("er:50,0.2", seed=7)
     g2 = gen_graph("er:50,0.2", seed=7)
-    assert g1.edges == g2.edges
+    assert _triples(g1) == _triples(g2)
     g3 = gen_graph("er:50,0.2", seed=8)
-    assert g3.edges != g1.edges
+    assert _triples(g3) != _triples(g1)
 
 
 def test_gen_graph_specs():
@@ -87,7 +97,7 @@ def test_gen_graph_specs():
     assert gen_graph("reg:6,3").degrees().tolist() == [3.0] * 6
     sbm = gen_graph("sbm:5+5,1.0,0.0")
     assert sbm.n == 10
-    assert all((u < 5) == (v < 5) for u, v, _ in sbm.edges)
+    assert np.array_equal(sbm.u < 5, sbm.v < 5)
     with pytest.raises(DomainError):
         gen_graph("nope:3")
     with pytest.raises(DomainError):
@@ -112,11 +122,10 @@ def test_degrees_cached_read_only():
 
 def test_edge_arrays():
     g = make_graph(4, [(0, 1, 0.3), (2, 1, 0.1), (2, 3, 2.5)])
-    u, v, w = g.edge_arrays
-    assert list(zip(u.tolist(), v.tolist(), w.tolist())) == list(g.edges)
-    assert u.dtype == np.intp and not w.flags.writeable
-    eu, ev, ew = make_graph(3, []).edge_arrays
-    assert eu.shape == ev.shape == ew.shape == (0,)
+    assert _triples(g) == [(0, 1, 0.3), (1, 2, 0.1), (2, 3, 2.5)]
+    assert g.u.dtype == np.intp and not g.w.flags.writeable
+    empty = make_graph(3, [])
+    assert empty.u.shape == empty.v.shape == empty.w.shape == (0,)
 
 
 def test_sym_normalized_path3_golden():
@@ -196,6 +205,66 @@ def test_largest_component_and_connectivity():
     assert is_connected(lcc)
     assert not is_connected(g)
     assert gen_graph("er:200,0.01", seed=0, largest_cc=True).n <= 200
+
+
+def _bfs_labels(n, u, v):
+    """Reference: each node's smallest component member, by a BFS from
+    every unlabelled node in index order."""
+    neighbors = [[] for _ in range(n)]
+    for a, b in zip(u.tolist(), v.tolist()):
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    label = [-1] * n
+    for start in range(n):
+        if label[start] >= 0:
+            continue
+        label[start] = start
+        queue = [start]
+        for node in queue:
+            for nb in neighbors[node]:
+                if label[nb] < 0:
+                    label[nb] = start
+                    queue.append(nb)
+    return label
+
+
+def _bfs_largest_component(g):
+    label = _bfs_labels(g.n, g.u, g.v)
+    sizes = {c: label.count(c) for c in label}
+    best = max(sizes.values())
+    keep = min(c for c in sizes if sizes[c] == best)  # tie: smallest node
+    old_ids = [i for i in range(g.n) if label[i] == keep]
+    new_id = {old: new for new, old in enumerate(old_ids)}
+    pairs = [(new_id[a], new_id[b], w) for a, b, w in _triples(g)
+             if label[a] == keep]
+    return len(old_ids), pairs, len(sizes) == 1
+
+
+def test_largest_component_matches_bfs():
+    ties = isolated = loops = 0
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 30))
+        m = int(rng.integers(0, n + 3))
+        ends = rng.integers(0, n, size=(m, 2))  # self-loops included
+        g = make_graph(n, np.column_stack([ends, rng.uniform(0.1, 3.0, m)]))
+        want_n, want_pairs, connected = _bfs_largest_component(g)
+        got = largest_component(g)
+        assert (got.n, _triples(got)) == (want_n, want_pairs), seed
+        assert is_connected(g) == connected
+        sizes = np.bincount(_bfs_labels(g.n, g.u, g.v))
+        ties += int(np.sum(sizes == sizes.max()) > 1)
+        isolated += int(g.n > np.unique(np.concatenate([g.u, g.v])).size)
+        loops += int(np.any(g.u == g.v))
+    assert ties and isolated and loops
+
+
+def test_largest_component_tie_keeps_smallest_node():
+    # two triangles; the one holding node 0 is listed second
+    g = make_graph(7, [(2, 4, 1.0), (4, 6, 1.0), (6, 2, 1.0),
+                       (5, 0, 2.0), (0, 3, 1.0), (3, 5, 1.0)])
+    lcc = largest_component(g)
+    assert _triples(lcc) == [(0, 1, 1.0), (0, 2, 2.0), (1, 2, 1.0)]
 
 
 def test_is_regular():

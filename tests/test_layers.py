@@ -137,6 +137,17 @@ def test_batch_norm_postconditions_and_error():
         batch_norm(np.full((3, 1), 5.0))
 
 
+def test_overflowed_norm_is_reported_as_overflow():
+    # the centred norms and the reference norms are both inf here, so a
+    # relative zero test alone would call column 0 a zero vector
+    x = np.array([[1e155, 0.0], [-1e155, 1.0], [3e154, 2.0]])
+    for normalize in (batch_norm, lambda y: graph_norm(y, np.ones(2)),
+                      pair_norm):
+        with pytest.raises(DegenerateColumnError, match="overflow") as exc:
+            normalize(x)
+        assert exc.value.column == 0
+
+
 def test_batch_norm_invariance_shift_scale():
     x = np.random.default_rng(9).normal(size=(8, 3))
     shifted = x + 7.0
@@ -150,7 +161,7 @@ def test_batch_norm_invariance_shift_scale():
 def test_graph_norm_tau1_matches_batch_norm():
     x = np.random.default_rng(10).normal(size=(9, 4))
     n = x.shape[0]
-    out = graph_norm(x, tau=np.ones(4), gamma=np.full(4, 1.0 / np.sqrt(n)))
+    out = graph_norm(x, tau=np.ones(4)) / np.sqrt(n)
     assert np.abs(out - batch_norm(x)).max() < 1e-12
 
 
@@ -164,7 +175,7 @@ def test_graph_norm_tau_half_golden():
 def test_graph_norm_tau0_centered_input():
     x = np.array([[-1.0], [0.0], [1.0]]) / np.sqrt(2.0)
     n = 3
-    out = graph_norm(x, tau=np.zeros(1), gamma=np.full(1, 1.0 / np.sqrt(n)))
+    out = graph_norm(x, tau=np.zeros(1)) / np.sqrt(n)
     assert np.abs(out - x).max() < 1e-12
 
 

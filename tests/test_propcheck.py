@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oversmooth import propcheck
+from oversmooth import cli
 from oversmooth.errors import DomainError
 from oversmooth.graphio import build_operator, gen_graph, make_graph
 from oversmooth.layers import LayerConfig, WeightSpec, run_trajectory
@@ -203,4 +203,5 @@ def test_vanilla_oversmoothing_check():
 
 
 def test_checks_registry():
-    assert sorted(propcheck.CHECKS) == [1, 2, 3, 4, 5, 6, 7]
+    # verify's table holds every proposition
+    assert sorted(cli._VERIFY) == [1, 2, 3, 4, 5, 6, 7]
