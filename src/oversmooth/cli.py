@@ -324,8 +324,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--trials", type=int, default=propcheck.DEFAULT_TRIALS)
     ver.add_argument("--steps", type=int, default=propcheck.DEFAULT_STEPS)
     ver.add_argument("--tau", type=float, default=1.0)
-    ver.add_argument("--eps", type=float, default=0.01)
-    ver.add_argument("--alpha", type=float, default=0.2)
+    ver.add_argument("--eps", type=float, default=0.01,
+                     help="read by prop 6, whose columns must reach overlap "
+                          "1/sqrt(1+eps); prop 2 runs at a fixed "
+                          "eps = sqrt(2 ln 2)/2")
+    ver.add_argument("--alpha", type=float, default=0.2,
+                     help="read by prop 1 (residual strength); prop 2 runs "
+                          "at a fixed alpha = 0.5 and s = 1, so that p = 0.5")
     ver.add_argument("--out", help="write the JSON report here")
 
     spec = sub.add_parser("spectrum", help="print eigenvalues as CSV")

@@ -3,11 +3,14 @@
 Feature matrices are plain float64 arrays of shape (n, k).  All layer
 functions are pure; ``run_trajectory`` owns the only mutable state of a
 run and looks each variant's step up in one table.  Given one generator
-per trial, it advances T trials from a shared x0 as one stack: the
-operator is applied once per step to the (n, T*k) block, and the rest of
-the step runs on each trial's (n, k) slice.  Degenerate (zero/constant)
-normalization columns abort a trial rather than being masked with an
-epsilon; the other trials of a stack go on.
+per trial, it advances T trials from a shared x0 as one (n, T, k) block:
+every step applies the operator once to the (n, T*k) block, multiplies
+each trial by its own weights in one batched product and normalizes the
+block once, column statistics along axis 0.  A single generator is the
+T = 1 block, and the public per-matrix functions (``batch_norm``,
+``pair_norm`` ...) run the same block arithmetic on one matrix.
+Degenerate (zero/constant) normalization columns abort a trial rather
+than being masked with an epsilon; the other trials of a block go on.
 """
 
 from __future__ import annotations
@@ -130,10 +133,99 @@ def _apply_nl(x: np.ndarray, nl: str) -> np.ndarray:
     return x
 
 
+# Block arithmetic.  A block is an (n, T, k) array holding T trials' (n, k)
+# features side by side; column statistics run along axis 0.  The public
+# per-matrix functions below run the same arithmetic on T = 1.
+
+def _xw(ax: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Each trial's slice of the (n, T, k) block ax times its own weight
+    from the (T, k, k) stack w."""
+    return np.matmul(ax.transpose(1, 0, 2), w).transpose(1, 0, 2)
+
+
 def _residual_mix(ax: np.ndarray, x0: np.ndarray, w1: np.ndarray,
                   w2: np.ndarray, alpha: float, nl: str) -> np.ndarray:
-    """sigma((1-alpha) AX W1 + alpha X0 W2) from the propagated AX."""
-    return _apply_nl((1.0 - alpha) * (ax @ w1) + alpha * (x0 @ w2), nl)
+    """sigma((1-alpha) AX W1 + alpha X0 W2) from the propagated block AX."""
+    return _apply_nl((1.0 - alpha) * _xw(ax, w1)
+                     + alpha * np.matmul(x0, w2).transpose(1, 0, 2), nl)
+
+
+def _check_denominators(norms: np.ndarray, ref: np.ndarray):
+    """Masks (bad, over) of the (T, m) denominators: over marks an
+    overflowed norm, bad also one at rounding level of its reference."""
+    # an overflowed norm passes the zero test too (its ref is inf), so
+    # an overflow is reported before any zero column of its trial
+    over = np.isinf(norms)
+    return over | (norms <= _DEGENERATE_TOL * np.maximum(1.0, ref)), over
+
+
+def _block_normalized(num: np.ndarray, den: np.ndarray, ref: np.ndarray,
+                      what: str):
+    """num / den, and the DegenerateColumnError of each trial, by its
+    position in the block, whose denominators fail the check."""
+    bad, over = _check_denominators(den, ref)
+    faults = {}
+    if bad.any():
+        for t in np.flatnonzero(bad.any(axis=1)):
+            i = int(np.argmax(over[t] if over[t].any() else bad[t]))
+            faults[int(t)] = DegenerateColumnError(
+                i, "norm overflowed" if over[t, i] else what)
+        # a failing trial's quotient is discarded with the trial
+        den = np.where(bad, 1.0, den)
+    return num / den, faults
+
+
+def _normalized(x: np.ndarray, normalizer, *args) -> np.ndarray:
+    """A block normalizer applied to one (n, k) matrix."""
+    y, faults = _block_normalized(*normalizer(x[:, None, :], *args))
+    if faults:
+        raise faults[0]
+    return y[:, 0, :]
+
+
+# A block normalizer maps an (n, T, k) block to (numerator, denominators,
+# reference norms, reason); the result is numerator / denominators.
+
+def _bn(y):
+    centered = y - y.mean(axis=0, keepdims=True)
+    return (centered, np.linalg.norm(centered, axis=0),
+            np.linalg.norm(y, axis=0), "zero vector after centering")
+
+
+def _gn(y, tau):
+    centered = y - tau * y.mean(axis=0, keepdims=True)
+    return (centered, np.linalg.norm(centered, axis=0) / np.sqrt(y.shape[0]),
+            np.linalg.norm(y, axis=0), "zero spread after partial centering")
+
+
+def _gn2(y, ctx, tau):
+    coords = ctx.vkplus.T @ y.transpose(1, 0, 2)    # (T, k+1, k)
+    # column j: V tau_j tau_j^T coords_j
+    scal = np.sum(tau * coords, axis=1, keepdims=True)  # tau_j^T V^T y_j
+    centered = y - (ctx.vkplus @ (tau * scal)).transpose(1, 0, 2)
+    return (centered, np.linalg.norm(centered, axis=0),
+            np.linalg.norm(y, axis=0),
+            "zero vector after projection centering")
+
+
+def _frobenius(y: np.ndarray) -> np.ndarray:
+    """Per-trial Frobenius norm of the block, as (T, 1): the dot product
+    of each trial's flattened features with itself, the sum
+    np.linalg.norm forms for one matrix."""
+    flat = y.transpose(1, 0, 2).reshape(y.shape[1], 1, -1)
+    return np.sqrt(flat @ flat.transpose(0, 2, 1))[:, 0]
+
+
+def _pn(y, s):
+    centered = y - y.mean(axis=0, keepdims=True)
+    return (s * np.sqrt(y.shape[0]) * centered, _frobenius(centered),
+            _frobenius(y), "all columns zero after centering")
+
+
+def _unit_columns(y, x):
+    """Per-column 2-norm scaling of the step output y of features x."""
+    return (y, np.linalg.norm(y, axis=0), np.linalg.norm(x, axis=0),
+            "zero column")
 
 
 def step_vanilla(a: OperatorMatrix, x: np.ndarray, w: np.ndarray,
@@ -153,38 +245,20 @@ def step_residual(a: OperatorMatrix, x: np.ndarray, x0: np.ndarray,
         raise DomainError(f"alpha={alpha} outside (0,1)")
     if x0.shape != x.shape:
         raise ContractError(f"x0 shape {x0.shape} != x shape {x.shape}")
-    return _residual_mix(a.data @ x, x0, w1, w2, alpha, nl)
-
-
-def _check_denominators(norms: np.ndarray, ref: np.ndarray, what: str):
-    # an overflowed norm passes the zero test too (its ref is inf), so
-    # an overflow anywhere is reported first
-    over = np.isinf(norms)
-    bad = over | (norms <= _DEGENERATE_TOL * np.maximum(1.0, ref))
-    if bad.any():
-        i = int(np.argmax(over if over.any() else bad))
-        raise DegenerateColumnError(i, "norm overflowed" if over[i] else what)
+    return _residual_mix((a.data @ x)[:, None, :], x0, w1[None], w2[None],
+                         alpha, nl)[:, 0, :]
 
 
 def batch_norm(x: np.ndarray) -> np.ndarray:
     """Center each column, then divide by its 2-norm."""
-    centered = x - x.mean(axis=0, keepdims=True)
-    norms = np.linalg.norm(centered, axis=0)
-    _check_denominators(norms, np.linalg.norm(x, axis=0),
-                        "zero vector after centering")
-    return centered / norms
+    return _normalized(x, _bn)
 
 
 def graph_norm(x: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Partial-mean centering: subtract tau_j of the column mean, then
     scale by the root-mean-square."""
-    n, k = x.shape
-    tau = np.broadcast_to(np.asarray(tau, dtype=np.float64), (k,))
-    centered = x - tau[None, :] * x.mean(axis=0, keepdims=True)
-    sigma = np.linalg.norm(centered, axis=0) / np.sqrt(n)
-    _check_denominators(sigma, np.linalg.norm(x, axis=0),
-                        "zero spread after partial centering")
-    return centered / sigma[None, :]
+    tau = np.broadcast_to(np.asarray(tau, dtype=np.float64), (x.shape[1],))
+    return _normalized(x, _gn, tau)
 
 
 def graph_norm_v2(x: np.ndarray, ctx: NormContext,
@@ -196,78 +270,66 @@ def graph_norm_v2(x: np.ndarray, ctx: NormContext,
     if tau.shape != (ctx.vkplus.shape[1], k):
         raise ContractError(
             f"tau shape {tau.shape} != ({ctx.vkplus.shape[1]}, {k})")
-    coords = ctx.vkplus.T @ x                       # (k+1, k)
-    # column j: V tau_j tau_j^T coords_j
-    scal = np.sum(tau * coords, axis=0)             # tau_j^T V^T x_j
-    centered = x - ctx.vkplus @ (tau * scal[None, :])
-    sigma = np.linalg.norm(centered, axis=0)
-    _check_denominators(sigma, np.linalg.norm(x, axis=0),
-                        "zero vector after projection centering")
-    return centered / sigma[None, :]
+    return _normalized(x, _gn2, ctx, tau)
 
 
 def pair_norm(x: np.ndarray, s: float = 1.0) -> np.ndarray:
     """Column-mean centering followed by global Frobenius rescaling to
     s * sqrt(n)."""
-    n = x.shape[0]
-    centered = x - x.mean(axis=0, keepdims=True)
-    total = np.linalg.norm(centered)
-    _check_denominators(np.array([total]), np.array([np.linalg.norm(x)]),
-                        "all columns zero after centering")
-    return s * np.sqrt(n) * centered / total
-
-
-def _unit_columns(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per-column 2-norm scaling of the step output y of features x."""
-    norms = np.linalg.norm(y, axis=0)
-    _check_denominators(norms, np.linalg.norm(x, axis=0), "zero column")
-    return y / norms
+    return _normalized(x, _pn, s)
 
 
 def power_embed_step(a: OperatorMatrix, x: np.ndarray, w: np.ndarray,
                      nl: str = "identity") -> np.ndarray:
     """sigma(A X W) followed by per-column 2-norm scaling (no centering)."""
-    return _unit_columns(step_vanilla(a, x, w, nl), x)
+    return _normalized(step_vanilla(a, x, w, nl), _unit_columns,
+                       x[:, None, :])
 
 
 # A variant's factory runs once per trajectory with (a, x0, cfg) and
-# returns its step X <- step(X, AX, *weights), where AX = A @ X is the
-# trial's slice of the product run_trajectory forms for the whole stack.
+# returns its block step (X, AX, *weights) -> (X', faults): X and AX =
+# A @ X are (n, T, k) blocks, each weight a (T, k, k) stack, and faults
+# maps a trial's position in the block to the DegenerateColumnError
+# that stops it.
+
+def _sigma_xw(ax, w, cfg):
+    return _apply_nl(_xw(ax, w), cfg.nonlinearity)
+
 
 def _vanilla(a, x0, cfg):
-    return lambda x, ax, w: _apply_nl(ax @ w, cfg.nonlinearity)
+    return lambda x, ax, w: (_sigma_xw(ax, w, cfg), {})
 
 
 def _residual(a, x0, cfg):
-    return lambda x, ax, w1, w2: _residual_mix(ax, x0, w1, w2, cfg.alpha,
-                                               cfg.nonlinearity)
+    return lambda x, ax, w1, w2: (
+        _residual_mix(ax, x0, w1, w2, cfg.alpha, cfg.nonlinearity), {})
 
 
 def _batchnorm(a, x0, cfg):
-    return lambda x, ax, w: batch_norm(_apply_nl(ax @ w, cfg.nonlinearity))
+    return lambda x, ax, w: _block_normalized(*_bn(_sigma_xw(ax, w, cfg)))
 
 
 def _pairnorm(a, x0, cfg):
-    return lambda x, ax, w: pair_norm(_apply_nl(ax @ w, cfg.nonlinearity),
-                                      cfg.scale)
+    return lambda x, ax, w: _block_normalized(
+        *_pn(_sigma_xw(ax, w, cfg), cfg.scale))
 
 
 def _graphnorm(a, x0, cfg):
     tau = np.ones(x0.shape[1])
-    return lambda x, ax, w: graph_norm(_apply_nl(ax @ w, cfg.nonlinearity),
-                                       tau)
+    return lambda x, ax, w: _block_normalized(
+        *_gn(_sigma_xw(ax, w, cfg), tau))
 
 
 def _graphnormv2(a, x0, cfg):
     ctx = cfg.norm_context or build_norm_context(a, cfg.gnv2_k)
     tau = np.tile(bn_emulating_tau(ctx)[:, None], (1, x0.shape[1]))
-    return lambda x, ax, w: graph_norm_v2(_apply_nl(ax @ w, cfg.nonlinearity),
-                                          ctx, tau)
+    return lambda x, ax, w: _block_normalized(
+        *_gn2(_sigma_xw(ax, w, cfg), ctx, tau))
 
 
 def _powerembed(a, x0, cfg):
-    return lambda x, ax, w: _unit_columns(
-        _apply_nl(ax @ w, cfg.nonlinearity), x)
+    return lambda x, ax, w: _block_normalized(
+        *_unit_columns(_sigma_xw(ax, w, cfg), x))
 
 
 # variant -> (step factory, weights drawn per step); the weights are
@@ -314,13 +376,17 @@ def run_trajectory(a: OperatorMatrix, x0: np.ndarray, cfg: LayerConfig,
     """Apply the configured layer ``steps`` times.
 
     ``rng`` is one generator, or one generator per trial.  The T trials
-    of a sequence start from the shared x0 and advance as one stack:
-    each step applies the operator once to the (n, T*k) block of the
-    live trials.  Each trial draws its own weights (W1 before W2 for the
-    residual variant), and its X W, normalization, non-finite check and
-    observer record are computed on its own (n, k) slice.  The observer
-    is invoked after every step with (step, X) and its return value is
-    appended to that trial's records.
+    start from the shared x0 and advance as one (n, T, k) block of the
+    live trials, a single generator being T = 1: each step applies the
+    operator once to the (n, T*k) block, multiplies each trial by its
+    own weights in one batched product, normalizes the block once and
+    checks it for non-finite features once.  Each trial draws its own
+    weights (W1 before W2 for the residual variant), aborts alone, and
+    gets its own observer call: the observer is invoked after every
+    step with (step, X), X that trial's (n, k) features, and its return
+    value is appended to that trial's records.  Step and observer run
+    with numpy's overflow and invalid-value warnings silenced; the
+    non-finite check reports an overflow as the abort reason.
 
     Degenerate columns or non-finite features stop a trial with its
     partial records, the features before the failed step, the abort
@@ -333,50 +399,59 @@ def run_trajectory(a: OperatorMatrix, x0: np.ndarray, cfg: LayerConfig,
     x = np.array(x0, dtype=np.float64, copy=True)
     if x.ndim != 2 or x.shape[0] != a.n:
         raise ContractError(f"x0 shape {x.shape} incompatible with n={a.n}")
-    k = x.shape[1]
+    n, k = x.shape
     single = isinstance(rng, np.random.Generator)
     rngs = [rng] if single else list(rng)
     if not rngs:
         raise DomainError("a stacked run needs at least one generator")
     factory, n_weights = _STEPS[cfg.variant]
-    step = factory(a, x0, cfg)
+    step = factory(a, x, cfg)
     specs = (cfg.weight_spec, cfg.weight_spec2 or cfg.weight_spec)[:n_weights]
-    xs = [x] * len(rngs)
     records = [[] for _ in rngs]
     logs: list = [None] * len(rngs)
     live = list(range(len(rngs)))
-    for t in range(steps):
-        if not live:
-            break
-        ws = [[sample_weight(spec, (k, k), rngs[i], step=t) for spec in specs]
-              for i in live]
-        ax = a.data @ np.concatenate([xs[i] for i in live], axis=1)
-        still = []
-        for j, i in enumerate(live):
-            try:
-                x_new = step(xs[i], ax[:, j * k:(j + 1) * k], *ws[j])
-            except DegenerateColumnError as exc:
-                reason = str(exc)
-            else:
-                reason = (None if np.all(np.isfinite(x_new))
-                          else "non-finite features")
-            if reason is not None:
-                logs[i] = TrajectoryLog(records=records[i], final=xs[i],
-                                        aborted=True, abort_step=t + 1,
-                                        abort_reason=reason)
-                continue
-            xs[i] = x_new
-            if observer is not None:
-                records[i].append(observer(t + 1, x_new))
-            still.append(i)
-        live = still
-    for i in live:
-        logs[i] = TrajectoryLog(records=records[i], final=xs[i])
+    # trial-major: block[j] is live trial j's (n, k) features, laid out
+    # as a lone trial's are, so its column sums and its observer see the
+    # same bytes; block.transpose(1, 0, 2) is the (n, T, k) view
+    block = np.repeat(x[None], len(rngs), axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(steps):
+            if not live:
+                break
+            drawn = [[sample_weight(spec, (k, k), rngs[i], step=t)
+                      for spec in specs] for i in live]
+            xb = block.transpose(1, 0, 2)
+            # a C-ordered operand: at k = 1 a plain reshape would give a
+            # Fortran-ordered view, whose product BLAS rounds differently
+            ax = (a.data @ np.ascontiguousarray(xb).reshape(n, -1)
+                  ).reshape(xb.shape)
+            y, faults = step(xb, ax, *(np.array(w) for w in zip(*drawn)))
+            y_trials = y.transpose(1, 0, 2)
+            finite = np.isfinite(y).all(axis=(0, 2))
+            keep = []
+            for j, i in enumerate(live):
+                reason = (str(faults[j]) if j in faults
+                          else None if finite[j] else "non-finite features")
+                if reason is not None:
+                    logs[i] = TrajectoryLog(
+                        records=records[i], final=block[j].copy(),
+                        aborted=True, abort_step=t + 1, abort_reason=reason)
+                    continue
+                if observer is not None:
+                    records[i].append(observer(t + 1, y_trials[j]))
+                keep.append(j)
+            if len(keep) < len(live):
+                live = [live[j] for j in keep]
+                y_trials = y_trials[keep]
+            block = y_trials
+    for j, i in enumerate(live):
+        logs[i] = TrajectoryLog(records=records[i], final=block[j].copy())
     if single:
         return logs[0]
     stopped = not live
     return TrajectoryLog(
-        records=[], final=np.concatenate(xs, axis=1), aborted=stopped,
+        records=[], final=np.concatenate([log.final for log in logs], axis=1),
+        aborted=stopped,
         abort_step=max(log.abort_step for log in logs) if stopped else None,
         abort_reason="every trial aborted" if stopped else None,
         trials=tuple(logs))

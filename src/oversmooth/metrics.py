@@ -74,7 +74,7 @@ def dominant_eig_reference(es: EigenSystem) -> ReferenceVector:
 def mu(x: np.ndarray, v: ReferenceVector | np.ndarray) -> float:
     """Squared Frobenius distance of X from the line spanned by v."""
     vec = v.v if isinstance(v, ReferenceVector) else np.asarray(v)
-    resid = x - np.outer(vec, vec @ x)
+    resid = x - vec[:, None] * (vec @ x)
     return float(np.sum(resid * resid))
 
 

@@ -1,8 +1,11 @@
 """Command-line driver: subcommands, exit codes, determinism."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +89,22 @@ def test_simulate_degenerate_abort(tmp_path, capsys):
     assert code == 2
     text = (outdir / "pairnorm_seed0.csv").read_text()
     assert "# aborted at step 1:" in text
+
+
+def test_simulate_overflow_abort_is_quiet(tmp_path):
+    # in a fresh process, so numpy's warnings would reach the real stderr
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "oversmooth.cli", "simulate",
+         "--graph", "er:30,0.3", "--largest-cc", "--k", "4",
+         "--steps", "200", "--weight-std", "1000", "--seeds", "0",
+         "--outdir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "RuntimeWarning" not in proc.stderr
+    text = (tmp_path / "vanilla_seed0.csv").read_text()
+    assert "non-finite features" in text
 
 
 def test_simulate_env_seed_override(tmp_path, capsys, monkeypatch):

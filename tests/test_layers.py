@@ -379,6 +379,42 @@ def _trial_rngs(trials):
     return [np.random.default_rng((9, t)) for t in range(trials)]
 
 
+def _replay(a, x0, cfg, steps, rng, observe):
+    """One trial of run_trajectory, step by step: weights drawn straight
+    from rng, A X W in plain numpy, then the public per-matrix
+    normalizer.  Returns (records, final, abort_step, abort_reason)."""
+    k = x0.shape[1]
+    std = cfg.weight_spec.std or 1.0 / np.sqrt(k)
+    ctx = build_norm_context(a, cfg.gnv2_k)
+    tau = np.tile(bn_emulating_tau(ctx)[:, None], (1, k))
+    normalize = {
+        "batchnorm": batch_norm,
+        "pairnorm": lambda y: pair_norm(y, cfg.scale),
+        "graphnorm": lambda y: graph_norm(y, np.ones(k)),
+        "graphnormv2": lambda y: graph_norm_v2(y, ctx, tau),
+    }
+    x, records = x0, []
+    for t in range(1, steps + 1):
+        w = rng.normal(0.0, std, size=(k, k))
+        try:
+            if cfg.variant == "vanilla":
+                y = a.data @ x @ w
+            elif cfg.variant == "residual":
+                w2 = rng.normal(0.0, std, size=(k, k))
+                y = (1 - cfg.alpha) * (a.data @ x @ w) + cfg.alpha * (x0 @ w2)
+            elif cfg.variant == "powerembed":
+                y = power_embed_step(a, x, w, cfg.nonlinearity)
+            else:
+                y = normalize[cfg.variant](a.data @ x @ w)
+        except DegenerateColumnError as exc:
+            return records, x, t, str(exc)
+        if not np.all(np.isfinite(y)):
+            return records, x, t, "non-finite features"
+        x = y
+        records.append(observe(t, x))
+    return records, x, None, None
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_stacked_trials_match_single_runs(variant):
     a, x0 = _stack_fixture()
@@ -390,17 +426,29 @@ def test_stacked_trials_match_single_runs(variant):
     with np.errstate(over="ignore", invalid="ignore"):
         stacked = run_trajectory(a, x0, cfg, steps, _trial_rngs(5),
                                  observer=observe)
-        singles = [run_trajectory(a, x0, cfg, steps, rng, observer=observe)
+        replays = [_replay(a, x0, cfg, steps, rng, observe)
                    for rng in _trial_rngs(5)]
-    assert len({log.abort_step for log in singles if log.aborted}) > 1
+    assert len({stop for _, _, stop, _ in replays if stop}) > 1
     assert len(stacked.trials) == 5
-    for got, want in zip(stacked.trials, singles):
+    for got, (records, final, stop, reason) in zip(stacked.trials, replays):
         assert (got.aborted, got.abort_step, got.abort_reason) == (
-            want.aborted, want.abort_step, want.abort_reason)
-        assert len(got.records) == len(want.records)
-        for rec, ref in zip(got.records, want.records):
+            stop is not None, stop, reason)
+        assert len(got.records) == len(records)
+        for rec, ref in zip(got.records, records):
             np.testing.assert_allclose(rec, ref, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(got.final, want.final, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got.final, final, rtol=1e-12, atol=0)
+
+
+def test_stacked_abort_reports_the_trials_own_column():
+    # column 1 is constant, so every trial's BatchNorm degenerates there
+    # at step 1; the reason names column 1, not its column in the block
+    a = _identity_op(3)
+    x0 = np.array([[1.0, 2.0], [2.0, 2.0], [4.0, 2.0]])
+    cfg = LayerConfig(variant="batchnorm",
+                      weight_spec=WeightSpec(mode="identity"))
+    log = run_trajectory(a, x0, cfg, 3, _trial_rngs(3))
+    assert [(tr.abort_step, tr.abort_reason) for tr in log.trials] == [
+        (1, "degenerate column 1: zero vector after centering")] * 3
 
 
 def test_stacked_log_describes_the_loop():
