@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -83,8 +83,9 @@ def _reference(cfg: RunConfig, g: Graph, es):
     return dominant_eig_reference(es)
 
 
-def _initial_features(n: int, k: int, seed: int, normalize: bool):
-    x0 = np.random.default_rng((seed, 101)).normal(size=(n, k))
+def _initial_features(g: Graph, k: int, key: tuple, normalize: bool):
+    """(n, k) draws of default_rng(key); unit nonzero columns if normalize."""
+    x0 = np.random.default_rng(key).normal(size=(g.n, k))
     if normalize:
         norms = np.linalg.norm(x0, axis=0)
         norms[norms == 0] = 1.0
@@ -92,7 +93,7 @@ def _initial_features(n: int, k: int, seed: int, normalize: bool):
     return x0
 
 
-def _write_csv(path: Path, rows, aborted=None):
+def _write_csv(path: Path, rows, aborted):
     lines = [",".join(CSV_COLUMNS)]
     for rec in rows:
         lines.append(",".join(_fmt(x) for x in rec.row()))
@@ -120,7 +121,12 @@ def _write_aggregate(path: Path, all_records):
     path.write_text("\n".join(lines) + "\n")
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(args) -> int:
+    cfg = _config_from_args(args)
+    if args.dump_config:
+        sys.stdout.write(json.dumps(asdict(cfg), indent=2, sort_keys=True)
+                         + "\n")
+        return EXIT_OK
     g = load_graph(cfg.graph, seed=cfg.graph_seed, largest_cc=cfg.largest_cc)
     a = build_operator(g, cfg.operator)
     if cfg.reference == "dominant_eig" and not is_connected(g):
@@ -150,7 +156,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     status = EXIT_OK
     complete = []
     for seed in cfg.seeds:
-        x0 = _initial_features(g.n, cfg.k, seed, cfg.normalize_features)
+        x0 = _initial_features(g, cfg.k, (seed, 101), cfg.normalize_features)
         log = run_trajectory(a, x0, lcfg, cfg.steps,
                              np.random.default_rng(seed),
                              observer=MetricObserver(g, v, top_k_basis=tk))
@@ -166,13 +172,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return status
 
 
-def _verify_inputs(g: Graph, k: int, seed: int):
-    rng = np.random.default_rng((seed, 202))
-    x0 = rng.normal(size=(g.n, k))
-    x0 = x0 / np.linalg.norm(x0, axis=0)
-    return x0
-
-
 def _prop3(g, x0, o):
     kb = krylov_basis(build_operator(g, "adjacency"), x0)
     y = kb.basis @ np.random.default_rng((o.seed, 303)).normal(
@@ -181,7 +180,7 @@ def _prop3(g, x0, o):
 
 
 # proposition id -> its check, called with the graph, x0, the all-ones
-# reference v and o, which holds cmd_verify's arguments.  Prop 2 runs at
+# reference v and o, the parsed verify flags.  Prop 2 runs at
 # alpha = 0.5, s = 1 and eps = sqrt(2 ln 2) / 2, so that p = 0.5.
 _VERIFY = {
     1: lambda g, x0, v, o: propcheck.check_prop1_residual_no_collapse(
@@ -201,55 +200,55 @@ _VERIFY = {
 }
 
 
-def cmd_verify(prop_ids, graph_spec: str, seed: int = 0, k: int = 4,
-               trials: int = propcheck.DEFAULT_TRIALS,
-               steps: int = propcheck.DEFAULT_STEPS, tau: float = 1.0,
-               eps: float = 0.01, alpha: float = 0.2,
-               out=None) -> int:
+def cmd_verify(args) -> int:
+    prop_ids = (range(1, 8) if args.props.strip().lower() == "all"
+                else [int(s) for s in args.props.split(",")])
     for pid in prop_ids:
         if pid not in _VERIFY:
             print(f"unknown proposition id {pid}", file=sys.stderr)
             return EXIT_CONFIG
-    o = argparse.Namespace(seed=seed, k=k, trials=trials, steps=steps,
-                           tau=tau, eps=eps, alpha=alpha)
-    g = load_graph(graph_spec, seed=seed, largest_cc=True)
-    x0 = _verify_inputs(g, k, seed)
+    g = load_graph(args.graph, seed=args.seed, largest_cc=True)
+    x0 = _initial_features(g, args.k, (args.seed, 202), True)
     v = all_ones_reference(g.n)
     reports = []
     for pid in prop_ids:
         # prop 5's trace has no id of its own
-        reports.append({"id": pid, **_VERIFY[pid](g, x0, v, o).to_json()})
+        reports.append({"id": pid, **_VERIFY[pid](g, x0, v, args).to_json()})
     text = json.dumps(reports, indent=2, sort_keys=True) + "\n"
-    if out:
-        Path(out).write_text(text)
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
     failed = any(r["verdict"] == propcheck.FAIL for r in reports)
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
-def cmd_spectrum(graph_spec: str, operator: str = "adjacency",
-                 tau: float | None = None, seed: int = 0,
-                 vectors: bool = False, show_partition: bool = False) -> int:
-    g = load_graph(graph_spec, seed=seed)
-    a = build_operator(g, operator)
-    es = centered_eig(a, tau) if tau is not None else symmetric_eig(a)
+def _partition_lines(g: Graph, ep, header: str) -> list:
+    """The header, one node,class row per node, then the quotient."""
+    lines = [header]
+    for node, c in enumerate(ep.colors):
+        lines.append(f"{node},{c}")
+    lines.append("# quotient matrix")
+    for row in quotient(g, ep).a_pi:
+        lines.append(",".join(_fmt(x) for x in row))
+    return lines
+
+
+def cmd_spectrum(args) -> int:
+    g = load_graph(args.graph, seed=args.seed)
+    a = build_operator(g, args.operator)
+    es = (centered_eig(a, args.tau) if args.tau is not None
+          else symmetric_eig(a))
     lines = ["index,eigenvalue"]
     for i, lam in enumerate(es.values):
         lines.append(f"{i},{_fmt(lam)}")
-    if vectors:
+    if args.vectors:
         lines.append("# eigenvectors (one row per node)")
         for row in np.asarray(es.vectors):
             lines.append(",".join(_fmt(x) for x in row))
-    if show_partition:
+    if args.partition:
         ep = wl_refine(g)
-        q = quotient(g, ep)
-        lines.append("# node,class")
-        for node, c in enumerate(ep.colors):
-            lines.append(f"{node},{c}")
-        lines.append("# quotient matrix")
-        for row in q.a_pi:
-            lines.append(",".join(_fmt(x) for x in row))
+        lines += _partition_lines(g, ep, "# node,class")
         split = split_eigenpairs(es, ep)
         lines.append("# structural," + ";".join(map(str, split.structural)))
         lines.append("# rest," + ";".join(map(str, split.rest)))
@@ -257,16 +256,9 @@ def cmd_spectrum(graph_spec: str, operator: str = "adjacency",
     return EXIT_OK
 
 
-def cmd_partition(graph_spec: str, seed: int = 0) -> int:
-    g = load_graph(graph_spec, seed=seed)
-    ep = wl_refine(g)
-    q = quotient(g, ep)
-    lines = ["node,class"]
-    for node, c in enumerate(ep.colors):
-        lines.append(f"{node},{c}")
-    lines.append("# quotient matrix")
-    for row in q.a_pi:
-        lines.append(",".join(_fmt(x) for x in row))
+def cmd_partition(args) -> int:
+    g = load_graph(args.graph, seed=args.seed)
+    lines = _partition_lines(g, wl_refine(g), "node,class")
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -290,6 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run trajectories, emit CSVs")
+    sim.set_defaults(run=cmd_simulate)
     sim.add_argument("--config", help="JSON config file")
     sim.add_argument("--dump-config", action="store_true",
                      help="print the effective config and exit")
@@ -307,7 +300,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--weight-std", type=float)
     sim.add_argument("--reference",
                      choices=("dominant_eig", "all_ones", "degree_sqrt"))
-    sim.add_argument("--raw-features", action="store_true", default=None,
+    sim.add_argument("--raw-features", dest="normalize_features",
+                     action="store_false", default=None,
                      help="skip the default unit-normalization of x0 columns")
     sim.add_argument("--identity-w2", action="store_true", default=None,
                      help="residual variant: identity W2 instead of Gaussian")
@@ -316,14 +310,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--outdir")
 
     ver = sub.add_parser("verify", help="run proposition checks")
+    ver.set_defaults(run=cmd_verify)
     ver.add_argument("--props", default="all",
                      help="comma-separated ids in 1..7, or 'all'")
     ver.add_argument("--graph", default="er:100,0.1")
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--k", type=int, default=4)
-    ver.add_argument("--trials", type=int, default=propcheck.DEFAULT_TRIALS)
-    ver.add_argument("--steps", type=int, default=propcheck.DEFAULT_STEPS)
-    ver.add_argument("--tau", type=float, default=1.0)
+    ver.add_argument("--k", type=int, default=4,
+                     help="width of x0 for props 1-6, and the top-k width "
+                          "of props 5 and 6")
+    ver.add_argument("--trials", type=int, default=propcheck.DEFAULT_TRIALS,
+                     help="read by props 1, 2 and 4")
+    ver.add_argument("--steps", type=int, default=propcheck.DEFAULT_STEPS,
+                     help="read by props 1, 4 and 5; prop 2 runs 64 steps, "
+                          "prop 3 runs n steps and prop 6 its analytic T")
+    ver.add_argument("--tau", type=float, default=1.0,
+                     help="read by prop 7 (centering strength)")
     ver.add_argument("--eps", type=float, default=0.01,
                      help="read by prop 6, whose columns must reach overlap "
                           "1/sqrt(1+eps); prop 2 runs at a fixed "
@@ -334,6 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--out", help="write the JSON report here")
 
     spec = sub.add_parser("spectrum", help="print eigenvalues as CSV")
+    spec.set_defaults(run=cmd_spectrum)
     spec.add_argument("graph")
     spec.add_argument("--operator", default="adjacency")
     spec.add_argument("--tau", type=float)
@@ -342,15 +344,10 @@ def _build_parser() -> argparse.ArgumentParser:
     spec.add_argument("--partition", action="store_true")
 
     part = sub.add_parser("partition", help="print WL classes and quotient")
+    part.set_defaults(run=cmd_partition)
     part.add_argument("graph")
     part.add_argument("--seed", type=int, default=0)
     return p
-
-
-_OVERRIDES = ("graph", "graph_seed", "operator", "variant", "nonlinearity",
-              "steps", "k", "alpha", "scale", "gnv2_k", "weight_std",
-              "reference", "identity_w2", "largest_cc", "top_k_metric",
-              "outdir")
 
 
 def _config_from_args(args) -> RunConfig:
@@ -360,19 +357,15 @@ def _config_from_args(args) -> RunConfig:
         if "seeds" in data:
             data["seeds"] = tuple(data["seeds"])
     cfg = RunConfig(**data)
-    updates = {}
-    for name in _OVERRIDES:
-        value = getattr(args, name, None)
-        if value is not None:
-            updates[name] = value
-    if getattr(args, "raw_features", None):
-        updates["normalize_features"] = False
+    # a flag left unset is None; --raw-features sets normalize_features
+    updates = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+               if getattr(args, f.name) is not None}
     if args.seeds is not None:
         updates["seeds"] = tuple(int(s) for s in args.seeds.split(","))
     env_seed = os.environ.get("OVERSMOOTH_SEED")
     if env_seed is not None:
         updates["seeds"] = (int(env_seed),)
-    return replace(cfg, **updates) if updates else cfg
+    return replace(cfg, **updates)
 
 
 def main(argv=None) -> int:
@@ -381,30 +374,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help (0) or a usage error (1)
         return exc.code
     try:
-        if args.command == "simulate":
-            cfg = _config_from_args(args)
-            if args.dump_config:
-                d = asdict(cfg)
-                d["seeds"] = list(d["seeds"])
-                sys.stdout.write(json.dumps(d, indent=2, sort_keys=True)
-                                 + "\n")
-                return EXIT_OK
-            return cmd_simulate(cfg)
-        if args.command == "verify":
-            if args.props.strip().lower() == "all":
-                ids = list(range(1, 8))
-            else:
-                ids = [int(s) for s in args.props.split(",")]
-            return cmd_verify(ids, args.graph, seed=args.seed, k=args.k,
-                              trials=args.trials, steps=args.steps,
-                              tau=args.tau, eps=args.eps, alpha=args.alpha,
-                              out=args.out)
-        if args.command == "spectrum":
-            return cmd_spectrum(args.graph, operator=args.operator,
-                                tau=args.tau, seed=args.seed,
-                                vectors=args.vectors,
-                                show_partition=args.partition)
-        return cmd_partition(args.graph, seed=args.seed)
+        return args.run(args)
     except (OversmoothError, ValueError, TypeError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

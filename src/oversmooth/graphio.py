@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -65,7 +65,13 @@ class Graph:
 
     @cached_property
     def _degrees(self) -> np.ndarray:
-        deg = self.adjacency().sum(axis=1)
+        # each node's entries in column order: as a v below it, then as
+        # a u (a self-loop, u == v, counted once, as on the diagonal);
+        # with no edges bincount returns integers
+        off = self.u != self.v
+        deg = np.bincount(np.concatenate([self.v[off], self.u]),
+                          np.concatenate([self.w[off], self.w]),
+                          minlength=self.n).astype(np.float64, copy=False)
         deg.setflags(write=False)
         return deg
 
@@ -88,7 +94,6 @@ class OperatorMatrix:
     data: np.ndarray
     kind: str
     symmetric: bool
-    tau: Optional[float] = None
 
     def __post_init__(self):
         self.data.setflags(write=False)
@@ -317,4 +322,4 @@ def center_operator(a: OperatorMatrix, tau: float) -> OperatorMatrix:
     n = a.n
     data = a.data - (tau / n) * np.outer(np.ones(n), a.data.sum(axis=0))
     symmetric = bool(np.abs(data - data.T).max(initial=0.0) <= _SYM_TOL)
-    return OperatorMatrix(data=data, kind=CENTERED, symmetric=symmetric, tau=tau)
+    return OperatorMatrix(data=data, kind=CENTERED, symmetric=symmetric)

@@ -176,8 +176,10 @@ def _block_normalized(num: np.ndarray, den: np.ndarray, ref: np.ndarray,
 
 
 def _normalized(x: np.ndarray, normalizer, *args) -> np.ndarray:
-    """A block normalizer applied to one (n, k) matrix."""
-    y, faults = _block_normalized(*normalizer(x[:, None, :], *args))
+    """A block normalizer applied to one (n, k) matrix; an overflow is
+    reported as its DegenerateColumnError, not as a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        y, faults = _block_normalized(*normalizer(x[:, None, :], *args))
     if faults:
         raise faults[0]
     return y[:, 0, :]

@@ -36,6 +36,8 @@ UNDEFINED = "undefined"
 # A trace value this far below its own maximum is float64 rounding noise
 # reinjected by the dynamics, not signal; slope fits stop there.
 _TRACE_FLOOR = 1e-13
+# Steps a slope fit skips at the start of a trace, before it decays.
+_SLOPE_SKIP = 4
 
 _GAP_TOL = 1e-8
 
@@ -96,9 +98,9 @@ class ConvergenceTrace:
         }
 
 
-def fit_log_slope(values: np.ndarray, skip: int = 4) -> float:
+def fit_log_slope(values: np.ndarray) -> float:
     """Least-squares slope of log(values) per step over the final half
-    of the decaying segment.
+    of the decaying segment, from step _SLOPE_SKIP on.
 
     The segment ends where the trace first drops below _TRACE_FLOOR
     times its maximum (rounding-noise floor).  Returns nan if fewer
@@ -110,11 +112,11 @@ def fit_log_slope(values: np.ndarray, skip: int = 4) -> float:
     if top <= 0.0:
         return float("nan")
     alive = np.flatnonzero(values > _TRACE_FLOOR * top)
-    alive = alive[alive >= skip]
+    alive = alive[alive >= _SLOPE_SKIP]
     if alive.size < 3:
         return float("nan")
     last = alive[-1]
-    start = max(skip, (last + skip) // 2)
+    start = max(_SLOPE_SKIP, (last + _SLOPE_SKIP) // 2)
     window = np.flatnonzero((t >= start) & (t <= last) & (values > _TRACE_FLOOR * top))
     if window.size < 3:
         window = alive
@@ -128,9 +130,8 @@ def _trial_rngs(seed: int, trials: int) -> list:
 
 def check_prop1_residual_no_collapse(
         g: Graph, x0: np.ndarray, v: ReferenceVector | np.ndarray,
-        alpha: float = 0.2, s: float | None = None,
-        trials: int = DEFAULT_TRIALS, steps: int = DEFAULT_STEPS,
-        seed: int = 0) -> PropReport:
+        alpha: float = 0.2, trials: int = DEFAULT_TRIALS,
+        steps: int = DEFAULT_STEPS, seed: int = 0) -> PropReport:
     """Residual updates keep mu_v bounded away from zero.
 
     Per trial, records min_t mu_v(X^(t)) over ``steps`` residual layers
@@ -143,8 +144,7 @@ def check_prop1_residual_no_collapse(
         return PropReport(proposition=1, verdict=UNDEFINED, trials=0,
                           successes=0, bound=0.9, notes="no trials requested")
     a = build_operator(g, "sym_normalized")
-    cfg = LayerConfig(variant="residual", alpha=alpha,
-                      weight_spec=WeightSpec(std=s))
+    cfg = LayerConfig(variant="residual", alpha=alpha)
     c_star = 1e-6
     log = run_trajectory(a, x0, cfg, steps, _trial_rngs(seed, trials),
                          observer=lambda _, x: mu(x, v))

@@ -1,5 +1,6 @@
 """Command-line driver: subcommands, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 import re
@@ -47,6 +48,43 @@ def test_flags_override_config(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["steps"] == 9
     assert json.loads(out)["variant"] == "vanilla"
+
+
+# RunConfig field -> the simulate flags that set it to a non-default value
+_SIMULATE_FLAGS = {
+    "graph": ["--graph", "er:20,0.2"],
+    "graph_seed": ["--graph-seed", "5"],
+    "operator": ["--operator", "adjacency"],
+    "variant": ["--variant", "batchnorm"],
+    "nonlinearity": ["--nonlinearity", "relu"],
+    "steps": ["--steps", "9"],
+    "seeds": ["--seeds", "3,4"],
+    "k": ["--k", "3"],
+    "alpha": ["--alpha", "0.5"],
+    "scale": ["--scale", "2.0"],
+    "gnv2_k": ["--gnv2-k", "3"],
+    "weight_std": ["--weight-std", "0.5"],
+    "reference": ["--reference", "all_ones"],
+    "normalize_features": ["--raw-features"],
+    "identity_w2": ["--identity-w2"],
+    "largest_cc": ["--largest-cc"],
+    "top_k_metric": ["--top-k-metric", "2"],
+    "outdir": ["--outdir", "elsewhere"],
+}
+
+
+def test_every_simulate_setting_has_a_flag(capsys):
+    assert set(_SIMULATE_FLAGS) == {
+        f.name for f in dataclasses.fields(cli.RunConfig)}
+    code, out, _ = _run(capsys, ["simulate", "--dump-config"])
+    assert code == 0
+    default = json.loads(out)
+    for name, flags in _SIMULATE_FLAGS.items():
+        code, out, err = _run(capsys, ["simulate", "--dump-config", *flags])
+        assert code == 0, (name, err)
+        dumped = json.loads(out)
+        changed = {key for key in default if dumped[key] != default[key]}
+        assert changed == {name}, (name, changed)
 
 
 def test_simulate_outputs_and_aggregate(tmp_path, capsys):

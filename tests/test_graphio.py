@@ -120,6 +120,24 @@ def test_degrees_cached_read_only():
         d[0] = 1.0
 
 
+def test_degrees_match_dense_row_sums():
+    # weighted, with self-loops: each loop's weight counts once
+    rng = np.random.default_rng(3)
+    n = 60
+    ends = rng.integers(0, n, size=(400, 2))
+    g = make_graph(n, np.column_stack([ends, rng.uniform(0.1, 5.0, 400)]))
+    assert np.any(g.u == g.v)
+    dense = g.adjacency().sum(axis=1)
+    assert np.allclose(g.degrees(), dense, rtol=1e-14, atol=0.0)
+    loops = make_graph(2, [(0, 0, 2.0), (0, 1, 1.0)])
+    assert loops.degrees().tolist() == [3.0, 1.0]
+    # unit weights: exactly the dense sums
+    for spec in ("er:300,0.05", "sbm:20+30,0.4,0.1", "star:9", "reg:8,3"):
+        unit = gen_graph(spec, seed=2)
+        assert np.array_equal(unit.degrees(), unit.adjacency().sum(axis=1))
+    assert make_graph(3, []).degrees().tolist() == [0.0] * 3
+
+
 def test_edge_arrays():
     g = make_graph(4, [(0, 1, 0.3), (2, 1, 0.1), (2, 3, 2.5)])
     assert _triples(g) == [(0, 1, 0.3), (1, 2, 0.1), (2, 3, 2.5)]
