@@ -61,6 +61,10 @@ class RunConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        for name, low in (("k", 1), ("gnv2_k", 0), ("top_k_metric", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(
+                    f"{name} must be >= {low}, got {getattr(self, name)}")
         if not self.seeds:
             raise ValueError("at least one seed is required")
         if self.variant not in VARIANTS:
@@ -201,17 +205,11 @@ _VERIFY = {
 
 
 def cmd_verify(args) -> int:
-    prop_ids = (range(1, 8) if args.props.strip().lower() == "all"
-                else [int(s) for s in args.props.split(",")])
-    for pid in prop_ids:
-        if pid not in _VERIFY:
-            print(f"unknown proposition id {pid}", file=sys.stderr)
-            return EXIT_CONFIG
     g = load_graph(args.graph, seed=args.seed, largest_cc=True)
     x0 = _initial_features(g, args.k, (args.seed, 202), True)
     v = all_ones_reference(g.n)
     reports = []
-    for pid in prop_ids:
+    for pid in args.props:
         # prop 5's trace has no id of its own
         reports.append({"id": pid, **_VERIFY[pid](g, x0, v, args).to_json()})
     text = json.dumps(reports, indent=2, sort_keys=True) + "\n"
@@ -263,6 +261,36 @@ def cmd_partition(args) -> int:
     return EXIT_OK
 
 
+def _ints(text: str) -> tuple:
+    """A comma-separated integer list flag."""
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
+def _prop_ids(text: str) -> tuple:
+    """--props: 'all', or comma-separated ids of checks in _VERIFY."""
+    if text.strip().lower() == "all":
+        return tuple(_VERIFY)
+    ids = _ints(text)
+    for pid in ids:
+        if pid not in _VERIFY:
+            raise argparse.ArgumentTypeError(f"unknown proposition id {pid}")
+    return ids
+
+
+def _count(text: str) -> int:
+    """A non-negative integer flag."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error on one line with the config exit code, so
     exit 2 keeps meaning a degenerate abort.  Subparsers inherit it."""
@@ -292,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--variant")
     sim.add_argument("--nonlinearity")
     sim.add_argument("--steps", type=int)
-    sim.add_argument("--seeds", help="comma-separated seed list")
+    sim.add_argument("--seeds", type=_ints, help="comma-separated seed list")
     sim.add_argument("--k", type=int)
     sim.add_argument("--alpha", type=float)
     sim.add_argument("--scale", type=float)
@@ -311,14 +339,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run proposition checks")
     ver.set_defaults(run=cmd_verify)
-    ver.add_argument("--props", default="all",
+    ver.add_argument("--props", type=_prop_ids, default="all",
                      help="comma-separated ids in 1..7, or 'all'")
     ver.add_argument("--graph", default="er:100,0.1")
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--k", type=int, default=4,
                      help="width of x0 for props 1-6, and the top-k width "
                           "of props 5 and 6")
-    ver.add_argument("--trials", type=int, default=propcheck.DEFAULT_TRIALS,
+    ver.add_argument("--trials", type=_count, default=propcheck.DEFAULT_TRIALS,
                      help="read by props 1, 2 and 4")
     ver.add_argument("--steps", type=int, default=propcheck.DEFAULT_STEPS,
                      help="read by props 1, 4 and 5; prop 2 runs 64 steps, "
@@ -354,14 +382,16 @@ def _config_from_args(args) -> RunConfig:
     data = {}
     if args.config:
         data = json.loads(Path(args.config).read_text())
+        unknown = sorted(set(data) - {f.name for f in fields(RunConfig)})
+        if unknown:
+            raise ValueError(
+                f"{args.config}: unknown config key {unknown[0]!r}")
         if "seeds" in data:
             data["seeds"] = tuple(data["seeds"])
     cfg = RunConfig(**data)
     # a flag left unset is None; --raw-features sets normalize_features
     updates = {f.name: getattr(args, f.name) for f in fields(RunConfig)
                if getattr(args, f.name) is not None}
-    if args.seeds is not None:
-        updates["seeds"] = tuple(int(s) for s in args.seeds.split(","))
     env_seed = os.environ.get("OVERSMOOTH_SEED")
     if env_seed is not None:
         updates["seeds"] = (int(env_seed),)

@@ -1,9 +1,12 @@
 """Graph construction, parsing, generators and message-passing operators.
 
 A graph is symmetric and non-negative, stored as edge arrays (one
-entry per unordered pair); operators are dense float64 matrices, as the
-target scale is a few thousand nodes at most.  Edge lists are
-symmetrized on input (directed input is silently symmetrized).
+entry per unordered pair).  An operator holds a dense float64 matrix,
+which eigensolvers and centring read, and multiplies features by it
+through ``a @ x``: densely, or, when the matrix is sparse enough for
+that to be cheaper, through a sliced-ELLPACK copy of its nonzero
+entries (see ``OperatorMatrix``).  Edge lists are symmetrized on input
+(directed input is silently symmetrized).
 Generators draw from ``numpy.random.default_rng`` (PCG64) seeded per
 call, so a (spec, seed) pair reproduces exactly within this package.
 """
@@ -27,6 +30,19 @@ CENTERED = "centered"
 OPERATOR_KINDS = (ADJACENCY, SYM_NORMALIZED, ROW_STOCHASTIC)
 
 _SYM_TOL = 1e-12
+
+# Sliced-ELLPACK layout: rows per slice, and the cost of one padded
+# entry of the sliced product in multiply-adds of the dense product;
+# the sliced product is taken when _SLICED_COST * (padded entries) is
+# below n * n.  Measured with one BLAS thread (2-core Xeon, numpy
+# 2.4.6), a padded entry cost 13-24 dense multiply-adds at 32-80
+# columns on er:1000,0.01, er:2000,0.02 and er:3000,0.005 (1000 x 80:
+# 0.87 ms sliced against 3.39 ms dense), and 37-38 where per-slice
+# overhead dominates (cycle:200 at 80 columns, er:1000,0.01 at 4).  At
+# 32, er:200,0.05 (0.118 against 0.078 ms at 32 columns) and star:1000
+# (8.1 against 3.3 ms at 80) stay dense.
+_SLICE_ROWS = 64
+_SLICED_COST = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +105,21 @@ class Graph:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense n x n message-passing operator."""
+    """n x n message-passing operator.
+
+    ``data`` is the dense matrix, read by eigensolvers, centring and
+    partitions.  ``a @ x`` multiplies an (n, ...) array by it in one of
+    two ways, chosen from the matrix itself.  For the sliced product the
+    rows, sorted by nonzero count, are cut into slices of _SLICE_ROWS
+    rows, each padded to its widest row (SELL-C-sigma, Kreutzer et al.,
+    SIAM J. Sci. Comput. 2014); each slice costs one gather of x and one
+    batched matmul.  It is taken when _SLICED_COST times the padded
+    entries is below n^2; any other matrix, a skewed one whose hub pads
+    its slice to n entries included, takes the dense product
+    ``data @ x``.  The two sum a row in different orders, so they agree
+    to rounding, not bit for bit, and on the sliced product a column's
+    rounding can also depend on how many columns x has.
+    """
 
     data: np.ndarray
     kind: str
@@ -100,7 +130,8 @@ class OperatorMatrix:
         if self.kind in (ADJACENCY, SYM_NORMALIZED):
             if not self.symmetric:
                 raise ContractError(f"{self.kind} operator must be symmetric")
-            if np.abs(self.data - self.data.T).max(initial=0.0) > _SYM_TOL:
+            gap = self.data - self.data.T
+            if np.abs(gap, out=gap).max(initial=0.0) > _SYM_TOL:
                 raise ContractError(f"{self.kind} operator data is not symmetric")
         if self.kind in OPERATOR_KINDS and self.data.size and self.data.min() < 0:
             raise ContractError(f"{self.kind} operator has negative entries")
@@ -108,6 +139,57 @@ class OperatorMatrix:
     @property
     def n(self) -> int:
         return self.data.shape[0]
+
+    @cached_property
+    def _slices(self) -> tuple | None:
+        """The sliced layout (rank, slices), or None where the dense
+        product is cheaper.  Row r is row rank[r] of the rows sorted by
+        descending nonzero count; slice s holds sorted rows
+        s * _SLICE_ROWS onwards as a (column index, value) pair of
+        (rows, width) and (rows, 1, width) arrays.  A padded entry is
+        column 0 with value 0."""
+        n = self.n
+        counts = np.count_nonzero(self.data, axis=1)
+        order = np.argsort(-counts, kind="stable")
+        widths = counts[order[::_SLICE_ROWS]]   # each slice's first row
+        heights = np.diff(np.append(np.arange(0, n, _SLICE_ROWS), n))
+        size = widths * heights
+        if _SLICED_COST * int(size.sum()) >= n * n:
+            return None
+        # entry j of row r goes to slot (rank of r in its slice, j) of
+        # its slice, in one buffer of the slices laid end to end
+        rows, cols = np.nonzero(self.data)   # row by row, columns ascending
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.arange(n)
+        start = np.cumsum(size) - size
+        within = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+        s = rank[rows] // _SLICE_ROWS
+        slot = start[s] + (rank[rows] % _SLICE_ROWS) * widths[s] + within
+        index = np.zeros(int(size.sum()), dtype=np.intp)
+        value = np.zeros(len(index))
+        index[slot], value[slot] = cols, self.data[rows, cols]
+        slices = tuple(
+            (index[b:b + h * w].reshape(h, w),
+             value[b:b + h * w].reshape(h, 1, w))
+            for b, h, w in zip(start, heights, widths))
+        return rank, slices
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """The product A @ x of an (n, ...) array, as ``data @ x`` but
+        summed slice by slice on the sliced layout."""
+        x = np.asarray(x)
+        if x.ndim == 0 or x.shape[0] != self.n:
+            raise ContractError(
+                f"shape mismatch: A {self.data.shape}, x {x.shape}")
+        if self._slices is None:
+            return self.data @ x
+        rank, slices = self._slices
+        cols = x.reshape(self.n, -1)
+        out = np.empty((self.n, 1, cols.shape[1]),
+                       dtype=np.result_type(self.data, x))
+        for lo, (index, value) in zip(range(0, self.n, _SLICE_ROWS), slices):
+            np.matmul(value, cols[index], out=out[lo:lo + len(index)])
+        return out[rank].reshape(x.shape)
 
 
 def make_graph(n: int, pairs: Iterable | np.ndarray) -> Graph:
@@ -291,23 +373,30 @@ def build_operator(g: Graph, kind: str) -> OperatorMatrix:
     -> D^-1 A.  Normalized kinds require every node to have positive
     degree.
     """
-    a = g.adjacency()
     if kind == ADJACENCY:
-        return OperatorMatrix(data=a, kind=ADJACENCY, symmetric=True)
-    if kind in (SYM_NORMALIZED, ROW_STOCHASTIC):
-        deg = a.sum(axis=1)
-        isolated = np.flatnonzero(deg <= 0)
-        if isolated.size:
-            raise DomainError(
-                f"cannot normalize: node {int(isolated[0])} has degree 0")
-        if kind == SYM_NORMALIZED:
-            dinv = 1.0 / np.sqrt(deg)
-            data = a * dinv[:, None] * dinv[None, :]
-            data = (data + data.T) / 2.0
-            return OperatorMatrix(data=data, kind=SYM_NORMALIZED, symmetric=True)
-        return OperatorMatrix(data=a / deg[:, None], kind=ROW_STOCHASTIC,
-                              symmetric=False)
-    raise DomainError(f"unknown operator kind {kind!r}")
+        return OperatorMatrix(data=g.adjacency(), kind=ADJACENCY,
+                              symmetric=True)
+    if kind not in (SYM_NORMALIZED, ROW_STOCHASTIC):
+        raise DomainError(f"unknown operator kind {kind!r}")
+    # the dense row sums, whose rounding the operator's bits depend on
+    deg = g.adjacency().sum(axis=1)
+    isolated = np.flatnonzero(deg <= 0)
+    if isolated.size:
+        raise DomainError(
+            f"cannot normalize: node {int(isolated[0])} has degree 0")
+    # each edge's entries, scattered into one zero matrix: the values
+    # of the dense scalings a * dinv[:, None] * dinv[None, :] (then
+    # symmetrized as (data + data.T) / 2) and a / deg[:, None]
+    data = np.zeros((g.n, g.n))
+    if kind == SYM_NORMALIZED:
+        dinv = 1.0 / np.sqrt(deg)
+        wu, wv = g.w * dinv[g.u], g.w * dinv[g.v]
+        data[g.u, g.v] = data[g.v, g.u] = (wu * dinv[g.v]
+                                           + wv * dinv[g.u]) / 2.0
+        return OperatorMatrix(data=data, kind=SYM_NORMALIZED, symmetric=True)
+    data[g.u, g.v] = g.w / deg[g.u]
+    data[g.v, g.u] = g.w / deg[g.v]
+    return OperatorMatrix(data=data, kind=ROW_STOCHASTIC, symmetric=False)
 
 
 def is_regular(g: Graph) -> bool:

@@ -236,7 +236,7 @@ def step_vanilla(a: OperatorMatrix, x: np.ndarray, w: np.ndarray,
     if x.shape[0] != a.n or w.shape[0] != x.shape[1]:
         raise ContractError(
             f"shape mismatch: A {a.data.shape}, X {x.shape}, W {w.shape}")
-    return _apply_nl(a.data @ x @ w, nl)
+    return _apply_nl(a @ x @ w, nl)
 
 
 def step_residual(a: OperatorMatrix, x: np.ndarray, x0: np.ndarray,
@@ -247,7 +247,7 @@ def step_residual(a: OperatorMatrix, x: np.ndarray, x0: np.ndarray,
         raise DomainError(f"alpha={alpha} outside (0,1)")
     if x0.shape != x.shape:
         raise ContractError(f"x0 shape {x0.shape} != x shape {x.shape}")
-    return _residual_mix((a.data @ x)[:, None, :], x0, w1[None], w2[None],
+    return _residual_mix((a @ x)[:, None, :], x0, w1[None], w2[None],
                          alpha, nl)[:, 0, :]
 
 
@@ -425,7 +425,7 @@ def run_trajectory(a: OperatorMatrix, x0: np.ndarray, cfg: LayerConfig,
             xb = block.transpose(1, 0, 2)
             # a C-ordered operand: at k = 1 a plain reshape would give a
             # Fortran-ordered view, whose product BLAS rounds differently
-            ax = (a.data @ np.ascontiguousarray(xb).reshape(n, -1)
+            ax = (a @ np.ascontiguousarray(xb).reshape(n, -1)
                   ).reshape(xb.shape)
             y, faults = step(xb, ax, *(np.array(w) for w in zip(*drawn)))
             y_trials = y.transpose(1, 0, 2)

@@ -389,7 +389,7 @@ def build_tightness_schedule(a: OperatorMatrix, x0: np.ndarray, k: int,
     x = np.array(x0, dtype=np.float64)
     weights = []
     for m in range(k):
-        sig = lifted.T @ (a.data @ x)
+        sig = lifted.T @ (a @ x)
         pivot = sig[m, m]
         if abs(pivot) <= 1e-12:
             raise DomainError(
@@ -400,7 +400,7 @@ def build_tightness_schedule(a: OperatorMatrix, x0: np.ndarray, k: int,
             if i != m:
                 w[m, i] = -sig[m, i] / pivot
         weights.append(w)
-        x = batch_norm(a.data @ x @ w)
+        x = batch_norm(a @ x @ w)
     sig = lifted.T @ x
     t_extra = 0
     for i in range(k):
@@ -414,7 +414,7 @@ def build_tightness_schedule(a: OperatorMatrix, x0: np.ndarray, k: int,
             t_extra = max(t_extra, int(np.ceil(num / den)))
     for _ in range(t_extra):
         weights.append(np.eye(kdim))
-        x = batch_norm(a.data @ x)
+        x = batch_norm(a @ x)
     return weights, k + t_extra, x
 
 
@@ -514,7 +514,7 @@ def check_vanilla_oversmoothing(
         top = np.linalg.norm(w, 2)
         if top > 1.0:
             w = w / top
-        x = a.data @ x @ w
+        x = a @ x @ w
         m = mu(x, v)
         fn = float(np.linalg.norm(x))
         mus[t] = m

@@ -195,7 +195,7 @@ def krylov_generators(a: OperatorMatrix, x0: np.ndarray) -> np.ndarray:
     power = x0.copy()
     for _ in range(n):
         blocks.append(power)
-        power = a.data @ power
+        power = a @ power
     return np.concatenate(blocks, axis=1) if blocks else np.zeros((n, 0))
 
 

@@ -223,6 +223,53 @@ def test_usage_exit_codes(capsys, argv, code):
         assert "usage:" in out
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--k", "0"), ("--gnv2-k", "-1"), ("--top-k-metric", "-1")])
+def test_simulate_rejects_bad_width(tmp_path, capsys, flag, value):
+    outdir = tmp_path / "out"
+    code, _, err = _run(capsys, ["simulate", "--graph", "er:20,0.3",
+                                 "--steps", "2", flag, value,
+                                 "--outdir", str(outdir)])
+    assert code == 1
+    assert err.count("\n") == 1
+    assert flag[2:].replace("-", "_") in err and value in err
+    assert not outdir.exists()
+
+
+# each malformed input exits 1 with one line naming its source and value
+@pytest.mark.parametrize("argv, names", [
+    (["verify", "--props", "1", "--trials", "-1"], ["--trials", "-1"]),
+    (["simulate", "--seeds", "a,b"], ["--seeds", "a,b"]),
+    (["verify", "--props", "1,x"], ["--props", "1,x"]),
+    (["simulate", "--config", "CONFIG"], ["unknown config key", "nope"]),
+], ids=["trials", "seeds", "props", "config-key"])
+def test_bad_input_names_its_source(tmp_path, capsys, argv, names):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"steps": 2, "nope": 1}))
+    argv = [str(config) if a == "CONFIG" else a for a in argv]
+    code, _, err = _run(capsys, argv + ["--graph", "er:30,0.3"])
+    assert code == 1
+    assert err.count("\n") == 1
+    assert all(name in err for name in names), err
+
+
+def test_verify_imports_no_scipy():
+    # importing scipy would add about 0.17 s to every run's set-up
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys\n"
+            "from oversmooth import cli\n"
+            "code = cli.main(['verify', '--props', '1', '--graph', "
+            "'er:1000,0.01', '--trials', '2'])\n"
+            "assert code == 0, code\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize("command", ["simulate", "verify", "spectrum",
                                      "partition"])
 def test_missing_graph_file_message(tmp_path, capsys, command):

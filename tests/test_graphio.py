@@ -298,3 +298,58 @@ def test_build_operator_pure():
     assert np.array_equal(a1.data, a2.data)
     with pytest.raises(DomainError):
         build_operator(g, "laplacian")
+
+
+def _weighted_graph_with_self_loops():
+    rng = np.random.default_rng(1)
+    pairs = rng.integers(0, 300, size=(1500, 2))
+    loops = np.arange(0, 300, 7)
+    return make_graph(300, np.concatenate([
+        np.column_stack([pairs, rng.uniform(0.1, 5.0, len(pairs))]),
+        np.column_stack([loops, loops, rng.uniform(0.1, 3.0, len(loops))])]))
+
+
+@pytest.mark.parametrize("g", [
+    gen_graph("er:1000,0.01"), gen_graph("er:200,0.05", largest_cc=True),
+    _weighted_graph_with_self_loops()], ids=["er1000", "er200", "weighted"])
+def test_normalized_operators_match_dense_scaling(g):
+    # the edge-wise build reproduces the dense scalings bit for bit
+    a = g.adjacency()
+    deg = a.sum(axis=1)
+    dinv = 1.0 / np.sqrt(deg)
+    scaled = a * dinv[:, None] * dinv[None, :]
+    assert np.array_equal(build_operator(g, "sym_normalized").data,
+                          (scaled + scaled.T) / 2.0)
+    assert np.array_equal(build_operator(g, "row_stochastic").data,
+                          a / deg[:, None])
+
+
+def _product_graph(spec):
+    if spec == "cycle:200+isolated":   # 100 isolated nodes: empty rows
+        g = gen_graph("cycle:200")
+        return Graph(300, g.u, g.v, g.w)
+    return gen_graph(spec, seed=0, largest_cc=True)
+
+
+# graph -> whether a @ x takes the sliced product; er:200,0.05,
+# er:100,0.1 and er:1000,0.01 are the benchmark graphs
+@pytest.mark.parametrize("spec, sliced", [
+    ("cycle:200", True), ("cycle:200+isolated", True),
+    ("er:1000,0.01", True), ("er:200,0.05", False), ("er:100,0.1", False),
+    ("star:1000", False)])
+def test_operator_product_matches_dense(spec, sliced):
+    g = _product_graph(spec)
+    kinds = ["adjacency"] + (["sym_normalized", "row_stochastic"]
+                             if g.degrees().all() else [])
+    for kind in kinds:
+        a = build_operator(g, kind)
+        assert (a._slices is not None) == sliced, kind
+        for op in (a, center_operator(a, 1.0)):
+            for width in (1, 4, 80):
+                x = np.random.default_rng(width).normal(size=(g.n, width))
+                got = op @ x
+                assert got.shape == x.shape
+                scale = (np.abs(op.data) @ np.abs(x)).max()
+                assert np.abs(got - op.data @ x).max() <= 1e-14 * scale
+    with pytest.raises(ContractError):
+        a @ np.ones((g.n + 1, 2))
