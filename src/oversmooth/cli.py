@@ -180,7 +180,8 @@ def _prop3(g, x0, o):
     kb = krylov_basis(build_operator(g, "adjacency"), x0)
     y = kb.basis @ np.random.default_rng((o.seed, 303)).normal(
         size=(kb.r, o.k))
-    return propcheck.check_prop3_krylov_reachability(g, x0, y, seed=o.seed)
+    return propcheck.check_prop3_krylov_reachability(g, x0, y, kb,
+                                                     seed=o.seed)
 
 
 # proposition id -> its check, called with the graph, x0, the all-ones
@@ -281,14 +282,17 @@ def _prop_ids(text: str) -> tuple:
     return ids
 
 
-def _count(text: str) -> int:
-    """A non-negative integer flag."""
-    try:
-        if int(text) >= 0:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+def _at_least(low: int):
+    """An integer flag >= low; argparse names the flag in the error."""
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= {low}, got {text!r}")
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -343,10 +347,11 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="comma-separated ids in 1..7, or 'all'")
     ver.add_argument("--graph", default="er:100,0.1")
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--k", type=int, default=4,
+    ver.add_argument("--k", type=_at_least(1), default=4,
                      help="width of x0 for props 1-6, and the top-k width "
                           "of props 5 and 6")
-    ver.add_argument("--trials", type=_count, default=propcheck.DEFAULT_TRIALS,
+    ver.add_argument("--trials", type=_at_least(0),
+                     default=propcheck.DEFAULT_TRIALS,
                      help="read by props 1, 2 and 4")
     ver.add_argument("--steps", type=int, default=propcheck.DEFAULT_STEPS,
                      help="read by props 1, 4 and 5; prop 2 runs 64 steps, "

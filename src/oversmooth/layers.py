@@ -5,12 +5,15 @@ functions are pure; ``run_trajectory`` owns the only mutable state of a
 run and looks each variant's step up in one table.  Given one generator
 per trial, it advances T trials from a shared x0 as one (n, T, k) block:
 every step applies the operator once to the (n, T*k) block, multiplies
-each trial by its own weights in one batched product and normalizes the
-block once, column statistics along axis 0.  A single generator is the
-T = 1 block, and the public per-matrix functions (``batch_norm``,
-``pair_norm`` ...) run the same block arithmetic on one matrix.
-Degenerate (zero/constant) normalization columns abort a trial rather
-than being masked with an epsilon; the other trials of a block go on.
+each trial by its own weights in one batched product, normalizes the
+block once, column statistics along axis 0, and calls the observer once
+with the (T, n, k) trial-major block of the live trials.  Each trial's
+Gaussian weights are drawn from its own generator a chunk of steps at a
+time.  A single generator is the T = 1 block, and the public per-matrix
+functions (``batch_norm``, ``pair_norm`` ...) run the same block
+arithmetic on one matrix.  Degenerate (zero/constant) normalization
+columns abort a trial rather than being masked with an epsilon; the
+other trials of a block go on.
 """
 
 from __future__ import annotations
@@ -27,6 +30,12 @@ from .spectral import symmetric_eig, top_k
 NONLINEARITIES = ("identity", "relu")
 
 _DEGENERATE_TOL = 1e-14
+
+# Gaussian weight entries drawn ahead across a stacked run's live
+# trials: each trial draws its next m steps in one call, m sized so the
+# drawn-ahead block stays within this many floats (32 KB) at any T and
+# k.  A 64 or 128 KB chunk raised simulate's peak RSS by 0.25 MB.
+_WEIGHT_FLOATS = 4096
 
 
 @dataclass(frozen=True)
@@ -63,8 +72,11 @@ def sample_weight(spec: WeightSpec, shape: tuple[int, int],
         if w.shape != shape:
             raise ContractError(f"explicit weight shape {w.shape} != {shape}")
         return w
-    std = spec.std if spec.std is not None else 1.0 / np.sqrt(shape[0])
-    return rng.normal(0.0, std, size=shape)
+    return rng.normal(0.0, _gaussian_std(spec, shape[0]), size=shape)
+
+
+def _gaussian_std(spec: WeightSpec, k: int) -> float:
+    return spec.std if spec.std is not None else 1.0 / np.sqrt(k)
 
 
 @dataclass(frozen=True)
@@ -348,6 +360,57 @@ _STEPS = {
 VARIANTS = tuple(_STEPS)
 
 
+class _Weights:
+    """The live trials' weights for one step: per spec, a (T, k, k) stack.
+
+    Each trial draws a Gaussian spec's weights from its own generator,
+    one call per chunk of steps: the call fills (m, specs, k, k) in the
+    order per-step (k, k) ``rng.normal`` draws would, step by step and
+    W1 before W2, so the weights are bit for bit those draws.
+    Identity and explicit weights are the same for every trial.
+    """
+
+    def __init__(self, specs, rngs, k: int, steps: int):
+        self.specs, self.rngs, self.k, self.steps = specs, rngs, k, steps
+        # spec position -> its slot among the Gaussian specs
+        self.slot = {}
+        stds = []
+        for pos, spec in enumerate(specs):
+            if spec.mode == "gaussian":
+                self.slot[pos] = len(stds)
+                stds.append(_gaussian_std(spec, k))
+        self.scale = np.array(stds)[:, None, None]
+        per_step = len(rngs) * len(stds) * k * k
+        self.chunk = max(1, _WEIGHT_FLOATS // max(per_step, 1))
+        self.drawn = None       # (T, m, Gaussian specs, k, k)
+
+    def at(self, t: int, live: list) -> list:
+        """Step t's weight stacks for the trials ``live``; a chunk's
+        first step draws the chunk."""
+        s = t % self.chunk
+        if self.slot and s == 0:
+            size = (min(self.chunk, self.steps - t), len(self.slot),
+                    self.k, self.k)
+            # filled in place, after the spent chunk is freed: rng.normal
+            # (0, std) is 0.0 + std * z of the same standard normals z
+            self.drawn = None
+            self.drawn = np.empty((len(live), *size))
+            for j, i in enumerate(live):
+                self.rngs[i].standard_normal(out=self.drawn[j])
+            self.drawn *= self.scale
+            self.drawn += 0.0       # turns std * z = -0.0 into +0.0
+        return [self.drawn[:, s, self.slot[pos]] if pos in self.slot
+                else np.broadcast_to(
+                    sample_weight(spec, (self.k, self.k), None, step=t),
+                    (len(live), self.k, self.k))
+                for pos, spec in enumerate(self.specs)]
+
+    def keep(self, rows: list):
+        """Drop the drawn weights of every trial not in ``rows``."""
+        if self.drawn is not None:
+            self.drawn = self.drawn[rows]
+
+
 @dataclass
 class TrajectoryLog:
     """Per-step observer records for one simulated run.
@@ -383,12 +446,19 @@ def run_trajectory(a: OperatorMatrix, x0: np.ndarray, cfg: LayerConfig,
     operator once to the (n, T*k) block, multiplies each trial by its
     own weights in one batched product, normalizes the block once and
     checks it for non-finite features once.  Each trial draws its own
-    weights (W1 before W2 for the residual variant), aborts alone, and
-    gets its own observer call: the observer is invoked after every
-    step with (step, X), X that trial's (n, k) features, and its return
-    value is appended to that trial's records.  Step and observer run
-    with numpy's overflow and invalid-value warnings silenced; the
-    non-finite check reports an overflow as the abort reason.
+    Gaussian weights (W1 before W2 for the residual variant) from its
+    own generator, a chunk of steps per call, so a generator may be
+    advanced by up to one chunk past the last step it was used for.
+
+    The observer is called once after every step.  A single generator
+    passes (step, X), X the trial's (n, k) features, and the return
+    value is appended to the trial's records.  A sequence passes
+    (step, X), X the (T_live, n, k) trial-major block of the trials
+    still running, in trial order; the observer returns one record per
+    live trial, and the i-th goes to the i-th live trial's records.
+    Step and observer run with numpy's overflow and invalid-value
+    warnings silenced; the non-finite check reports an overflow as the
+    abort reason.
 
     Degenerate columns or non-finite features stop a trial with its
     partial records, the features before the failed step, the abort
@@ -408,7 +478,9 @@ def run_trajectory(a: OperatorMatrix, x0: np.ndarray, cfg: LayerConfig,
         raise DomainError("a stacked run needs at least one generator")
     factory, n_weights = _STEPS[cfg.variant]
     step = factory(a, x, cfg)
-    specs = (cfg.weight_spec, cfg.weight_spec2 or cfg.weight_spec)[:n_weights]
+    weights = _Weights(
+        (cfg.weight_spec, cfg.weight_spec2 or cfg.weight_spec)[:n_weights],
+        rngs, k, steps)
     records = [[] for _ in rngs]
     logs: list = [None] * len(rngs)
     live = list(range(len(rngs)))
@@ -420,32 +492,41 @@ def run_trajectory(a: OperatorMatrix, x0: np.ndarray, cfg: LayerConfig,
         for t in range(steps):
             if not live:
                 break
-            drawn = [[sample_weight(spec, (k, k), rngs[i], step=t)
-                      for spec in specs] for i in live]
             xb = block.transpose(1, 0, 2)
             # a C-ordered operand: at k = 1 a plain reshape would give a
             # Fortran-ordered view, whose product BLAS rounds differently
             ax = (a @ np.ascontiguousarray(xb).reshape(n, -1)
                   ).reshape(xb.shape)
-            y, faults = step(xb, ax, *(np.array(w) for w in zip(*drawn)))
+            y, faults = step(xb, ax, *weights.at(t, live))
             y_trials = y.transpose(1, 0, 2)
             finite = np.isfinite(y).all(axis=(0, 2))
-            keep = []
-            for j, i in enumerate(live):
-                reason = (str(faults[j]) if j in faults
-                          else None if finite[j] else "non-finite features")
-                if reason is not None:
+            if faults or not finite.all():
+                keep = []
+                for j, i in enumerate(live):
+                    reason = (str(faults[j]) if j in faults else None
+                              if finite[j] else "non-finite features")
+                    if reason is None:
+                        keep.append(j)
+                        continue
                     logs[i] = TrajectoryLog(
                         records=records[i], final=block[j].copy(),
                         aborted=True, abort_step=t + 1, abort_reason=reason)
-                    continue
-                if observer is not None:
-                    records[i].append(observer(t + 1, y_trials[j]))
-                keep.append(j)
-            if len(keep) < len(live):
                 live = [live[j] for j in keep]
                 y_trials = y_trials[keep]
+                weights.keep(keep)
             block = y_trials
+            if observer is None or not live:
+                continue
+            if single:
+                records[0].append(observer(t + 1, block[0]))
+                continue
+            observed = observer(t + 1, block)
+            if len(observed) != len(live):
+                raise ContractError(
+                    f"observer returned {len(observed)} records for "
+                    f"{len(live)} live trials")
+            for i, rec in zip(live, observed):
+                records[i].append(rec)
     for j, i in enumerate(live):
         logs[i] = TrajectoryLog(records=records[i], final=block[j].copy())
     if single:

@@ -71,11 +71,16 @@ def dominant_eig_reference(es: EigenSystem) -> ReferenceVector:
     return ReferenceVector(v=es.vectors[:, 0].copy(), kind="dominant_eig")
 
 
-def mu(x: np.ndarray, v: ReferenceVector | np.ndarray) -> float:
-    """Squared Frobenius distance of X from the line spanned by v."""
+def mu(x: np.ndarray, v: ReferenceVector | np.ndarray) -> float | np.ndarray:
+    """Squared Frobenius distance of X from the line spanned by v.
+
+    Reduces over the last two axes: a float for one (n, k) matrix, the
+    per-trial values for a (T, n, k) block of trials.
+    """
     vec = v.v if isinstance(v, ReferenceVector) else np.asarray(v)
-    resid = x - vec[:, None] * (vec @ x)
-    return float(np.sum(resid * resid))
+    resid = x - vec[:, None] * (vec @ x)[..., None, :]
+    sq = np.sum(resid * resid, axis=(-2, -1))
+    return float(sq) if sq.ndim == 0 else sq
 
 
 def dirichlet(g: Graph, x: np.ndarray) -> float:

@@ -22,7 +22,7 @@ from .graphio import Graph, OperatorMatrix, build_operator, is_connected
 from .layers import LayerConfig, WeightSpec, batch_norm, run_trajectory
 from .metrics import ReferenceVector, mu
 from .partition import check_centering_effect
-from .spectral import (centered_eig, krylov_basis, krylov_generators,
+from .spectral import (KrylovBasis, centered_eig, krylov_generators,
                        numerical_rank, subspace_distance, symmetric_eig)
 
 DEFAULT_TRIALS = 50
@@ -211,17 +211,19 @@ def _krylov_schedule(a: OperatorMatrix, x0: np.ndarray, y: np.ndarray):
 
 
 def check_prop3_krylov_reachability(
-        g: Graph, x0: np.ndarray, y: np.ndarray, seed: int = 0) -> PropReport:
+        g: Graph, x0: np.ndarray, y: np.ndarray, kb: KrylovBasis,
+        seed: int = 0) -> PropReport:
     """Exact reachability of the Krylov subspace under residual updates.
 
-    Forward: if y lies in Kr(A, x0), the constructed n-step schedule
-    must land on y to 1e-6 relative error.  Converse: if y has a
-    component of norm rho outside the subspace, every produced X^(n)
-    stays at distance >= rho - 1e-8 from y.
+    ``kb`` is ``krylov_basis`` of g's adjacency operator and x0; the
+    caller builds it, usually to draw y from it too.  Forward: if y
+    lies in Kr(A, x0), the constructed n-step schedule must land on y to
+    1e-6 relative error.  Converse: if y has a component of norm rho
+    outside the subspace, every produced X^(n) stays at distance >=
+    rho - 1e-8 from y.
     """
     a = build_operator(g, "adjacency")
     n, k = x0.shape
-    kb = krylov_basis(a, x0)
     proj_resid = float(np.linalg.norm(y - kb.basis @ (kb.basis.T @ y)))
     y_norm = float(np.linalg.norm(y))
 
@@ -423,6 +425,8 @@ def check_prop6_tightness(g: Graph, x0: np.ndarray, k: int, eps: float,
     """The top-k convergence is tight: an explicit schedule aligns
     column i with the i-th centered eigenvector, |nu_i^T X_{:,i}| >=
     1/sqrt(1+eps) for all i <= k after the analytic step bound."""
+    if not 1 <= k <= g.n - 2:
+        raise DomainError(f"k={k} outside [1, n-2]")
     a = build_operator(g, "adjacency")
     es, lifted, absl = _centered_system(a)
     scale = max(1.0, absl[0])

@@ -115,7 +115,8 @@ def test_criterion_04_krylov_reachability():
         kb = krylov_basis(a, x0)
         y = kb.basis @ np.random.default_rng((seed, 303)).normal(
             size=(kb.r, 3))
-        reports.append(check_prop3_krylov_reachability(g, x0, y, seed=seed))
+        reports.append(check_prop3_krylov_reachability(g, x0, y, kb,
+                                                       seed=seed))
     # converse: mirror-symmetric x0 on Path(6) keeps the Krylov space in
     # the reflection-symmetric subspace; an antisymmetric component of y
     # is unreachable with distance >= its norm
@@ -130,7 +131,7 @@ def test_criterion_04_krylov_reachability():
     anti[0, 0], anti[5, 0] = 1.0, -1.0
     anti /= np.linalg.norm(anti[:, 0])
     y = kb.basis @ rng.normal(size=(kb.r, 3)) + 0.7 * anti
-    reports.append(check_prop3_krylov_reachability(g, x0, y, seed=1))
+    reports.append(check_prop3_krylov_reachability(g, x0, y, kb, seed=1))
     ok = (all(r.verdict == "pass" for r in reports)
           and "converse" in reports[-1].notes)
     _budget(4, t0, 5.0)

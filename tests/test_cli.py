@@ -242,7 +242,11 @@ def test_simulate_rejects_bad_width(tmp_path, capsys, flag, value):
     (["simulate", "--seeds", "a,b"], ["--seeds", "a,b"]),
     (["verify", "--props", "1,x"], ["--props", "1,x"]),
     (["simulate", "--config", "CONFIG"], ["unknown config key", "nope"]),
-], ids=["trials", "seeds", "props", "config-key"])
+    (["verify", "--props", "2", "--k", "0"], ["--k", "'0'"]),
+    (["verify", "--props", "2", "--k", "-1"], ["--k", "'-1'"]),
+    (["verify", "--props", "6", "--k", "200"], ["k=200", "[1, n-2]"]),
+], ids=["trials", "seeds", "props", "config-key", "k-zero", "k-negative",
+        "prop6-k-above-n"])
 def test_bad_input_names_its_source(tmp_path, capsys, argv, names):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"steps": 2, "nope": 1}))

@@ -1,8 +1,11 @@
 """Layer forward dynamics, normalizations and trajectory running."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from oversmooth import layers
 from oversmooth.errors import (ContractError, DegenerateColumnError,
                                DomainError)
 from oversmooth.graphio import build_operator, gen_graph, make_graph
@@ -482,3 +485,112 @@ def test_single_generator_returns_the_trial_log():
     assert np.array_equal(single.final, stacked.trials[0].final)
     with pytest.raises(DomainError):
         run_trajectory(a, x0, cfg, 5, [])
+
+
+# ------------------------------------------------------ chunked weights
+
+def _weight_specs(cfg):
+    """The specs a step draws from, W1 before W2."""
+    specs = (cfg.weight_spec, cfg.weight_spec2 or cfg.weight_spec)
+    return specs[:2 if cfg.variant == "residual" else 1]
+
+
+def _per_step_replay(a, x0, cfg, steps, rng):
+    """One trial whose weights sample_weight draws step by step from rng,
+    W1 before W2, replayed as explicit weight lists."""
+    k = x0.shape[1]
+    drawn = [[sample_weight(spec, (k, k), rng, step=t)
+              for spec in _weight_specs(cfg)] for t in range(steps)]
+    explicit = [WeightSpec(mode="explicit", matrices=tuple(ws))
+                for ws in zip(*drawn)]
+    cfg = replace(cfg, weight_spec=explicit[0],
+                  weight_spec2=explicit[1] if len(explicit) > 1 else None)
+    return run_trajectory(a, x0, cfg, steps, np.random.default_rng(0))
+
+
+def _chunk_fixture():
+    a = build_operator(gen_graph("path:12"), "adjacency")
+    return a, np.random.default_rng(4).normal(size=(a.n, 2))
+
+
+# (layer options, steps, steps per chunk or None for the default
+# budget).  Each row of a path's adjacency has at most two nonzero
+# entries, so A @ X rounds alike at any block width and a stacked trial
+# matches its lone replay bit for bit.  With std 1e3 the plain update
+# overflows near step 93, each trial at its own step, and one trial
+# runs all 94 steps.
+_CHUNK_CASES = {
+    "different-stds": (dict(variant="residual",
+                            weight_spec=WeightSpec(std=0.7),
+                            weight_spec2=WeightSpec(std=1.3)), 23, 5),
+    "identity-w2": (dict(variant="residual",
+                         weight_spec2=WeightSpec(mode="identity")), 23, 5),
+    "default-budget": (dict(variant="residual"), 23, None),
+    "abort-mid-chunk": (dict(variant="vanilla",
+                             weight_spec=WeightSpec(std=1e3)), 94, 7),
+}
+
+
+@pytest.mark.parametrize("case", _CHUNK_CASES)
+def test_chunked_weights_match_per_step_draws(case, monkeypatch):
+    options, steps, chunk = _CHUNK_CASES[case]
+    cfg = LayerConfig(**options)
+    a, x0 = _chunk_fixture()
+    trials, k = 5, x0.shape[1]
+    gaussian = sum(spec.mode == "gaussian" for spec in _weight_specs(cfg))
+    if chunk is not None:
+        monkeypatch.setattr(layers, "_WEIGHT_FLOATS",
+                            chunk * trials * gaussian * k * k)
+        assert steps % chunk
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = run_trajectory(a, x0, cfg, steps, _trial_rngs(trials))
+        replays = [_per_step_replay(a, x0, cfg, steps, rng)
+                   for rng in _trial_rngs(trials)]
+    if case == "abort-mid-chunk":
+        stops = [tr.abort_step for tr in stacked.trials if tr.aborted]
+        assert len(set(stops)) > 1 and len(stops) < trials
+        assert any((stop - 1) % chunk for stop in stops)
+    for got, ref in zip(stacked.trials, replays):
+        assert (got.aborted, got.abort_step, got.abort_reason) == (
+            ref.aborted, ref.abort_step, ref.abort_reason)
+        assert np.array_equal(got.final, ref.final)
+
+
+def test_chunked_zero_std_weights_are_positive_zeros():
+    # rng.normal(0, 0) gives 0.0 + 0 * z = +0.0; the chunk must too
+    rng = np.random.default_rng(1)
+    assert not np.signbit(sample_weight(WeightSpec(std=0.0), (3, 3),
+                                        rng)).any()
+    chunk = layers._Weights((WeightSpec(std=0.0),), _trial_rngs(2), 3, 4)
+    for t in range(4):
+        (w,) = chunk.at(t, [0, 1])
+        assert w.shape == (2, 3, 3) and not w.any()
+        assert not np.signbit(w).any()
+
+
+def test_stacked_observer_sees_the_live_block_once_per_step():
+    options, steps, _ = _CHUNK_CASES["abort-mid-chunk"]
+    a, x0 = _chunk_fixture()
+    calls = []
+
+    def observe(t, x):
+        calls.append((t, x.shape))
+        return [t] * len(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        log = run_trajectory(a, x0, LayerConfig(**options), steps,
+                             _trial_rngs(5), observer=observe)
+    assert [t for t, _ in calls] == list(range(1, steps + 1))
+    for t, shape in calls:
+        live = sum(not tr.aborted or tr.abort_step > t for tr in log.trials)
+        assert shape == (live, a.n, 2)
+    assert calls[-1][1][0] < calls[0][1][0]
+    for tr in log.trials:
+        done = tr.abort_step - 1 if tr.aborted else steps
+        assert tr.records == list(range(1, done + 1))
+
+
+def test_stacked_observer_must_return_a_record_per_trial():
+    a, x0 = _chunk_fixture()
+    with pytest.raises(ContractError):
+        run_trajectory(a, x0, LayerConfig(), 3, _trial_rngs(2),
+                       observer=lambda t, x: [t])

@@ -192,6 +192,17 @@ def test_metric_observer_record():
     assert abs(rec.mu_v - mu(x, v)) < 1e-12
 
 
+@pytest.mark.parametrize("shape", [(50, 100, 4), (20, 1000, 4)])
+def test_mu_on_a_block_is_per_trial_mu(shape):
+    rng = np.random.default_rng(11)
+    block = rng.normal(size=shape)
+    v = _unit(rng.normal(size=shape[1]))
+    got = mu(block, v)
+    assert got.shape == (shape[0],)
+    assert np.array_equal(got, [mu(b, v) for b in block])
+    assert isinstance(mu(block[0], v), float)
+
+
 # ------------------------------------------------------ property tests
 
 @settings(max_examples=100, deadline=None)

@@ -18,7 +18,7 @@ from oversmooth.propcheck import (INCONCLUSIVE, PASS, UNDEFINED, PropReport,
                                   check_prop6_tightness,
                                   check_prop7_centering,
                                   check_vanilla_oversmoothing, fit_log_slope)
-from oversmooth.spectral import centered_eig
+from oversmooth.spectral import centered_eig, krylov_basis
 
 
 def _unit_x0(n, k, seed=0):
@@ -80,11 +80,16 @@ def test_prop2_bound_and_degenerate_cases():
         check_prop2_signal_retention(g, 2.0 * x0, 0.5, 1.0, eps, trials=1)
 
 
+def _krylov(g, x0):
+    return krylov_basis(build_operator(g, "adjacency"), x0)
+
+
 def test_prop3_forward_trivial_y_is_x0():
     g = gen_graph("path:4")
     x0 = _unit_x0(4, 2, seed=2)
     # y = 0.5 * A^0 x0 is the i=1 Krylov term
-    rep = check_prop3_krylov_reachability(g, x0, x0.copy())
+    rep = check_prop3_krylov_reachability(g, x0, x0.copy(),
+                                          _krylov(g, x0))
     assert rep.verdict == PASS
     assert rep.evidence[0] <= 1e-6 * np.linalg.norm(x0)
 
@@ -93,7 +98,7 @@ def test_prop3_forward_path3_e1_to_e3():
     g = gen_graph("path:3")
     x0 = np.eye(3)[:, :1]
     y = np.eye(3)[:, 2:]
-    rep = check_prop3_krylov_reachability(g, x0, y)
+    rep = check_prop3_krylov_reachability(g, x0, y, _krylov(g, x0))
     assert rep.verdict == PASS
     assert "forward" in rep.notes
 
@@ -105,7 +110,7 @@ def test_prop3_converse_identity_operator():
     y = np.zeros((4, 2))
     y[:, 0] = np.eye(4)[:, 2] * 0.8 + x0[:, 0] * 0.1
     y[:, 1] = x0[:, 1]
-    rep = check_prop3_krylov_reachability(g, x0, y)
+    rep = check_prop3_krylov_reachability(g, x0, y, _krylov(g, x0))
     assert rep.verdict == PASS
     assert "converse" in rep.notes
     assert abs(rep.bound - 0.8) < 1e-10
@@ -165,6 +170,14 @@ def test_prop6_schedule_replay_and_pass():
                                              matrices=tuple(weights)))
     log = run_trajectory(a, x0, cfg, t_total, np.random.default_rng(0))
     assert np.linalg.norm(log.final - x_final) <= 1e-10
+
+
+def test_prop6_rejects_k_outside_range():
+    g = gen_graph("er:30,0.3", seed=6, largest_cc=True)
+    x0 = _unit_x0(g.n, 2, seed=6)
+    for k in (0, g.n - 1):
+        with pytest.raises(DomainError):
+            check_prop6_tightness(g, x0, k, eps=0.01)
 
 
 def test_prop6_k1_power_iteration():
