@@ -107,21 +107,27 @@ def _write_csv(path: Path, rows, aborted):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _seed_stats(all_records) -> np.ndarray:
+    """(steps, 2 * metrics): each metric's mean and population std
+    across seeds at every step the seeds share, interleaved."""
+    steps = min(len(r) for r in all_records)
+    # (step, metric, seed), seeds contiguous: each reduction sums one
+    # seed vector in the order a 1-D np.mean / np.std would
+    vals = np.array([[rec.row()[1:] for rec in r[:steps]]
+                     for r in all_records], dtype=np.float64)
+    vals = np.ascontiguousarray(vals.transpose(1, 2, 0))
+    stats = np.stack([vals.mean(axis=-1), vals.std(axis=-1)], axis=-1)
+    return stats.reshape(steps, -1)
+
+
 def _write_aggregate(path: Path, all_records):
     """Per-step mean and population std across seeds for every metric."""
     header = ["step"]
     for col in CSV_COLUMNS[1:]:
         header += [f"{col}_mean", f"{col}_std"]
-    steps = min(len(r) for r in all_records)
     lines = [",".join(header)]
-    for t in range(steps):
-        vals = np.array([[float(x) for x in r[t].row()[1:]]
-                         for r in all_records])
-        row = [str(t + 1)]
-        for j in range(vals.shape[1]):
-            row.append(_fmt(vals[:, j].mean()))
-            row.append(_fmt(vals[:, j].std()))
-        lines.append(",".join(row))
+    for t, row in enumerate(_seed_stats(all_records).tolist()):
+        lines.append(",".join([str(t + 1)] + [FLOAT_FMT % x for x in row]))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -157,13 +163,13 @@ def cmd_simulate(args) -> int:
                        weight_spec=WeightSpec(std=cfg.weight_std),
                        weight_spec2=spec2, alpha=cfg.alpha, scale=cfg.scale,
                        gnv2_k=cfg.gnv2_k)
+    observer = MetricObserver(g, v, top_k_basis=tk)
     status = EXIT_OK
     complete = []
     for seed in cfg.seeds:
         x0 = _initial_features(g, cfg.k, (seed, 101), cfg.normalize_features)
         log = run_trajectory(a, x0, lcfg, cfg.steps,
-                             np.random.default_rng(seed),
-                             observer=MetricObserver(g, v, top_k_basis=tk))
+                             np.random.default_rng(seed), observer=observer)
         aborted = (log.abort_step, log.abort_reason) if log.aborted else None
         _write_csv(outdir / f"{cfg.variant}_seed{seed}.csv", log.records,
                    aborted)
@@ -353,7 +359,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--trials", type=_at_least(0),
                      default=propcheck.DEFAULT_TRIALS,
                      help="read by props 1, 2 and 4")
-    ver.add_argument("--steps", type=int, default=propcheck.DEFAULT_STEPS,
+    ver.add_argument("--steps", type=_at_least(1),
+                     default=propcheck.DEFAULT_STEPS,
                      help="read by props 1, 4 and 5; prop 2 runs 64 steps, "
                           "prop 3 runs n steps and prop 6 its analytic T")
     ver.add_argument("--tau", type=float, default=1.0,

@@ -83,24 +83,34 @@ def mu(x: np.ndarray, v: ReferenceVector | np.ndarray) -> float | np.ndarray:
     return float(sq) if sq.ndim == 0 else sq
 
 
-def dirichlet(g: Graph, x: np.ndarray) -> float:
-    """Degree-normalized edge-difference energy, each undirected edge
-    once, with edge weights as multipliers."""
+def _sqrt_degrees(g: Graph) -> np.ndarray:
+    """sqrt(degree) as an (n, 1) column; DomainError on an isolated node."""
     deg = g.degrees()
     if np.any(deg <= 0):
         raise DomainError(
             f"isolated node {int(np.flatnonzero(deg <= 0)[0])}")
+    return np.sqrt(deg)[:, None]
+
+
+def _dirichlet(g: Graph, sqrt_deg: np.ndarray, x: np.ndarray) -> float:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[0] != g.n:
         x = x.T
-    scaled = x / np.sqrt(deg)[:, None]
+    scaled = x / sqrt_deg
     u, v, w = g.u, g.v, g.w
     total = 0.0
     for lo in range(0, len(w), _EDGE_BLOCK):
         hi = lo + _EDGE_BLOCK
-        diff = scaled[u[lo:hi]] - scaled[v[lo:hi]]
+        diff = np.take(scaled, u[lo:hi], axis=0)
+        diff -= np.take(scaled, v[lo:hi], axis=0)
         total += float(w[lo:hi] @ np.einsum("ij,ij->i", diff, diff))
     return 0.5 * total
+
+
+def dirichlet(g: Graph, x: np.ndarray) -> float:
+    """Degree-normalized edge-difference energy, each undirected edge
+    once, with edge weights as multipliers."""
+    return _dirichlet(g, _sqrt_degrees(g), x)
 
 
 def _l1_normalized(x: np.ndarray):
@@ -159,8 +169,10 @@ def eigenspace_distance(x: np.ndarray, es: EigenSystem,
 class MetricObserver:
     """Computes one MetricRecord per step for run_trajectory.
 
-    Holds the per-graph context (reference vector, top-k basis) so the
-    per-step work is pure evaluation; rank uses spectral.RANK_REL_TOL.
+    Holds the per-graph context (reference vector, top-k basis, the
+    checked sqrt-degree column) so the per-step work is pure evaluation;
+    rank uses spectral.RANK_REL_TOL.  A graph with an isolated node is
+    rejected here, not at the first step.
     """
 
     def __init__(self, g: Graph, v: ReferenceVector,
@@ -168,6 +180,7 @@ class MetricObserver:
         self.g = g
         self.v = v
         self.top_k_basis = top_k_basis
+        self.sqrt_deg = _sqrt_degrees(g)
 
     def __call__(self, step: int, x: np.ndarray) -> MetricRecord:
         tkd = (subspace_distance(x, self.top_k_basis)
@@ -175,7 +188,7 @@ class MetricObserver:
         return MetricRecord(
             step=step,
             mu_v=mu(x, self.v),
-            dirichlet=dirichlet(self.g, x),
+            dirichlet=_dirichlet(self.g, self.sqrt_deg, x),
             d_col=col_distance(x),
             d_pcol=col_projection_distance(x),
             rank=numerical_rank(x),

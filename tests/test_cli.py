@@ -14,6 +14,7 @@ import pytest
 
 from oversmooth import cli
 from oversmooth.graphio import gen_graph
+from oversmooth.metrics import MetricRecord
 
 
 @pytest.fixture(autouse=True)
@@ -102,6 +103,30 @@ def test_simulate_outputs_and_aggregate(tmp_path, capsys):
     agg = (outdir / "vanilla_aggregate.csv").read_text().strip().splitlines()
     assert len(agg) == 4
     assert agg[0].startswith("step,mu_v_mean,mu_v_std")
+
+
+def test_aggregate_matches_per_column_stats(tmp_path):
+    # 13 seeds: past 8 values numpy's pairwise sum differs in the last
+    # bits from a sequential one, so the exact comparison pins the order
+    rng = np.random.default_rng(7)
+
+    def draw():
+        return rng.normal(size=5) * 10.0 ** rng.integers(-8, 9, size=5)
+
+    records = [[MetricRecord(t + 1, *draw()[:4], int(rng.integers(9)),
+                             draw()[4])
+                for t in range(5 + s % 3)] for s in range(13)]
+    want = []
+    for t in range(5):
+        vals = np.array([[float(x) for x in r[t].row()[1:]]
+                         for r in records])
+        want.append([f(vals[:, j]) for j in range(vals.shape[1])
+                     for f in (np.mean, np.std)])
+    assert np.array_equal(cli._seed_stats(records), want)
+    cli._write_aggregate(tmp_path / "agg.csv", records)
+    lines = (tmp_path / "agg.csv").read_text().splitlines()
+    assert lines[1:] == [",".join([str(t + 1)] + [cli._fmt(x) for x in row])
+                         for t, row in enumerate(want)]
 
 
 def test_simulate_determinism(tmp_path, capsys):
@@ -245,8 +270,9 @@ def test_simulate_rejects_bad_width(tmp_path, capsys, flag, value):
     (["verify", "--props", "2", "--k", "0"], ["--k", "'0'"]),
     (["verify", "--props", "2", "--k", "-1"], ["--k", "'-1'"]),
     (["verify", "--props", "6", "--k", "200"], ["k=200", "[1, n-2]"]),
+    (["verify", "--props", "1", "--steps", "0"], ["--steps", "'0'"]),
 ], ids=["trials", "seeds", "props", "config-key", "k-zero", "k-negative",
-        "prop6-k-above-n"])
+        "prop6-k-above-n", "steps-zero"])
 def test_bad_input_names_its_source(tmp_path, capsys, argv, names):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"steps": 2, "nope": 1}))

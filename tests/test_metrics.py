@@ -192,6 +192,16 @@ def test_metric_observer_record():
     assert abs(rec.mu_v - mu(x, v)) < 1e-12
 
 
+def test_metric_observer_dirichlet_is_dirichlet():
+    # the observer keeps the checked sqrt-degree column; same bits
+    g = gen_graph("er:40,0.2", seed=3, largest_cc=True)
+    obs = MetricObserver(g, all_ones_reference(g.n))
+    x = np.random.default_rng(3).normal(size=(g.n, 5))
+    assert obs(1, x).dirichlet == dirichlet(g, x)
+    with pytest.raises(DomainError, match="isolated node 2"):
+        MetricObserver(make_graph(3, [(0, 1, 1.0)]), all_ones_reference(3))
+
+
 @pytest.mark.parametrize("shape", [(50, 100, 4), (20, 1000, 4)])
 def test_mu_on_a_block_is_per_trial_mu(shape):
     rng = np.random.default_rng(11)

@@ -1,13 +1,17 @@
 """Eigendecompositions (LAPACK via numpy), numerical rank and Krylov
 bases."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oversmooth.cli import _initial_features
 from oversmooth.errors import ContractError, DomainError
-from oversmooth.graphio import build_operator, gen_graph, make_graph
+from oversmooth.graphio import (build_operator, gen_graph, load_graph,
+                                make_graph)
 from oversmooth.spectral import (centered_eig, krylov_basis,
                                  krylov_generators, numerical_rank,
                                  subspace_distance, symmetric_eig, top_k)
@@ -213,6 +217,39 @@ def test_krylov_invariance():
     img = a.data @ kb.basis
     resid = img - kb.basis @ (kb.basis.T @ img)
     assert np.abs(resid).max() < 1e-7 * max(1.0, np.abs(img).max())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_krylov_full_rank_on_verify_graph(seed):
+    # verify's graph and x0: A has 100 distinct eigenvalues, so the
+    # Krylov space of a generic x0 is all of R^100
+    g = load_graph("er:100,0.1", seed=seed, largest_cc=True)
+    x0 = _initial_features(g, 4, (seed, 202), True)
+    kb = krylov_basis(build_operator(g, "adjacency"), x0)
+    assert g.n == 100 and kb.r == 100
+    assert np.abs(kb.basis.T @ kb.basis - np.eye(kb.r)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n, k", [(10, 4), (50, 4), (200, 8)])
+def test_krylov_star_closed_form(n, k):
+    # star:n has eigenvalues +-sqrt(n-1) and 0 (n-2 times): a generic x0
+    # spans k directions of the kernel plus the two outer eigenvectors
+    a = build_operator(gen_graph(f"star:{n}"), "adjacency")
+    x0 = np.random.default_rng(n).normal(size=(n, k))
+    kb = krylov_basis(a, x0)
+    assert kb.r == k + 2
+    assert np.abs(kb.basis.T @ kb.basis - np.eye(kb.r)).max() < 1e-12
+
+
+def test_krylov_no_overflow_on_large_graph():
+    # no power A^i X0 is formed, so lambda_max^i cannot overflow
+    g = gen_graph("er:300,0.05", seed=0)
+    x0 = np.random.default_rng(0).normal(size=(g.n, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        kb = krylov_basis(build_operator(g, "adjacency"), x0)
+    assert kb.r == g.n == 300
+    assert np.abs(kb.basis.T @ kb.basis - np.eye(kb.r)).max() < 1e-12
 
 
 # ------------------------------------------------------ property tests
