@@ -145,6 +145,10 @@ def cmd_simulate(args) -> int:
               "graph; pass --largest-cc", file=sys.stderr)
         return EXIT_CONFIG
     es = symmetric_eig(a) if a.symmetric else None
+    if es is None and cfg.variant == "graphnormv2":
+        print("config error: --variant graphnormv2 needs a symmetric "
+              f"operator, not --operator {cfg.operator}", file=sys.stderr)
+        return EXIT_CONFIG
     if es is None and cfg.reference == "dominant_eig":
         print("config error: dominant_eig reference needs a symmetric "
               "operator", file=sys.stderr)
@@ -152,6 +156,10 @@ def cmd_simulate(args) -> int:
     if es is None and cfg.top_k_metric > 0:
         print("config error: --top-k-metric needs a symmetric operator",
               file=sys.stderr)
+        return EXIT_CONFIG
+    if cfg.variant == "graphnormv2" and cfg.gnv2_k > g.n - 1:
+        print(f"config error: gnv2_k={cfg.gnv2_k} must be in [0, n-1] = "
+              f"[0, {g.n - 1}]", file=sys.stderr)
         return EXIT_CONFIG
     v = _reference(cfg, g, es)
     tk = top_k(es, cfg.top_k_metric) if cfg.top_k_metric > 0 else None

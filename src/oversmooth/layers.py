@@ -9,11 +9,11 @@ each trial by its own weights in one batched product, normalizes the
 block once, column statistics along axis 0, and calls the observer once
 with the (T, n, k) trial-major block of the live trials.  Each trial's
 Gaussian weights are drawn from its own generator a chunk of steps at a
-time.  A single generator is the T = 1 block, and the public per-matrix
-functions (``batch_norm``, ``pair_norm`` ...) run the same block
-arithmetic on one matrix.  Degenerate (zero/constant) normalization
-columns abort a trial rather than being masked with an epsilon; the
-other trials of a block go on.
+time.  A single generator is the T = 1 block; every variant runs
+through this one block step.  ``batch_norm`` applies the BatchNorm
+block normalizer to one matrix, for prop 6's tightness schedule.
+Degenerate (zero/constant) normalization columns abort a trial rather
+than being masked with an epsilon; the other trials of a block go on.
 """
 
 from __future__ import annotations
@@ -58,25 +58,6 @@ class WeightSpec:
             raise DomainError("weight std must be >= 0")
         if self.mode == "explicit" and not self.matrices:
             raise DomainError("explicit weight spec needs matrices")
-
-
-def sample_weight(spec: WeightSpec, shape: tuple[int, int],
-                  rng: np.random.Generator, step: int = 0) -> np.ndarray:
-    """Draw (or look up) the weight matrix for one step."""
-    if spec.mode == "identity":
-        return np.eye(shape[0], shape[1])
-    if spec.mode == "explicit":
-        if step >= len(spec.matrices):
-            raise DomainError(f"explicit weight list exhausted at step {step}")
-        w = np.asarray(spec.matrices[step], dtype=np.float64)
-        if w.shape != shape:
-            raise ContractError(f"explicit weight shape {w.shape} != {shape}")
-        return w
-    return rng.normal(0.0, _gaussian_std(spec, shape[0]), size=shape)
-
-
-def _gaussian_std(spec: WeightSpec, k: int) -> float:
-    return spec.std if spec.std is not None else 1.0 / np.sqrt(k)
 
 
 @dataclass(frozen=True)
@@ -146,8 +127,7 @@ def _apply_nl(x: np.ndarray, nl: str) -> np.ndarray:
 
 
 # Block arithmetic.  A block is an (n, T, k) array holding T trials' (n, k)
-# features side by side; column statistics run along axis 0.  The public
-# per-matrix functions below run the same arithmetic on T = 1.
+# features side by side; column statistics run along axis 0.
 
 def _xw(ax: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Each trial's slice of the (n, T, k) block ax times its own weight
@@ -185,16 +165,6 @@ def _block_normalized(num: np.ndarray, den: np.ndarray, ref: np.ndarray,
         # a failing trial's quotient is discarded with the trial
         den = np.where(bad, 1.0, den)
     return num / den, faults
-
-
-def _normalized(x: np.ndarray, normalizer, *args) -> np.ndarray:
-    """A block normalizer applied to one (n, k) matrix; an overflow is
-    reported as its DegenerateColumnError, not as a numpy warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        y, faults = _block_normalized(*normalizer(x[:, None, :], *args))
-    if faults:
-        raise faults[0]
-    return y[:, 0, :]
 
 
 # A block normalizer maps an (n, T, k) block to (numerator, denominators,
@@ -242,62 +212,15 @@ def _unit_columns(y, x):
             "zero column")
 
 
-def step_vanilla(a: OperatorMatrix, x: np.ndarray, w: np.ndarray,
-                 nl: str = "identity") -> np.ndarray:
-    """X <- sigma(A X W)."""
-    if x.shape[0] != a.n or w.shape[0] != x.shape[1]:
-        raise ContractError(
-            f"shape mismatch: A {a.data.shape}, X {x.shape}, W {w.shape}")
-    return _apply_nl(a @ x @ w, nl)
-
-
-def step_residual(a: OperatorMatrix, x: np.ndarray, x0: np.ndarray,
-                  w1: np.ndarray, w2: np.ndarray, alpha: float,
-                  nl: str = "identity") -> np.ndarray:
-    """X <- sigma((1-alpha) A X W1 + alpha X0 W2)."""
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha={alpha} outside (0,1)")
-    if x0.shape != x.shape:
-        raise ContractError(f"x0 shape {x0.shape} != x shape {x.shape}")
-    return _residual_mix((a @ x)[:, None, :], x0, w1[None], w2[None],
-                         alpha, nl)[:, 0, :]
-
-
 def batch_norm(x: np.ndarray) -> np.ndarray:
-    """Center each column, then divide by its 2-norm."""
-    return _normalized(x, _bn)
-
-
-def graph_norm(x: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Partial-mean centering: subtract tau_j of the column mean, then
-    scale by the root-mean-square."""
-    tau = np.broadcast_to(np.asarray(tau, dtype=np.float64), (x.shape[1],))
-    return _normalized(x, _gn, tau)
-
-
-def graph_norm_v2(x: np.ndarray, ctx: NormContext,
-                  tau: np.ndarray) -> np.ndarray:
-    """Projection centering: subtract (V_{k+} tau_j tau_j^T V_{k+}^T) x_j,
-    then scale each column by the 2-norm of the result."""
-    k = x.shape[1]
-    tau = np.asarray(tau, dtype=np.float64)
-    if tau.shape != (ctx.vkplus.shape[1], k):
-        raise ContractError(
-            f"tau shape {tau.shape} != ({ctx.vkplus.shape[1]}, {k})")
-    return _normalized(x, _gn2, ctx, tau)
-
-
-def pair_norm(x: np.ndarray, s: float = 1.0) -> np.ndarray:
-    """Column-mean centering followed by global Frobenius rescaling to
-    s * sqrt(n)."""
-    return _normalized(x, _pn, s)
-
-
-def power_embed_step(a: OperatorMatrix, x: np.ndarray, w: np.ndarray,
-                     nl: str = "identity") -> np.ndarray:
-    """sigma(A X W) followed by per-column 2-norm scaling (no centering)."""
-    return _normalized(step_vanilla(a, x, w, nl), _unit_columns,
-                       x[:, None, :])
+    """Center each column of one (n, k) matrix, then divide by its
+    2-norm; an overflow is reported as its DegenerateColumnError, not
+    as a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        y, faults = _block_normalized(*_bn(x[:, None, :]))
+    if faults:
+        raise faults[0]
+    return y[:, 0, :]
 
 
 # A variant's factory runs once per trajectory with (a, x0, cfg) and
@@ -372,17 +295,31 @@ class _Weights:
 
     def __init__(self, specs, rngs, k: int, steps: int):
         self.specs, self.rngs, self.k, self.steps = specs, rngs, k, steps
+        self.eye = np.eye(k)
         # spec position -> its slot among the Gaussian specs
         self.slot = {}
         stds = []
         for pos, spec in enumerate(specs):
             if spec.mode == "gaussian":
                 self.slot[pos] = len(stds)
-                stds.append(_gaussian_std(spec, k))
+                stds.append(spec.std if spec.std is not None
+                            else 1.0 / np.sqrt(k))
         self.scale = np.array(stds)[:, None, None]
         per_step = len(rngs) * len(stds) * k * k
         self.chunk = max(1, _WEIGHT_FLOATS // max(per_step, 1))
         self.drawn = None       # (T, m, Gaussian specs, k, k)
+
+    def _fixed(self, spec: WeightSpec, t: int) -> np.ndarray:
+        """Step t's (k, k) identity or explicit weight."""
+        if spec.mode == "identity":
+            return self.eye
+        if t >= len(spec.matrices):
+            raise DomainError(f"explicit weight list exhausted at step {t}")
+        w = np.asarray(spec.matrices[t], dtype=np.float64)
+        if w.shape != self.eye.shape:
+            raise ContractError(
+                f"explicit weight shape {w.shape} != {self.eye.shape}")
+        return w
 
     def at(self, t: int, live: list) -> list:
         """Step t's weight stacks for the trials ``live``; a chunk's
@@ -400,9 +337,8 @@ class _Weights:
             self.drawn *= self.scale
             self.drawn += 0.0       # turns std * z = -0.0 into +0.0
         return [self.drawn[:, s, self.slot[pos]] if pos in self.slot
-                else np.broadcast_to(
-                    sample_weight(spec, (self.k, self.k), None, step=t),
-                    (len(live), self.k, self.k))
+                else np.broadcast_to(self._fixed(spec, t),
+                                     (len(live), self.k, self.k))
                 for pos, spec in enumerate(self.specs)]
 
     def keep(self, rows: list):
@@ -428,9 +364,6 @@ class TrajectoryLog:
     abort_step: Optional[int] = None
     abort_reason: Optional[str] = None
     trials: tuple = ()
-
-    def __len__(self):
-        return len(self.records)
 
 
 def run_trajectory(a: OperatorMatrix, x0: np.ndarray, cfg: LayerConfig,

@@ -187,18 +187,17 @@ def check_prop2_signal_retention(
                       evidence=tuple(values))
 
 
-def _krylov_schedule(a: OperatorMatrix, x0: np.ndarray, y: np.ndarray):
+def _krylov_schedule(gen: np.ndarray, scales: np.ndarray, y: np.ndarray):
     """Weight schedule reaching y through n residual layers (alpha=0.5).
 
     Expands y in the Krylov generators A^{i-1} X0 (least squares on
-    unit-scaled columns) and spreads the coefficients over the W2
-    sequence; W1 is zero at step 0 and identity afterwards.  Returns
-    (w1_list, w2_list, expansion_residual).
+    unit-scaled columns; ``scales`` are their norms) and spreads the
+    coefficients over the W2 sequence; W1 is zero at step 0 and
+    identity afterwards.  Returns (w1_list, w2_list, expansion_residual).
     """
-    n, k = x0.shape
-    gen = krylov_generators(a, x0)
-    scales = np.linalg.norm(gen, axis=0)
-    scales[scales == 0] = 1.0
+    n = gen.shape[0]
+    k = gen.shape[1] // n
+    scales = np.where(scales == 0, 1.0, scales)
     coef_scaled, *_ = np.linalg.lstsq(gen / scales, y, rcond=None)
     coef = coef_scaled / scales[:, None]
     resid = float(np.linalg.norm(gen @ coef - y))
@@ -208,6 +207,13 @@ def _krylov_schedule(a: OperatorMatrix, x0: np.ndarray, y: np.ndarray):
         w2s[n - i] = coef[(i - 1) * k:i * k, :] / 0.5**i
     w1s = [np.zeros((k, k))] + [np.eye(k)] * (n - 1)
     return w1s, w2s, resid
+
+
+def _schedule_config(w1s: list, w2s: list) -> LayerConfig:
+    return LayerConfig(
+        variant="residual", alpha=0.5,
+        weight_spec=WeightSpec(mode="explicit", matrices=tuple(w1s)),
+        weight_spec2=WeightSpec(mode="explicit", matrices=tuple(w2s)))
 
 
 def check_prop3_krylov_reachability(
@@ -220,20 +226,32 @@ def check_prop3_krylov_reachability(
     lies in Kr(A, x0), the constructed n-step schedule must land on y to
     1e-6 relative error.  Converse: if y has a component of norm rho
     outside the subspace, every produced X^(n) stays at distance >=
-    rho - 1e-8 from y.
+    rho - 1e-8 from y.  Inconclusive when the norm of a monomial
+    A^i X0 overflows float64: the scaled expansion cannot be formed.
     """
     a = build_operator(g, "adjacency")
     n, k = x0.shape
     proj_resid = float(np.linalg.norm(y - kb.basis @ (kb.basis.T @ y)))
     y_norm = float(np.linalg.norm(y))
+    forward = proj_resid < 1e-8
+    with np.errstate(over="ignore", invalid="ignore"):
+        gen = krylov_generators(a, x0)
+        scales = np.linalg.norm(gen, axis=0)
+    # a non-finite entry makes its column's norm non-finite too
+    finite = np.isfinite(scales)
+    if not finite.all():
+        depth = int(np.argmin(finite)) // k
+        return PropReport(
+            proposition=3, verdict=INCONCLUSIVE, trials=0, successes=0,
+            bound=1e-6 if forward else proj_resid,
+            notes=f"{'forward' if forward else 'converse'}; the norm of "
+                  f"A^{depth} X0 overflows float64 (depth {depth} of {n}), "
+                  "so the scaled expansion cannot be formed")
 
-    if proj_resid < 1e-8:
-        w1s, w2s, exp_resid = _krylov_schedule(a, x0, y)
-        cfg = LayerConfig(
-            variant="residual", alpha=0.5,
-            weight_spec=WeightSpec(mode="explicit", matrices=tuple(w1s)),
-            weight_spec2=WeightSpec(mode="explicit", matrices=tuple(w2s)))
-        log = run_trajectory(a, x0, cfg, n, np.random.default_rng(seed))
+    if forward:
+        w1s, w2s, exp_resid = _krylov_schedule(gen, scales, y)
+        log = run_trajectory(a, x0, _schedule_config(w1s, w2s), n,
+                             np.random.default_rng(seed))
         err = float(np.linalg.norm(log.final - y))
         ok = err <= 1e-6 * max(y_norm, 1e-300)
         notes = f"forward; expansion residual {exp_resid:.3e}"
@@ -248,12 +266,8 @@ def check_prop3_krylov_reachability(
     rho = proj_resid
     finals = []
     y_in = kb.basis @ (kb.basis.T @ y)
-    w1s, w2s, _ = _krylov_schedule(a, x0, y_in)
-    cfg = LayerConfig(
-        variant="residual", alpha=0.5,
-        weight_spec=WeightSpec(mode="explicit", matrices=tuple(w1s)),
-        weight_spec2=WeightSpec(mode="explicit", matrices=tuple(w2s)))
-    finals.append(run_trajectory(a, x0, cfg, n,
+    w1s, w2s, _ = _krylov_schedule(gen, scales, y_in)
+    finals.append(run_trajectory(a, x0, _schedule_config(w1s, w2s), n,
                                  np.random.default_rng(seed)).final)
     log = run_trajectory(a, x0, LayerConfig(variant="residual", alpha=0.5),
                          n, _trial_rngs(seed, 5))

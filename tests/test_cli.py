@@ -271,8 +271,12 @@ def test_simulate_rejects_bad_width(tmp_path, capsys, flag, value):
     (["verify", "--props", "2", "--k", "-1"], ["--k", "'-1'"]),
     (["verify", "--props", "6", "--k", "200"], ["k=200", "[1, n-2]"]),
     (["verify", "--props", "1", "--steps", "0"], ["--steps", "'0'"]),
+    (["simulate", "--variant", "graphnormv2", "--operator", "row_stochastic"],
+     ["--operator", "row_stochastic"]),
+    (["simulate", "--variant", "graphnormv2", "--gnv2-k", "40"],
+     ["gnv2_k", "40"]),
 ], ids=["trials", "seeds", "props", "config-key", "k-zero", "k-negative",
-        "prop6-k-above-n", "steps-zero"])
+        "prop6-k-above-n", "steps-zero", "gnv2-operator", "gnv2-k-above-n"])
 def test_bad_input_names_its_source(tmp_path, capsys, argv, names):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"steps": 2, "nope": 1}))
@@ -298,6 +302,18 @@ def test_verify_imports_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("graph", ["er:200,0.05", "er:300,0.05"])
+def test_prop3_overflow_is_inconclusive(capfd, graph):
+    # the monomials A^i X0 overflow float64 before depth n; capfd also
+    # sees what LAPACK would print on the C streams
+    code = cli.main(["verify", "--props", "3", "--graph", graph])
+    out, err = capfd.readouterr()
+    assert (code, err) == (0, "")
+    (report,) = json.loads(out)
+    assert report["verdict"] == "inconclusive"
+    assert "overflows float64 (depth" in report["notes"]
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify", "spectrum",

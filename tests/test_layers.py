@@ -9,11 +9,9 @@ from oversmooth import layers
 from oversmooth.errors import (ContractError, DegenerateColumnError,
                                DomainError)
 from oversmooth.graphio import build_operator, gen_graph, make_graph
-from oversmooth.layers import (VARIANTS, LayerConfig, WeightSpec, batch_norm,
+from oversmooth.layers import (VARIANTS, LayerConfig, WeightSpec,
                                bn_emulating_tau, build_norm_context,
-                               graph_norm, graph_norm_v2, pair_norm,
-                               power_embed_step, run_trajectory,
-                               sample_weight, step_residual, step_vanilla)
+                               run_trajectory)
 from oversmooth.spectral import symmetric_eig
 
 
@@ -22,35 +20,55 @@ def _identity_op(n):
                           "adjacency")
 
 
+def _one_step(variant, x, **options):
+    """The log of one ``variant`` step from x on the identity operator
+    with identity weights.  I @ X @ I is exact, so a normalizing
+    variant's final features are its normalizer's bits on x."""
+    cfg = LayerConfig(variant=variant,
+                      weight_spec=WeightSpec(mode="identity"), **options)
+    return run_trajectory(_identity_op(x.shape[0]), x, cfg, 1,
+                          np.random.default_rng(0))
+
+
+def _normalize(normalizer, x, *args):
+    """A block normalizer of ``layers`` applied to one (n, k) matrix, at
+    a setting no run uses."""
+    y, faults = layers._block_normalized(*normalizer(x[:, None, :], *args))
+    assert not faults
+    return y[:, 0, :]
+
+
 # ------------------------------------------------------------- weights
 
 def test_sample_weight_identity_and_zero():
-    rng = np.random.default_rng(0)
-    assert np.array_equal(
-        sample_weight(WeightSpec(mode="identity"), (3, 3), rng), np.eye(3))
-    assert np.array_equal(
-        sample_weight(WeightSpec(std=0.0), (3, 3), rng), np.zeros((3, 3)))
+    weights = layers._Weights((WeightSpec(mode="identity"),
+                               WeightSpec(std=0.0)),
+                              [np.random.default_rng(0)], 3, 1)
+    eye, zero = weights.at(0, [0])
+    assert np.array_equal(eye, np.eye(3)[None])
+    assert np.array_equal(zero, np.zeros((1, 3, 3)))
 
 
 def test_sample_weight_gaussian_statistics():
-    rng = np.random.default_rng(1)
-    draws = np.concatenate([
-        sample_weight(WeightSpec(std=1.0), (10, 10), rng).ravel()
-        for _ in range(100)])
+    weights = layers._Weights((WeightSpec(std=1.0),),
+                              [np.random.default_rng(1)], 10, 100)
+    draws = np.concatenate([weights.at(t, [0])[0].ravel()
+                            for t in range(100)])
     assert abs(draws.mean()) < 4.0 / np.sqrt(draws.size)
     assert abs(draws.std() - 1.0) < 0.05
 
 
 def test_sample_weight_explicit():
     mats = (np.eye(2), 2 * np.eye(2))
-    spec = WeightSpec(mode="explicit", matrices=mats)
+    cfg = LayerConfig(weight_spec=WeightSpec(mode="explicit", matrices=mats))
+    a = _identity_op(2)
+    x0 = np.random.default_rng(0).normal(size=(2, 2))
     rng = np.random.default_rng(0)
-    assert np.array_equal(sample_weight(spec, (2, 2), rng, step=1),
-                          2 * np.eye(2))
-    with pytest.raises(DomainError):
-        sample_weight(spec, (2, 2), rng, step=2)
-    with pytest.raises(ContractError):
-        sample_weight(spec, (3, 3), rng, step=0)
+    assert np.array_equal(run_trajectory(a, x0, cfg, 2, rng).final, 2 * x0)
+    with pytest.raises(DomainError, match="exhausted at step 2"):
+        run_trajectory(a, x0, cfg, 3, rng)
+    with pytest.raises(ContractError, match="explicit weight shape"):
+        run_trajectory(a, np.ones((2, 3)), cfg, 1, rng)
     with pytest.raises(DomainError):
         WeightSpec(mode="explicit")
     with pytest.raises(DomainError):
@@ -62,45 +80,53 @@ def test_sample_weight_explicit():
 # --------------------------------------------------------------- steps
 
 def test_step_vanilla_identity():
-    a = _identity_op(3)
     x = np.random.default_rng(0).normal(size=(3, 2))
-    assert np.array_equal(step_vanilla(a, x, np.eye(2)), x)
+    assert np.array_equal(_one_step("vanilla", x).final, x)
 
 
 def test_step_vanilla_eigenvector():
     a = build_operator(gen_graph("star:4"), "adjacency")
     es = symmetric_eig(a)
     nu = es.vectors[:, :1]
-    out = step_vanilla(a, nu, np.eye(1))
+    cfg = LayerConfig(weight_spec=WeightSpec(mode="identity"))
+    out = run_trajectory(a, nu, cfg, 1, np.random.default_rng(0)).final
     assert np.abs(out - es.values[0] * nu).max() < 1e-12
 
 
 def test_step_vanilla_relu_and_shapes():
-    a = _identity_op(2)
     x = np.array([[1.0], [-2.0]])
-    assert np.array_equal(step_vanilla(a, x, np.eye(1), nl="relu"),
+    assert np.array_equal(_one_step("vanilla", x, nonlinearity="relu").final,
                           np.array([[1.0], [0.0]]))
     with pytest.raises(ContractError):
-        step_vanilla(a, np.zeros((3, 1)), np.eye(1))
+        run_trajectory(_identity_op(2), np.zeros((3, 1)), LayerConfig(), 1,
+                       np.random.default_rng(0))
+
+
+def _residual_step(a, x0, w1, w2, alpha):
+    """One residual step from x0 with explicit weights W1 and W2."""
+    cfg = LayerConfig(
+        variant="residual", alpha=alpha,
+        weight_spec=WeightSpec(mode="explicit", matrices=(w1,)),
+        weight_spec2=WeightSpec(mode="explicit", matrices=(w2,)))
+    return run_trajectory(a, x0, cfg, 1, np.random.default_rng(0)).final
 
 
 def test_step_residual_midpoint():
-    a = _identity_op(3)
-    x = np.random.default_rng(2).normal(size=(3, 2))
+    # from x0 with W1 = M, W2 = I: the midpoint of X = x0 M and x0
     x0 = np.random.default_rng(3).normal(size=(3, 2))
-    out = step_residual(a, x, x0, np.eye(2), np.eye(2), alpha=0.5)
-    assert np.abs(out - (0.5 * x + 0.5 * x0)).max() < 1e-14
+    m = np.random.default_rng(2).normal(size=(2, 2))
+    out = _residual_step(_identity_op(3), x0, m, np.eye(2), alpha=0.5)
+    assert np.abs(out - (0.5 * (x0 @ m) + 0.5 * x0)).max() < 1e-14
 
 
 def test_step_residual_w1_zero():
     a = build_operator(gen_graph("path:4"), "adjacency")
-    x = np.random.default_rng(4).normal(size=(4, 2))
     x0 = np.random.default_rng(5).normal(size=(4, 2))
     w2 = np.random.default_rng(6).normal(size=(2, 2))
-    out = step_residual(a, x, x0, np.zeros((2, 2)), w2, alpha=0.3)
+    out = _residual_step(a, x0, np.zeros((2, 2)), w2, alpha=0.3)
     assert np.abs(out - 0.3 * (x0 @ w2)).max() < 1e-14
     with pytest.raises(DomainError):
-        step_residual(a, x, x0, w2, w2, alpha=1.0)
+        LayerConfig(variant="residual", alpha=1.0)
 
 
 def test_residual_appnp_fixed_point():
@@ -121,56 +147,62 @@ def test_residual_appnp_fixed_point():
 # ------------------------------------------------------------ batch norm
 
 def test_batch_norm_golden():
-    out = batch_norm(np.array([[1.0], [2.0], [3.0]]))
+    # batch_norm is the same normalizer on one matrix, for prop 6
+    x = np.array([[1.0], [2.0], [3.0]])
     want = np.array([[-1.0], [0.0], [1.0]]) / np.sqrt(2.0)
-    assert np.abs(out - want).max() < 1e-14
+    for out in (_one_step("batchnorm", x).final, layers.batch_norm(x)):
+        assert np.abs(out - want).max() < 1e-14
 
 
 def test_batch_norm_idempotent_on_centered_unit():
     x = np.array([[-1.0], [0.0], [1.0]]) / np.sqrt(2.0)
-    assert np.abs(batch_norm(x) - x).max() < 1e-14
+    assert np.abs(_one_step("batchnorm", x).final - x).max() < 1e-14
 
 
 def test_batch_norm_postconditions_and_error():
     x = np.random.default_rng(8).normal(size=(10, 4))
-    out = batch_norm(x)
+    out = _one_step("batchnorm", x).final
     assert np.abs(out.sum(axis=0)).max() < 1e-10
     assert np.abs(np.linalg.norm(out, axis=0) - 1.0).max() < 1e-10
+    log = _one_step("batchnorm", np.full((3, 1), 5.0))
+    assert (log.abort_step, log.abort_reason) == (
+        1, "degenerate column 0: zero vector after centering")
     with pytest.raises(DegenerateColumnError):
-        batch_norm(np.full((3, 1), 5.0))
+        layers.batch_norm(np.full((3, 1), 5.0))
 
 
 def test_overflowed_norm_is_reported_as_overflow():
     # the centred norms and the reference norms are both inf here, so a
     # relative zero test alone would call column 0 a zero vector
     x = np.array([[1e155, 0.0], [-1e155, 1.0], [3e154, 2.0]])
-    for normalize in (batch_norm, lambda y: graph_norm(y, np.ones(2)),
-                      pair_norm):
-        with pytest.raises(DegenerateColumnError, match="overflow") as exc:
-            normalize(x)
-        assert exc.value.column == 0
+    for variant in ("batchnorm", "graphnorm", "pairnorm"):
+        log = _one_step(variant, x)
+        assert (log.abort_step, log.abort_reason) == (
+            1, "degenerate column 0: norm overflowed"), variant
 
 
 def test_batch_norm_invariance_shift_scale():
     x = np.random.default_rng(9).normal(size=(8, 3))
-    shifted = x + 7.0
-    scaled = 3.0 * x
-    assert np.abs(batch_norm(x) - batch_norm(shifted)).max() < 1e-10
-    assert np.abs(batch_norm(x) - batch_norm(scaled)).max() < 1e-12
+    out = _one_step("batchnorm", x).final
+    shifted = _one_step("batchnorm", x + 7.0).final
+    scaled = _one_step("batchnorm", 3.0 * x).final
+    assert np.abs(out - shifted).max() < 1e-10
+    assert np.abs(out - scaled).max() < 1e-12
 
 
 # ------------------------------------------------------------ graph norm
 
 def test_graph_norm_tau1_matches_batch_norm():
+    # the graphnorm variant centres with tau = 1
     x = np.random.default_rng(10).normal(size=(9, 4))
     n = x.shape[0]
-    out = graph_norm(x, tau=np.ones(4)) / np.sqrt(n)
-    assert np.abs(out - batch_norm(x)).max() < 1e-12
+    out = _one_step("graphnorm", x).final / np.sqrt(n)
+    assert np.abs(out - _one_step("batchnorm", x).final).max() < 1e-12
 
 
 def test_graph_norm_tau_half_golden():
     # column (2,0): mean 1, subtract 0.5 -> (1.5,-0.5); sigma=sqrt(1.25)
-    out = graph_norm(np.array([[2.0], [0.0]]), tau=np.array([0.5]))
+    out = _normalize(layers._gn, np.array([[2.0], [0.0]]), np.array([0.5]))
     want = np.array([[1.5], [-0.5]]) / np.sqrt(1.25)
     assert np.abs(out - want).max() < 1e-14
 
@@ -178,7 +210,7 @@ def test_graph_norm_tau_half_golden():
 def test_graph_norm_tau0_centered_input():
     x = np.array([[-1.0], [0.0], [1.0]]) / np.sqrt(2.0)
     n = 3
-    out = graph_norm(x, tau=np.zeros(1)) / np.sqrt(n)
+    out = _normalize(layers._gn, x, np.zeros(1)) / np.sqrt(n)
     assert np.abs(out - x).max() < 1e-12
 
 
@@ -208,12 +240,12 @@ def test_bn_emulating_tau_reconstructs_ones():
 
 
 def test_gnv2_bn_emulating_matches_batch_norm_direction():
+    # the graphnormv2 variant centres with the BN-emulating tau
     a, ctx = _gnv2_fixture()
     n = ctx.vkplus.shape[0]
     x = np.random.default_rng(12).normal(size=(n, 3))
-    tau = np.tile(bn_emulating_tau(ctx)[:, None], (1, 3))
-    out = graph_norm_v2(x, ctx, tau)
-    bn = batch_norm(x)
+    out = _one_step("graphnormv2", x, norm_context=ctx).final
+    bn = _one_step("batchnorm", x).final
     # same direction, sigma convention differs by a scale per column
     for j in range(3):
         cos = out[:, j] @ bn[:, j] / (np.linalg.norm(out[:, j])
@@ -226,7 +258,7 @@ def test_gnv2_tau_zero_is_pure_scaling():
     n = ctx.vkplus.shape[0]
     x = np.random.default_rng(13).normal(size=(n, 2))
     tau = np.zeros((ctx.k + 1, 2))
-    out = graph_norm_v2(x, ctx, tau)
+    out = _normalize(layers._gn2, x, ctx, tau)
     assert np.abs(out - x / np.linalg.norm(x, axis=0)).max() < 1e-12
 
 
@@ -239,7 +271,7 @@ def test_gnv2_orthogonal_input_unchanged_before_scaling():
     direction = ctx.vkplus @ tau[:, 0]
     x = rng.normal(size=(n, 1))
     x -= np.outer(direction, direction @ x) / (direction @ direction)
-    out = graph_norm_v2(x, ctx, tau)
+    out = _normalize(layers._gn2, x, ctx, tau)
     assert np.abs(out - x / np.linalg.norm(x)).max() < 1e-10
 
 
@@ -249,19 +281,12 @@ def test_gnv2_projector_idempotent():
     assert np.abs(p @ p - p).max() < 1e-10
 
 
-def test_gnv2_tau_shape_checked():
-    a, ctx = _gnv2_fixture()
-    n = ctx.vkplus.shape[0]
-    with pytest.raises(ContractError):
-        graph_norm_v2(np.ones((n, 2)), ctx, np.zeros((ctx.k + 1, 3)))
-
-
 # ------------------------------------------------------------- pair norm
 
 def test_pair_norm_postconditions():
     x = np.random.default_rng(15).normal(size=(7, 3))
     for s in (1.0, 2.5):
-        out = pair_norm(x, s=s)
+        out = _one_step("pairnorm", x, scale=s).final
         assert abs(np.linalg.norm(out) - s * np.sqrt(7)) < 1e-10
         assert np.abs(out.mean(axis=0)).max() < 1e-10
 
@@ -270,18 +295,18 @@ def test_pair_norm_fixed_point_and_error():
     x = np.random.default_rng(16).normal(size=(5, 2))
     x -= x.mean(axis=0)
     x *= np.sqrt(5) / np.linalg.norm(x)
-    assert np.abs(pair_norm(x, s=1.0) - x).max() < 1e-12
-    with pytest.raises(DegenerateColumnError):
-        pair_norm(np.ones((4, 2)))
+    assert np.abs(_one_step("pairnorm", x).final - x).max() < 1e-12
+    log = _one_step("pairnorm", np.ones((4, 2)))
+    assert (log.abort_step, log.abort_reason) == (
+        1, "degenerate column 0: all columns zero after centering")
 
 
 # ----------------------------------------------------------- power embed
 
 def test_power_embed_unit_columns_and_identity():
-    a = _identity_op(4)
     x = np.random.default_rng(17).normal(size=(4, 2))
     x /= np.linalg.norm(x, axis=0)
-    out = power_embed_step(a, x, np.eye(2))
+    out = _one_step("powerembed", x).final
     assert np.abs(out - x).max() < 1e-12
     assert np.abs(np.linalg.norm(out, axis=0) - 1.0).max() < 1e-12
 
@@ -310,8 +335,8 @@ def test_run_trajectory_single_step_matches_vanilla():
                       weight_spec=WeightSpec(mode="identity"))
     log = run_trajectory(a, x0, cfg, 1, np.random.default_rng(0),
                          observer=lambda t, x: x.copy())
-    assert len(log) == 1
-    assert np.abs(log.final - step_vanilla(a, x0, np.eye(2))).max() < 1e-14
+    assert len(log.records) == 1
+    assert np.abs(log.final - a.data @ x0).max() < 1e-14
 
 
 def test_run_trajectory_deterministic():
@@ -381,35 +406,77 @@ def _trial_rngs(trials):
     return [np.random.default_rng((9, t)) for t in range(trials)]
 
 
+def _vkplus(a, width):
+    """V_{k+} from numpy's eigh: the top ``width`` eigenvectors by
+    |lambda|, completed by the unit part of 1 outside their span."""
+    vals, vecs = np.linalg.eigh(a.data)
+    vk = vecs[:, np.argsort(-np.abs(vals), kind="stable")[:width]]
+    r = np.ones(a.n) - vk @ (vk.T @ np.ones(a.n))
+    return np.column_stack([vk, r / np.linalg.norm(r)])
+
+
+def _normalizer_terms(cfg, y, x, vkplus):
+    """(numerator, denominators, reference norms, reason) of a
+    normalizing variant's formula on y = sigma(A X W), x the features
+    before the step."""
+    n = y.shape[0]
+    centered = y - y.mean(axis=0)
+    if cfg.variant == "batchnorm":
+        return (centered, np.linalg.norm(centered, axis=0),
+                np.linalg.norm(y, axis=0), "zero vector after centering")
+    if cfg.variant == "graphnorm":      # tau = 1, scaled to unit RMS
+        return (centered, np.linalg.norm(centered, axis=0) / np.sqrt(n),
+                np.linalg.norm(y, axis=0),
+                "zero spread after partial centering")
+    if cfg.variant == "graphnormv2":
+        # tau_j = V_{k+}^T 1/sqrt(n) for every column: subtract the
+        # projection of y_j on u = V_{k+} tau
+        u = vkplus @ (vkplus.T @ np.ones(n)) / np.sqrt(n)
+        projected = y - np.outer(u, u @ y)
+        return (projected, np.linalg.norm(projected, axis=0),
+                np.linalg.norm(y, axis=0),
+                "zero vector after projection centering")
+    if cfg.variant == "pairnorm":
+        return (cfg.scale * np.sqrt(n) * centered,
+                np.array([np.linalg.norm(centered)]),
+                np.array([np.linalg.norm(y)]),
+                "all columns zero after centering")
+    return (y, np.linalg.norm(y, axis=0), np.linalg.norm(x, axis=0),
+            "zero column")
+
+
+def _normalized(num, den, ref, what):
+    """(num / den, None), or (None, the abort reason) when a denominator
+    overflowed or is at rounding level of its reference norm."""
+    over = np.isinf(den)
+    bad = over | (den <= 1e-14 * np.maximum(1.0, ref))
+    if not bad.any():
+        return num / den, None
+    i = int(np.argmax(over if over.any() else bad))
+    return None, (f"degenerate column {i}: "
+                  + ("norm overflowed" if over[i] else what))
+
+
 def _replay(a, x0, cfg, steps, rng, observe):
-    """One trial of run_trajectory, step by step: weights drawn straight
-    from rng, A X W in plain numpy, then the public per-matrix
-    normalizer.  Returns (records, final, abort_step, abort_reason)."""
+    """One trial of run_trajectory as an independent oracle: weights
+    drawn straight from rng, the step in plain numpy, the normalizer's
+    formula and the degenerate-column rule restated here.  Returns
+    (records, final, abort_step, abort_reason)."""
     k = x0.shape[1]
     std = cfg.weight_spec.std or 1.0 / np.sqrt(k)
-    ctx = build_norm_context(a, cfg.gnv2_k)
-    tau = np.tile(bn_emulating_tau(ctx)[:, None], (1, k))
-    normalize = {
-        "batchnorm": batch_norm,
-        "pairnorm": lambda y: pair_norm(y, cfg.scale),
-        "graphnorm": lambda y: graph_norm(y, np.ones(k)),
-        "graphnormv2": lambda y: graph_norm_v2(y, ctx, tau),
-    }
+    vkplus = _vkplus(a, cfg.gnv2_k)
     x, records = x0, []
     for t in range(1, steps + 1):
-        w = rng.normal(0.0, std, size=(k, k))
-        try:
-            if cfg.variant == "vanilla":
-                y = a.data @ x @ w
-            elif cfg.variant == "residual":
-                w2 = rng.normal(0.0, std, size=(k, k))
-                y = (1 - cfg.alpha) * (a.data @ x @ w) + cfg.alpha * (x0 @ w2)
-            elif cfg.variant == "powerembed":
-                y = power_embed_step(a, x, w, cfg.nonlinearity)
-            else:
-                y = normalize[cfg.variant](a.data @ x @ w)
-        except DegenerateColumnError as exc:
-            return records, x, t, str(exc)
+        y = a.data @ x @ rng.normal(0.0, std, size=(k, k))
+        if cfg.variant == "residual":
+            w2 = rng.normal(0.0, std, size=(k, k))
+            y = (1 - cfg.alpha) * y + cfg.alpha * (x0 @ w2)
+        if cfg.nonlinearity == "relu":
+            y = np.maximum(y, 0.0)
+        if cfg.variant not in ("vanilla", "residual"):
+            y, reason = _normalized(*_normalizer_terms(cfg, y, x, vkplus))
+            if reason is not None:
+                return records, x, t, reason
         if not np.all(np.isfinite(y)):
             return records, x, t, "non-finite features"
         x = y
@@ -495,12 +562,20 @@ def _weight_specs(cfg):
     return specs[:2 if cfg.variant == "residual" else 1]
 
 
+def _draw(spec, k, rng):
+    """One step's (k, k) weight of an identity or Gaussian spec."""
+    if spec.mode == "identity":
+        return np.eye(k)
+    std = spec.std if spec.std is not None else 1.0 / np.sqrt(k)
+    return rng.normal(0.0, std, size=(k, k))
+
+
 def _per_step_replay(a, x0, cfg, steps, rng):
-    """One trial whose weights sample_weight draws step by step from rng,
-    W1 before W2, replayed as explicit weight lists."""
+    """One trial whose weights are drawn step by step from rng, W1
+    before W2, replayed as explicit weight lists."""
     k = x0.shape[1]
-    drawn = [[sample_weight(spec, (k, k), rng, step=t)
-              for spec in _weight_specs(cfg)] for t in range(steps)]
+    drawn = [[_draw(spec, k, rng) for spec in _weight_specs(cfg)]
+             for _ in range(steps)]
     explicit = [WeightSpec(mode="explicit", matrices=tuple(ws))
                 for ws in zip(*drawn)]
     cfg = replace(cfg, weight_spec=explicit[0],
@@ -559,8 +634,7 @@ def test_chunked_weights_match_per_step_draws(case, monkeypatch):
 def test_chunked_zero_std_weights_are_positive_zeros():
     # rng.normal(0, 0) gives 0.0 + 0 * z = +0.0; the chunk must too
     rng = np.random.default_rng(1)
-    assert not np.signbit(sample_weight(WeightSpec(std=0.0), (3, 3),
-                                        rng)).any()
+    assert not np.signbit(rng.normal(0.0, 0.0, size=(3, 3))).any()
     chunk = layers._Weights((WeightSpec(std=0.0),), _trial_rngs(2), 3, 4)
     for t in range(4):
         (w,) = chunk.at(t, [0, 1])
