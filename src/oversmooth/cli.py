@@ -21,7 +21,8 @@ import numpy as np
 from . import propcheck
 from .errors import OversmoothError
 from .graphio import Graph, build_operator, is_connected, load_graph
-from .layers import VARIANTS, LayerConfig, WeightSpec, run_trajectory
+from .layers import (VARIANTS, LayerConfig, WeightSpec, build_norm_context,
+                     run_trajectory)
 from .metrics import (CSV_COLUMNS, MetricObserver, all_ones_reference,
                       degree_sqrt_reference, dominant_eig_reference)
 from .partition import quotient, split_eigenpairs, wl_refine
@@ -144,33 +145,35 @@ def cmd_simulate(args) -> int:
         print("config error: dominant_eig reference needs a connected "
               "graph; pass --largest-cc", file=sys.stderr)
         return EXIT_CONFIG
-    es = symmetric_eig(a) if a.symmetric else None
-    if es is None and cfg.variant == "graphnormv2":
-        print("config error: --variant graphnormv2 needs a symmetric "
-              f"operator, not --operator {cfg.operator}", file=sys.stderr)
-        return EXIT_CONFIG
-    if es is None and cfg.reference == "dominant_eig":
-        print("config error: dominant_eig reference needs a symmetric "
-              "operator", file=sys.stderr)
-        return EXIT_CONFIG
-    if es is None and cfg.top_k_metric > 0:
-        print("config error: --top-k-metric needs a symmetric operator",
+    gnv2 = cfg.variant == "graphnormv2"
+    # the settings that read the operator's spectrum
+    readers = [flag for flag, on in (
+        ("--variant graphnormv2", gnv2),
+        ("--reference dominant_eig", cfg.reference == "dominant_eig"),
+        ("--top-k-metric", cfg.top_k_metric > 0)) if on]
+    if readers and not a.symmetric:
+        print(f"config error: --operator {cfg.operator} is not symmetric; "
+              f"these settings read its spectrum: {', '.join(readers)}",
               file=sys.stderr)
         return EXIT_CONFIG
-    if cfg.variant == "graphnormv2" and cfg.gnv2_k > g.n - 1:
-        print(f"config error: gnv2_k={cfg.gnv2_k} must be in [0, n-1] = "
-              f"[0, {g.n - 1}]", file=sys.stderr)
-        return EXIT_CONFIG
-    v = _reference(cfg, g, es)
-    tk = top_k(es, cfg.top_k_metric) if cfg.top_k_metric > 0 else None
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
+    # gnv2_k is read by graphnormv2 only
+    for name, width, high in (("gnv2_k", cfg.gnv2_k if gnv2 else 0, g.n - 1),
+                              ("top_k_metric", cfg.top_k_metric, g.n)):
+        if width > high:
+            print(f"config error: {name}={width} must be in [0, {high}]",
+                  file=sys.stderr)
+            return EXIT_CONFIG
+    es = symmetric_eig(a) if readers else None
+    ctx = build_norm_context(top_k(es, cfg.gnv2_k)) if gnv2 else None
     spec2 = WeightSpec(mode="identity") if cfg.identity_w2 else None
     lcfg = LayerConfig(variant=cfg.variant, nonlinearity=cfg.nonlinearity,
                        weight_spec=WeightSpec(std=cfg.weight_std),
                        weight_spec2=spec2, alpha=cfg.alpha, scale=cfg.scale,
-                       gnv2_k=cfg.gnv2_k)
+                       norm_context=ctx)
+    v = _reference(cfg, g, es)
+    tk = top_k(es, cfg.top_k_metric) if cfg.top_k_metric > 0 else None
+    outdir = Path(cfg.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     observer = MetricObserver(g, v, top_k_basis=tk)
     status = EXIT_OK
     complete = []

@@ -12,6 +12,8 @@ Gaussian weights are drawn from its own generator a chunk of steps at a
 time.  A single generator is the T = 1 block; every variant runs
 through this one block step.  ``batch_norm`` applies the BatchNorm
 block normalizer to one matrix, for prop 6's tightness schedule.
+Nothing here solves an eigenproblem: graphnormv2 reads V_{k+} from
+``LayerConfig.norm_context``, built from the caller's top-k block.
 Degenerate (zero/constant) normalization columns abort a trial rather
 than being masked with an epsilon; the other trials of a block go on.
 """
@@ -25,7 +27,6 @@ import numpy as np
 
 from .errors import ContractError, DegenerateColumnError, DomainError
 from .graphio import OperatorMatrix
-from .spectral import symmetric_eig, top_k
 
 NONLINEARITIES = ("identity", "relu")
 
@@ -55,7 +56,7 @@ class WeightSpec:
         if self.mode not in ("gaussian", "identity", "explicit"):
             raise DomainError(f"unknown weight mode {self.mode!r}")
         if self.std is not None and self.std < 0:
-            raise DomainError("weight std must be >= 0")
+            raise DomainError(f"weight std={self.std} must be >= 0")
         if self.mode == "explicit" and not self.matrices:
             raise DomainError("explicit weight spec needs matrices")
 
@@ -77,12 +78,10 @@ class NormContext:
         return self.vkplus.shape[1] - 1
 
 
-def build_norm_context(a: OperatorMatrix, k: int) -> NormContext:
-    """V_{k+} = [V_k | r/||r||] with r = 1 - V_k V_k^+ 1."""
-    n = a.n
-    if not 0 <= k <= n - 1:
-        raise DomainError(f"projection width k={k} must be in [0, n-1]")
-    vk = top_k(symmetric_eig(a), k)
+def build_norm_context(vk: np.ndarray) -> NormContext:
+    """V_{k+} = [V_k | r/||r||] with r = 1 - V_k V_k^+ 1, from the (n, k)
+    block V_k of top-k eigenvectors."""
+    n = vk.shape[0]
     ones = np.ones(n)
     r = ones - vk @ (vk.T @ ones)
     norm = np.linalg.norm(r)
@@ -108,8 +107,7 @@ class LayerConfig:
     weight_spec2: Optional[WeightSpec] = None  # residual W2 (default: weight_spec)
     alpha: float = 0.2                # residual strength
     scale: float = 1.0                # pairnorm target scale
-    gnv2_k: int = 2                   # projection width
-    norm_context: Optional[NormContext] = None   # precomputed V_{k+}
+    norm_context: Optional[NormContext] = None   # graphnormv2's V_{k+}
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -118,6 +116,8 @@ class LayerConfig:
             raise DomainError(f"unknown nonlinearity {self.nonlinearity!r}")
         if self.variant == "residual" and not 0.0 < self.alpha < 1.0:
             raise DomainError(f"residual alpha={self.alpha} outside (0,1)")
+        if self.variant == "graphnormv2" and self.norm_context is None:
+            raise DomainError("graphnormv2 needs a norm_context (V_{k+})")
 
 
 def _apply_nl(x: np.ndarray, nl: str) -> np.ndarray:
@@ -258,7 +258,7 @@ def _graphnorm(a, x0, cfg):
 
 
 def _graphnormv2(a, x0, cfg):
-    ctx = cfg.norm_context or build_norm_context(a, cfg.gnv2_k)
+    ctx = cfg.norm_context
     tau = np.tile(bn_emulating_tau(ctx)[:, None], (1, x0.shape[1]))
     return lambda x, ax, w: _block_normalized(
         *_gn2(_sigma_xw(ax, w, cfg), ctx, tau))

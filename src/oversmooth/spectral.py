@@ -128,36 +128,39 @@ def centered_eig(a: OperatorMatrix, tau: float) -> EigenSystem:
     if tau == 1.0:
         q = _ones_complement_basis(n)
         vals, vecs = np.linalg.eigh(q.T @ data @ q)
-        lifted = q @ vecs
-        kernel = _centered_kernel_vector(data)
         values = np.concatenate([vals, [0.0]])
-        vectors = np.concatenate([lifted, kernel[:, None]], axis=1)
-        values, vectors = _canonicalize(values, vectors)
-        return EigenSystem(values=values, vectors=vectors)
-    centered = center_operator(a, tau).data
-    vals_c, vecs_c = np.linalg.eig(centered)
-    scale = max(1.0, float(np.abs(vals_c).max(initial=0.0)))
-    real = np.abs(vals_c.imag) <= 1e-9 * scale
-    values = vals_c[real].real.copy()
-    vectors = vecs_c[:, real].real.copy()
-    norms = np.sqrt(np.sum(vectors * vectors, axis=0))
-    norms[norms == 0] = 1.0
-    vectors = vectors / norms
+        vectors = np.concatenate(
+            [q @ vecs, _centered_kernel_vector(data)[:, None]], axis=1)
+    else:
+        vals_c, vecs_c = np.linalg.eig(center_operator(a, tau).data)
+        scale = max(1.0, float(np.abs(vals_c).max(initial=0.0)))
+        real = np.abs(vals_c.imag) <= 1e-9 * scale
+        values = vals_c[real].real.copy()
+        vectors = vecs_c[:, real].real.copy()
+        norms = np.sqrt(np.sum(vectors * vectors, axis=0))
+        norms[norms == 0] = 1.0
+        vectors = vectors / norms
     values, vectors = _canonicalize(values, vectors)
     return EigenSystem(values=values, vectors=vectors)
 
 
 def _centered_kernel_vector(data: np.ndarray) -> np.ndarray:
-    """Unit vector spanning the kernel direction of (I - 11^T/n) A."""
+    """Unit vector w outside the 1-complement with (I - 11^T/n) A w = 0.
+
+    The part of 1 in ker A is such a w.  When 1 has none, ker A lies in
+    the 1-complement, whose restriction already holds it, and 1 lies in
+    the range of A: then w = A^+ 1 over the nonzero eigenpairs, which
+    is A^{-1} 1 when A is invertible, has A w = 1.
+    """
     n = data.shape[0]
     es = symmetric_eig(data)
     scale = max(1.0, float(np.abs(es.values).max(initial=0.0)))
     small = np.abs(es.values) <= 1e-10 * scale
-    if np.any(small):
-        # A itself is singular: any null vector of A is annihilated.
-        return es.vectors[:, np.flatnonzero(small)[0]].copy()
-    # A invertible: w = A^{-1} 1 satisfies (I - 11^T/n) A w = 0.
-    w = es.vectors @ ((es.vectors.T @ np.ones(n)) / es.values)
+    ones = np.ones(n)
+    w = es.vectors[:, small] @ (es.vectors[:, small].T @ ones)
+    if np.linalg.norm(w) <= 1e-10 * np.sqrt(n):
+        vecs = es.vectors[:, ~small]
+        w = vecs @ ((vecs.T @ ones) / es.values[~small])
     return w / np.linalg.norm(w)
 
 

@@ -27,7 +27,7 @@ from oversmooth.propcheck import (build_tightness_schedule,
                                   check_prop7_centering,
                                   check_vanilla_oversmoothing, fit_log_slope)
 from oversmooth.spectral import (centered_eig, krylov_basis, numerical_rank,
-                                 symmetric_eig)
+                                 symmetric_eig, top_k)
 
 # Rank tolerance for the rank-collapse contrast in criterion 5.  At the
 # strict default (1e-10) the PairNorm collapse completes only around
@@ -188,7 +188,7 @@ def test_criterion_06_topk_decay_rate():
     es = centered_eig(a, 1.0)
     absl = np.abs(es.values)
     target = float(np.log(absl[4] / absl[3]))
-    weights, t_sched, _ = build_tightness_schedule(a, x0, 4, 0.01)
+    weights, t_sched, _ = build_tightness_schedule(a, es, x0, 4, 0.01)
     nu5 = es.vectors[:, 4]
     steps = max(t_sched, 220)
     schedule = WeightSpec(mode="explicit", matrices=tuple(weights) + (
@@ -275,7 +275,7 @@ def test_criterion_10_gnv2_batchnorm_compatibility():
     t0 = time.time()
     g = gen_graph("er:30,0.3", seed=0, largest_cc=True)
     a = build_operator(g, "sym_normalized")
-    ctx = build_norm_context(a, 2)
+    ctx = build_norm_context(top_k(symmetric_eig(a), 2))
     x = np.random.default_rng((0, 101)).normal(size=(g.n, 5))
     # one step on the identity operator with identity weights applies
     # the layer's normalizer alone: I @ X @ I is exact

@@ -1,5 +1,6 @@
 """Command-line driver: subcommands, exit codes, determinism."""
 
+import ast
 import dataclasses
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oversmooth import cli
+from oversmooth import cli, spectral
 from oversmooth.graphio import gen_graph
 from oversmooth.metrics import MetricRecord
 
@@ -259,6 +260,80 @@ def test_simulate_rejects_bad_width(tmp_path, capsys, flag, value):
     assert err.count("\n") == 1
     assert flag[2:].replace("-", "_") in err and value in err
     assert not outdir.exists()
+
+
+# a layer setting the run cannot use fails before any output directory
+# is made
+@pytest.mark.parametrize("flags, names", [
+    (["--nonlinearity", "tanh"], ["nonlinearity", "'tanh'"]),
+    (["--variant", "residual", "--alpha", "1.5"], ["alpha=1.5"]),
+    (["--weight-std", "-1"], ["weight std=-1.0"]),
+    (["--top-k-metric", "500"], ["top_k_metric=500"]),
+], ids=["nonlinearity", "alpha", "weight-std", "top-k-metric"])
+def test_simulate_bad_layer_setting_leaves_no_outdir(tmp_path, capsys,
+                                                     flags, names):
+    outdir = tmp_path / "out"
+    code, _, err = _run(capsys, ["simulate", "--graph", "er:30,0.3",
+                                 "--steps", "2", *flags,
+                                 "--outdir", str(outdir)])
+    assert code == 1
+    assert err.count("\n") == 1
+    assert all(name in err for name in names), err
+    assert not outdir.exists()
+
+
+def _count_calls(monkeypatch, fn):
+    """Point every oversmooth module global bound to ``fn`` at a wrapper
+    that records each call, as perfbench/spans.py does; the list of
+    calls is returned."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.split(".")[0] == "oversmooth":
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("flags, solves", [
+    (["--variant", "graphnormv2", "--seeds", "0,1,2"], 1),
+    (["--variant", "batchnorm", "--reference", "all_ones"], 0),
+], ids=["graphnormv2", "no-spectrum-reader"])
+def test_simulate_solves_only_what_it_reads(tmp_path, capsys, monkeypatch,
+                                            flags, solves):
+    calls = _count_calls(monkeypatch, spectral.symmetric_eig)
+    code, _, err = _run(capsys, ["simulate", "--graph", "er:30,0.3",
+                                 "--largest-cc", "--steps", "3", *flags,
+                                 "--outdir", str(tmp_path / "out")])
+    assert code == 0, err
+    assert len(calls) == solves
+
+
+def test_prop6_solves_its_centered_system_once(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, spectral.centered_eig)
+    code, _, _ = _run(capsys, ["verify", "--props", "6"])
+    assert code in (0, 3)
+    assert len(calls) == 1
+
+
+def test_layers_import_nothing_from_spectral():
+    # a layer reads its eigenvectors from its config; the run that owns
+    # the graph solves each eigenproblem once
+    path = Path(cli.__file__).with_name("layers.py")
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            imported.add(base)
+            imported.update(base + "." * bool(node.module) + alias.name
+                            for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not imported & {".spectral", "oversmooth.spectral"}, imported
 
 
 # each malformed input exits 1 with one line naming its source and value

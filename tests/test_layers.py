@@ -9,10 +9,10 @@ from oversmooth import layers
 from oversmooth.errors import (ContractError, DegenerateColumnError,
                                DomainError)
 from oversmooth.graphio import build_operator, gen_graph, make_graph
-from oversmooth.layers import (VARIANTS, LayerConfig, WeightSpec,
-                               bn_emulating_tau, build_norm_context,
-                               run_trajectory)
-from oversmooth.spectral import symmetric_eig
+from oversmooth.layers import (VARIANTS, LayerConfig, NormContext,
+                               WeightSpec, bn_emulating_tau,
+                               build_norm_context, run_trajectory)
+from oversmooth.spectral import symmetric_eig, top_k
 
 
 def _identity_op(n):
@@ -219,7 +219,7 @@ def test_graph_norm_tau0_centered_input():
 def _gnv2_fixture(spec="er:12,0.4", k=2, seed=11):
     g = gen_graph(spec, seed=seed, largest_cc=True)
     a = build_operator(g, "sym_normalized")
-    ctx = build_norm_context(a, k)
+    ctx = build_norm_context(top_k(symmetric_eig(a), k))
     return a, ctx
 
 
@@ -228,7 +228,13 @@ def test_norm_context_orthonormal():
     gram = ctx.vkplus.T @ ctx.vkplus
     assert np.abs(gram - np.eye(ctx.k + 1)).max() < 1e-8
     with pytest.raises(DomainError):
-        build_norm_context(a, a.n)
+        build_norm_context(top_k(symmetric_eig(a), a.n))
+
+
+def test_graphnormv2_needs_a_norm_context():
+    # the layer solves no eigenproblem: its caller passes V_{k+}
+    with pytest.raises(DomainError, match="norm_context"):
+        LayerConfig(variant="graphnormv2")
 
 
 def test_bn_emulating_tau_reconstructs_ones():
@@ -464,7 +470,7 @@ def _replay(a, x0, cfg, steps, rng, observe):
     (records, final, abort_step, abort_reason)."""
     k = x0.shape[1]
     std = cfg.weight_spec.std or 1.0 / np.sqrt(k)
-    vkplus = _vkplus(a, cfg.gnv2_k)
+    vkplus = cfg.norm_context.vkplus if cfg.norm_context else None
     x, records = x0, []
     for t in range(1, steps + 1):
         y = a.data @ x @ rng.normal(0.0, std, size=(k, k))
@@ -487,7 +493,6 @@ def _replay(a, x0, cfg, steps, rng, observe):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_stacked_trials_match_single_runs(variant):
     options, steps = _STACK_CASES[variant]
-    cfg = LayerConfig(variant=variant, **options)
 
     def observe(t, x):
         return x.copy()
@@ -497,6 +502,9 @@ def test_stacked_trials_match_single_runs(variant):
     sliced = _stack_fixture("path:100", "adjacency")
     assert sliced[0]._slices is not None
     for fixture, (a, x0) in enumerate((_stack_fixture(), sliced)):
+        ctx = (NormContext(vkplus=_vkplus(a, 2))
+               if variant == "graphnormv2" else None)
+        cfg = LayerConfig(variant=variant, norm_context=ctx, **options)
         with np.errstate(over="ignore", invalid="ignore"):
             stacked = run_trajectory(a, x0, cfg, steps, _trial_rngs(5),
                                      observer=observe)

@@ -141,6 +141,19 @@ def test_prop5_star8_k2_decay_rate():
     assert trace.verdict == INCONCLUSIVE
 
 
+@pytest.mark.parametrize("spec, k", [("star:16", 1), ("path:3", 1),
+                                     ("path:7", 5)])
+def test_prop5_zero_next_eigenvalue_decides_on_distance(spec, k):
+    # |l_{k+1}| of the centered operator is zero: the nu_{k+1} trace is
+    # rounding noise, so no slope can meet log(|l_{k+1}|/|l_k|)
+    g = gen_graph(spec)
+    x0 = _unit_x0(g.n, k, seed=0)
+    trace = check_prop5_topk_convergence(g, x0, k, seed=0)
+    assert trace.verdict == PASS
+    assert np.isnan(trace.target_rate)
+    assert "numerically zero" in trace.notes
+
+
 def test_prop5_er_pass_and_rank_precondition():
     # seed picked for a wide |l_4|/|l_3| gap so 256 steps clear 1e-6
     g = gen_graph("er:40,0.25", seed=3, largest_cc=True)
@@ -164,7 +177,8 @@ def test_prop6_schedule_replay_and_pass():
     assert min(rep.evidence) >= 1.0 / np.sqrt(1.05)
     # the schedule replays bit-consistently through the generic runner
     a = build_operator(g, "adjacency")
-    weights, t_total, x_final = build_tightness_schedule(a, x0, 3, 0.05)
+    weights, t_total, x_final = build_tightness_schedule(
+        a, centered_eig(a, 1.0), x0, 3, 0.05)
     cfg = LayerConfig(variant="batchnorm",
                       weight_spec=WeightSpec(mode="explicit",
                                              matrices=tuple(weights)))

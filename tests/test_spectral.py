@@ -118,6 +118,20 @@ def test_centered_eig_tau1_eigvectors_orthogonal_to_kernel_dir():
     assert np.sum(np.abs(es.values) < 1e-9) >= 1
 
 
+@pytest.mark.parametrize("kind", ["adjacency", "sym_normalized"])
+@pytest.mark.parametrize("spec", ["path:3", "path:7", "star:8", "star:16"])
+def test_centered_eig_full_basis_on_kernel_orthogonal_to_ones(spec, kind):
+    # ker A is orthogonal to 1, so the restriction to the 1-complement
+    # already holds it; the kernel column must be A^+ 1, not a null
+    # vector of A repeating a lifted column
+    a = build_operator(gen_graph(spec), kind)
+    es = centered_eig(a, 1.0)
+    n = a.n
+    centered = a.data - np.outer(np.ones(n), a.data.sum(axis=0)) / n
+    assert np.linalg.svd(es.vectors, compute_uv=False).min() > 0.1
+    assert es.residuals(centered).max() < 1e-14
+
+
 def test_top_k():
     es = symmetric_eig(np.eye(3))
     assert top_k(es, 2).shape == (3, 2)
