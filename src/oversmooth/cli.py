@@ -20,13 +20,15 @@ import numpy as np
 
 from . import propcheck
 from .errors import OversmoothError
-from .graphio import Graph, build_operator, is_connected, load_graph
+from .graphio import (ADJACENCY, SYM_NORMALIZED, Graph, build_operator,
+                      is_connected, load_graph)
 from .layers import (VARIANTS, LayerConfig, WeightSpec, build_norm_context,
                      run_trajectory)
 from .metrics import (CSV_COLUMNS, MetricObserver, all_ones_reference,
                       degree_sqrt_reference, dominant_eig_reference)
 from .partition import quotient, split_eigenpairs, wl_refine
-from .spectral import centered_eig, krylov_basis, symmetric_eig, top_k
+from .spectral import (centered_eig, krylov_basis, ones_complement_eig,
+                       symmetric_eig, top_k)
 
 FLOAT_FMT = "%.12g"
 
@@ -193,43 +195,76 @@ def cmd_simulate(args) -> int:
     return status
 
 
-def _prop3(g, x0, o):
-    kb = krylov_basis(build_operator(g, "adjacency"), x0)
-    y = kb.basis @ np.random.default_rng((o.seed, 303)).normal(
-        size=(kb.r, o.k))
-    return propcheck.check_prop3_krylov_reachability(g, x0, y, kb,
-                                                     seed=o.seed)
+class _VerifyRun:
+    """One verify run: the graph, x0 and all-ones reference v its checks
+    share, the parsed flags o, and the run's memo, which builds each
+    operator kind, and solves that operator's 1-complement system, on
+    first use."""
+
+    def __init__(self, o):
+        self.o = o
+        self.g = load_graph(o.graph, seed=o.seed, largest_cc=True)
+        self.x0 = _initial_features(self.g, o.k, (o.seed, 202), True)
+        self.v = all_ones_reference(self.g.n)
+        self._operators, self._systems = {}, {}
+
+    def operator(self, kind: str):
+        if kind not in self._operators:
+            self._operators[kind] = build_operator(self.g, kind)
+        return self._operators[kind]
+
+    def system(self, a):
+        """``ones_complement_eig`` of the run's operator a."""
+        if a.kind not in self._systems:
+            self._systems[a.kind] = ones_complement_eig(a)
+        return self._systems[a.kind]
 
 
-# proposition id -> its check, called with the graph, x0, the all-ones
-# reference v and o, the parsed verify flags.  Prop 2 runs at
-# alpha = 0.5, s = 1 and eps = sqrt(2 ln 2) / 2, so that p = 0.5.
+def _prop3(r: _VerifyRun, a):
+    kb = krylov_basis(a, r.x0)
+    y = kb.basis @ np.random.default_rng((r.o.seed, 303)).normal(
+        size=(kb.r, r.o.k))
+    return propcheck.check_prop3_krylov_reachability(a, r.x0, y, kb,
+                                                     seed=r.o.seed)
+
+
+# proposition id -> (the operator kind its check reads, the check).  The
+# check is called with the run and that kind's operator, and props 4-6
+# also read the run's 1-complement system of it; prop 7 reads the graph
+# (kind None).  Prop 2 runs at alpha = 0.5, s = 1 and
+# eps = sqrt(2 ln 2) / 2, so that p = 0.5.
 _VERIFY = {
-    1: lambda g, x0, v, o: propcheck.check_prop1_residual_no_collapse(
-        g, x0, v, alpha=o.alpha, trials=o.trials, steps=o.steps,
-        seed=o.seed),
-    2: lambda g, x0, v, o: propcheck.check_prop2_signal_retention(
-        g, x0, 0.5, 1.0, 0.5 * np.sqrt(2.0 * np.log(2.0)),
-        trials=o.trials, seed=o.seed),
-    3: lambda g, x0, v, o: _prop3(g, x0, o),
-    4: lambda g, x0, v, o: propcheck.check_prop4_bn_no_collapse(
-        g, x0, v, trials=o.trials, steps=o.steps, seed=o.seed),
-    5: lambda g, x0, v, o: propcheck.check_prop5_topk_convergence(
-        g, x0, o.k, steps=o.steps, seed=o.seed),
-    6: lambda g, x0, v, o: propcheck.check_prop6_tightness(
-        g, x0, o.k, o.eps, seed=o.seed),
-    7: lambda g, x0, v, o: propcheck.check_prop7_centering(g, o.tau),
+    1: (SYM_NORMALIZED,
+        lambda r, a: propcheck.check_prop1_residual_no_collapse(
+            a, r.x0, r.v, alpha=r.o.alpha, trials=r.o.trials,
+            steps=r.o.steps, seed=r.o.seed)),
+    2: (SYM_NORMALIZED,
+        lambda r, a: propcheck.check_prop2_signal_retention(
+            a, r.x0, 0.5, 1.0, 0.5 * np.sqrt(2.0 * np.log(2.0)),
+            trials=r.o.trials, seed=r.o.seed)),
+    3: (ADJACENCY, _prop3),
+    4: (SYM_NORMALIZED,
+        lambda r, a: propcheck.check_prop4_bn_no_collapse(
+            a, r.system(a), r.x0, r.v, trials=r.o.trials, steps=r.o.steps,
+            seed=r.o.seed)),
+    5: (ADJACENCY,
+        lambda r, a: propcheck.check_prop5_topk_convergence(
+            a, r.system(a), r.x0, r.o.k, steps=r.o.steps, seed=r.o.seed)),
+    6: (ADJACENCY,
+        lambda r, a: propcheck.check_prop6_tightness(
+            a, r.system(a), r.x0, r.o.k, r.o.eps, seed=r.o.seed)),
+    7: (None, lambda r, a: propcheck.check_prop7_centering(r.g, r.o.tau)),
 }
 
 
 def cmd_verify(args) -> int:
-    g = load_graph(args.graph, seed=args.seed, largest_cc=True)
-    x0 = _initial_features(g, args.k, (args.seed, 202), True)
-    v = all_ones_reference(g.n)
+    run = _VerifyRun(args)
     reports = []
     for pid in args.props:
+        kind, check = _VERIFY[pid]
+        a = run.operator(kind) if kind else None
         # prop 5's trace has no id of its own
-        reports.append({"id": pid, **_VERIFY[pid](g, x0, v, args).to_json()})
+        reports.append({"id": pid, **check(run, a).to_json()})
     text = json.dumps(reports, indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text)

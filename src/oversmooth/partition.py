@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .graphio import Graph, OperatorMatrix, center_operator, is_regular
+from .graphio import Graph, build_operator, center_operator, is_regular
 from .spectral import EigenSystem, symmetric_eig
 
 EQUITABLE_TOL = 1e-9
@@ -161,7 +161,7 @@ def check_centering_effect(g: Graph, tau: float) -> CenteringReport:
     """
     if tau <= 0:
         raise DomainError(f"tau={tau} must be positive")
-    a = OperatorMatrix(data=g.adjacency(), kind="adjacency", symmetric=True)
+    a = build_operator(g, "adjacency")
     es = symmetric_eig(a)
     ep = wl_refine(g)
     split = split_eigenpairs(es, ep)

@@ -3,9 +3,10 @@
 Each check is deterministic given (graph, seed, trial count).  Each
 trial draws its weights from its own (seed, trial) generator; a check's
 trials advance together as one stacked ``run_trajectory`` call, in which
-a trial that aborts stops alone.  Each check uses one fixed operator
-and solves each of its eigenproblems once: prop 6 hands its centred
-system to ``build_tightness_schedule``.
+a trial that aborts stops alone.  Props 1-6 take the operator they
+verify, and props 4-6 also its ``ones_complement_eig`` system, from the
+caller, so a run that checks several builds each operator and solves
+each eigenproblem once; prop 7 and the vanilla baseline take the graph.
 Probability-bound checks compare an empirical frequency against the
 theoretical bound with a 3-sigma binomial slack, so only one-sided
 violations fail.  Spectral-gap degeneracies yield "inconclusive", never
@@ -24,9 +25,8 @@ from .graphio import Graph, OperatorMatrix, build_operator, is_connected
 from .layers import LayerConfig, WeightSpec, batch_norm, run_trajectory
 from .metrics import ReferenceVector, mu
 from .partition import check_centering_effect
-from .spectral import (EigenSystem, KrylovBasis, centered_eig,
-                       krylov_generators, numerical_rank, subspace_distance,
-                       symmetric_eig)
+from .spectral import (EigenSystem, KrylovBasis, krylov_generators,
+                       numerical_rank, subspace_distance, symmetric_eig)
 
 DEFAULT_TRIALS = 50
 DEFAULT_STEPS = 256
@@ -132,10 +132,11 @@ def _trial_rngs(seed: int, trials: int) -> list:
 
 
 def check_prop1_residual_no_collapse(
-        g: Graph, x0: np.ndarray, v: ReferenceVector | np.ndarray,
+        a: OperatorMatrix, x0: np.ndarray, v: ReferenceVector | np.ndarray,
         alpha: float = 0.2, trials: int = DEFAULT_TRIALS,
         steps: int = DEFAULT_STEPS, seed: int = 0) -> PropReport:
-    """Residual updates keep mu_v bounded away from zero.
+    """Residual updates on the operator ``a`` (``verify`` passes the
+    symmetric-normalized one) keep mu_v bounded away from zero.
 
     Per trial, records min_t mu_v(X^(t)) over ``steps`` residual layers
     with Gaussian weights; a trial succeeds if the min stays >= 1e-6.
@@ -146,7 +147,6 @@ def check_prop1_residual_no_collapse(
     if trials == 0:
         return PropReport(proposition=1, verdict=UNDEFINED, trials=0,
                           successes=0, bound=0.9, notes="no trials requested")
-    a = build_operator(g, "sym_normalized")
     cfg = LayerConfig(variant="residual", alpha=alpha)
     c_star = 1e-6
     log = run_trajectory(a, x0, cfg, steps, _trial_rngs(seed, trials),
@@ -160,11 +160,13 @@ def check_prop1_residual_no_collapse(
 
 
 def check_prop2_signal_retention(
-        g: Graph, x0: np.ndarray, alpha: float, s: float, eps: float,
-        trials: int = DEFAULT_TRIALS, steps: int = 64,
+        a: OperatorMatrix, x0: np.ndarray, alpha: float, s: float,
+        eps: float, trials: int = DEFAULT_TRIALS, steps: int = 64,
         seed: int = 0) -> PropReport:
-    """Initial-signal retention: ||x_0^T X^(steps)|| >= eps with
-    probability at least p = 1 - exp(-eps^2 / (2 alpha^2 s^2)).
+    """Initial-signal retention under residual updates on ``a``
+    (``verify`` passes the symmetric-normalized operator):
+    ||x_0^T X^(steps)|| >= eps with probability at least
+    p = 1 - exp(-eps^2 / (2 alpha^2 s^2)).
 
     The event is evaluated for the first feature column.  Frequency must
     reach p minus a 3-sigma binomial slack.
@@ -176,7 +178,6 @@ def check_prop2_signal_retention(
     if trials == 0:
         return PropReport(proposition=2, verdict=UNDEFINED, trials=0,
                           successes=0, bound=p, notes="no trials requested")
-    a = build_operator(g, "sym_normalized")
     spec = WeightSpec(mode="identity") if s == 0.0 else WeightSpec(std=s)
     cfg = LayerConfig(variant="residual", alpha=alpha, weight_spec=spec)
     log = run_trajectory(a, x0, cfg, steps, _trial_rngs(seed, trials))
@@ -220,19 +221,19 @@ def _schedule_config(w1s: list, w2s: list) -> LayerConfig:
 
 
 def check_prop3_krylov_reachability(
-        g: Graph, x0: np.ndarray, y: np.ndarray, kb: KrylovBasis,
+        a: OperatorMatrix, x0: np.ndarray, y: np.ndarray, kb: KrylovBasis,
         seed: int = 0) -> PropReport:
-    """Exact reachability of the Krylov subspace under residual updates.
+    """Exact reachability of the Krylov subspace under residual updates
+    on ``a`` (``verify`` passes the adjacency operator).
 
-    ``kb`` is ``krylov_basis`` of g's adjacency operator and x0; the
-    caller builds it, usually to draw y from it too.  Forward: if y
-    lies in Kr(A, x0), the constructed n-step schedule must land on y to
-    1e-6 relative error.  Converse: if y has a component of norm rho
-    outside the subspace, every produced X^(n) stays at distance >=
-    rho - 1e-8 from y.  Inconclusive when the norm of a monomial
-    A^i X0 overflows float64: the scaled expansion cannot be formed.
+    ``kb`` is ``krylov_basis(a, x0)``; the caller builds it, usually to
+    draw y from it too.  Forward: if y lies in Kr(A, x0), the
+    constructed n-step schedule must land on y to 1e-6 relative error.
+    Converse: if y has a component of norm rho outside the subspace,
+    every produced X^(n) stays at distance >= rho - 1e-8 from y.
+    Inconclusive when the norm of a monomial A^i X0 overflows float64:
+    the scaled expansion cannot be formed.
     """
-    a = build_operator(g, "adjacency")
     n, k = x0.shape
     proj_resid = float(np.linalg.norm(y - kb.basis @ (kb.basis.T @ y)))
     y_norm = float(np.linalg.norm(y))
@@ -285,25 +286,25 @@ def check_prop3_krylov_reachability(
 
 
 def check_prop4_bn_no_collapse(
-        g: Graph, x0: np.ndarray, v: ReferenceVector | np.ndarray,
-        trials: int = DEFAULT_TRIALS, steps: int = DEFAULT_STEPS,
-        seed: int = 0) -> PropReport:
-    """BatchNorm keeps mu_v above a positive constant.
+        a: OperatorMatrix, es: EigenSystem, x0: np.ndarray,
+        v: ReferenceVector | np.ndarray, trials: int = DEFAULT_TRIALS,
+        steps: int = DEFAULT_STEPS, seed: int = 0) -> PropReport:
+    """BatchNorm on ``a`` (``verify`` passes the symmetric-normalized
+    operator) keeps mu_v above a positive constant; ``es`` is
+    ``ones_complement_eig(a)``, whose nonzero pairs x0 must reach.
 
     The floor follows from BatchNorm output columns being centered unit
     vectors: mu_v >= k (v^T 1 / sqrt(n))^2, applied with a small safety
     margin and never below 1e-8.
     """
     vec = v.v if isinstance(v, ReferenceVector) else np.asarray(v)
-    n = g.n
+    n = a.n
     ones_overlap = float(vec @ np.ones(n)) / np.sqrt(n)
     if ones_overlap <= 0:
         raise DomainError("v must have positive overlap with the ones vector")
-    a = build_operator(g, "sym_normalized")
-    es_hat = centered_eig(a, 1.0)
-    scale = max(1.0, float(np.abs(es_hat.values).max(initial=0.0)))
-    nonzero = np.abs(es_hat.values) > 1e-10 * scale
-    v_nonzero = es_hat.vectors[:, nonzero]
+    scale = max(1.0, float(np.abs(es.values).max(initial=0.0)))
+    nonzero = np.abs(es.values) > 1e-10 * scale
+    v_nonzero = es.vectors[:, nonzero]
     if numerical_rank(v_nonzero.T @ x0) < 2:
         raise DomainError(
             "rank precondition failed: V_nonzero^T x0 has rank < 2")
@@ -327,9 +328,11 @@ def check_prop4_bn_no_collapse(
 
 
 def check_prop5_topk_convergence(
-        g: Graph, x0: np.ndarray, k: int, steps: int = DEFAULT_STEPS,
-        seed: int = 0) -> ConvergenceTrace:
-    """BatchNorm dynamics converge to the top-k centered eigenspace.
+        a: OperatorMatrix, es: EigenSystem, x0: np.ndarray, k: int,
+        steps: int = DEFAULT_STEPS, seed: int = 0) -> ConvergenceTrace:
+    """BatchNorm dynamics on ``a`` (``verify`` passes the adjacency
+    operator) converge to the top-k centered eigenspace; ``es`` is
+    ``ones_complement_eig(a)``.
 
     Records ||nu_q^T X^(t)|| for every q > k under Gaussian weights and
     fits per-q log-slopes.  Pass requires the q = k+1 slope to respect
@@ -337,17 +340,14 @@ def check_prop5_topk_convergence(
     distance to drop below 1e-6; when |l_{k+1}| is numerically zero the
     nu_{k+1} trace is rounding noise, so only the distance is checked.
     """
-    a = build_operator(g, "adjacency")
-    n = g.n
-    if not 1 <= k <= n - 2:
+    if not 1 <= k <= a.n - 2:
         raise DomainError(f"k={k} outside [1, n-2]")
-    es = centered_eig(a, 1.0)
     absl = np.abs(es.values)
     vk = es.vectors[:, :k]
     if numerical_rank(vk.T @ x0) < k:
         raise DomainError("rank precondition failed: V_k^T x0 is singular")
 
-    rest = es.vectors[:, k:n - 1]    # the lifted 1-complement columns
+    rest = es.vectors[:, k:]
     traces = np.zeros((steps, rest.shape[1]))
     tkd = np.zeros(steps)
 
@@ -381,7 +381,8 @@ def build_tightness_schedule(a: OperatorMatrix, es: EigenSystem,
                              x0: np.ndarray, k: int, eps: float):
     """Explicit BatchNorm weight schedule recovering the top-k centered
     eigenvectors: k Gaussian-elimination steps, then identity weights
-    until the analytic step bound T.  ``es`` is ``centered_eig(a, 1.0)``.
+    until the analytic step bound T.  ``es`` is ``ones_complement_eig(a)``,
+    whose vectors span the 1-complement, where BatchNorm's columns live.
 
     Projection coefficients are recomputed at each elimination step from
     the current features (exact in the linear setting).  Returns
@@ -390,14 +391,13 @@ def build_tightness_schedule(a: OperatorMatrix, es: EigenSystem,
     n, kdim = x0.shape
     if k > kdim:
         raise DomainError(f"k={k} exceeds feature width {kdim}")
-    lifted = es.vectors[:, :n - 1]   # orthonormal, spans the 1-complement
     absl = np.abs(es.values)
     if absl[k - 1] <= 1e-12 * max(1.0, absl[0]):
         raise DomainError("elimination failure: |l_k| is numerically zero")
     x = np.array(x0, dtype=np.float64)
     weights = []
     for m in range(k):
-        sig = lifted.T @ (a @ x)
+        sig = es.vectors.T @ (a @ x)
         pivot = sig[m, m]
         if abs(pivot) <= 1e-12:
             raise DomainError(
@@ -409,7 +409,7 @@ def build_tightness_schedule(a: OperatorMatrix, es: EigenSystem,
                 w[m, i] = -sig[m, i] / pivot
         weights.append(w)
         x = batch_norm(a @ x @ w)
-    sig = lifted.T @ x
+    sig = es.vectors.T @ x
     t_extra = 0
     for i in range(k):
         sii = abs(sig[i, i])
@@ -426,15 +426,16 @@ def build_tightness_schedule(a: OperatorMatrix, es: EigenSystem,
     return weights, k + t_extra, x
 
 
-def check_prop6_tightness(g: Graph, x0: np.ndarray, k: int, eps: float,
+def check_prop6_tightness(a: OperatorMatrix, es: EigenSystem,
+                          x0: np.ndarray, k: int, eps: float,
                           seed: int = 0) -> PropReport:
-    """The top-k convergence is tight: an explicit schedule aligns
-    column i with the i-th centered eigenvector, |nu_i^T X_{:,i}| >=
-    1/sqrt(1+eps) for all i <= k after the analytic step bound."""
-    if not 1 <= k <= g.n - 2:
+    """The top-k convergence on ``a`` (``verify`` passes the adjacency
+    operator) is tight: an explicit schedule aligns column i with the
+    i-th centered eigenvector, |nu_i^T X_{:,i}| >= 1/sqrt(1+eps) for all
+    i <= k after the analytic step bound.  ``es`` is
+    ``ones_complement_eig(a)``."""
+    if not 1 <= k <= a.n - 2:
         raise DomainError(f"k={k} outside [1, n-2]")
-    a = build_operator(g, "adjacency")
-    es = centered_eig(a, 1.0)
     absl = np.abs(es.values)
     scale = max(1.0, absl[0])
     if absl[k - 1] <= 1e-12 * scale:
@@ -504,9 +505,10 @@ def check_vanilla_oversmoothing(
     """Baseline contrast: plain updates collapse onto the dominant
     eigenvector exponentially.
 
-    Gaussian weights are rescaled to spectral norm <= 1 so the collapse
-    rate is read off the normalized trace sqrt(mu_v)/||X||_F, whose
-    log-slope matches log|l_2/l_1|.
+    Each step's Gaussian weight is divided by max(1, its spectral norm),
+    drawn ahead into an explicit schedule for ``run_trajectory``, so the
+    collapse rate is read off the normalized trace sqrt(mu_v)/||X||_F,
+    whose log-slope matches log|l_2/l_1|.
     """
     if not is_connected(g):
         raise DomainError("oversmoothing baseline requires a connected graph")
@@ -514,26 +516,23 @@ def check_vanilla_oversmoothing(
     es = symmetric_eig(a)
     v = es.vectors[:, 0]
     target = float(np.log(abs(es.values[1] / es.values[0])))
+    mu0 = mu(x0, v)
     rng = np.random.default_rng(seed)
-    n, kdim = x0.shape
-    x = np.array(x0, dtype=np.float64)
-    mu0 = mu(x, v)
-    trace = np.zeros(steps)
-    mus = np.zeros(steps)
-    for t in range(steps):
-        w = rng.normal(0.0, 1.0 / np.sqrt(kdim), size=(kdim, kdim))
-        top = np.linalg.norm(w, 2)
-        if top > 1.0:
-            w = w / top
-        x = a @ x @ w
-        m = mu(x, v)
-        fn = float(np.linalg.norm(x))
-        mus[t] = m
-        trace[t] = np.sqrt(m) / fn if fn > 0 else 0.0
+    kdim = x0.shape[1]
+    draws = (rng.normal(0.0, 1.0 / np.sqrt(kdim), size=(kdim, kdim))
+             for _ in range(steps))
+    weights = tuple(w / max(1.0, np.linalg.norm(w, 2)) for w in draws)
+    cfg = LayerConfig(weight_spec=WeightSpec(mode="explicit",
+                                             matrices=weights))
+    log = run_trajectory(a, x0, cfg, steps, rng, observer=lambda _, x: (
+        mu(x, v), float(np.linalg.norm(x))))
+    trace = np.array([np.sqrt(m) / fn if fn > 0 else 0.0
+                      for m, fn in log.records])
+    mu_end = log.records[-1][0]
     slope = fit_log_slope(trace)
-    ok = mus[-1] <= 1e-6 * mu0 and np.isfinite(slope) and slope < 0
+    ok = mu_end <= 1e-6 * mu0 and np.isfinite(slope) and slope < 0
     return ConvergenceTrace(projections={2: trace}, slopes={2: slope},
                             target_rate=target,
                             verdict=PASS if ok else FAIL,
-                            notes=f"mu ratio {mus[-1] / mu0:.3e}")
+                            notes=f"mu ratio {mu_end / mu0:.3e}")
 

@@ -6,6 +6,11 @@ systems are deterministic: eigenpairs are sorted by descending |lambda|,
 the first nonzero eigenvector entry, and each eigenvector's sign is
 fixed so its largest-magnitude entry is positive.
 
+The mean-centred operator (I - 11^T/n) A is read through its n-1 pairs
+on the complement of 1 (``ones_complement_eig``, one solve);
+``centered_eig(a, 1.0)`` adds the kernel column at the cost of a full
+second solve.
+
 Krylov bases come from block Arnoldi (Saad, Iterative Methods for
 Sparse Linear Systems, 6.12); ``krylov_generators`` builds the
 monomials A^i X0 for callers that need that expansion itself.
@@ -110,27 +115,41 @@ def _ones_complement_basis(n: int) -> np.ndarray:
     return q
 
 
+def ones_complement_eig(a: OperatorMatrix) -> EigenSystem:
+    """The n-1 eigenpairs of (I - 11^T/n) A on the complement of 1: one
+    symmetric solve of Q^T A Q (Q the Helmert basis), lifted by Q.  They
+    are ``centered_eig(a, 1.0)`` without its kernel column, bit for bit.
+    """
+    if not a.symmetric:
+        raise ContractError(
+            "ones_complement_eig requires a symmetric source operator")
+    data = np.asarray(a.data, dtype=np.float64)
+    q = _ones_complement_basis(a.n)
+    vals, vecs = np.linalg.eigh(q.T @ data @ q)
+    values, vectors = _canonicalize(vals, q @ vecs)
+    return EigenSystem(values=values, vectors=vectors)
+
+
 def centered_eig(a: OperatorMatrix, tau: float) -> EigenSystem:
     """Eigenpairs of the centered operator (I - tau 11^T/n) A.
 
     tau=0 falls back to the symmetric decomposition of A.  tau=1 is
-    computed exactly through the symmetric restriction to the complement
-    of the all-ones direction, augmented with the kernel direction.
-    Other tau use a dense general eigensolver; complex pairs are
-    dropped.
+    ``ones_complement_eig`` augmented with the kernel direction, which
+    costs a second, full symmetric solve.  Other tau use a dense
+    general eigensolver; complex pairs are dropped.
     """
     if not a.symmetric:
         raise ContractError("centered_eig requires a symmetric source operator")
     if tau == 0.0:
         return symmetric_eig(a)
     data = np.asarray(a.data, dtype=np.float64)
-    n = a.n
     if tau == 1.0:
-        q = _ones_complement_basis(n)
-        vals, vecs = np.linalg.eigh(q.T @ data @ q)
-        values = np.concatenate([vals, [0.0]])
+        # canonical pairs keep their signs and order; the kernel pair
+        # is sorted in among them
+        es = ones_complement_eig(a)
+        values = np.concatenate([es.values, [0.0]])
         vectors = np.concatenate(
-            [q @ vecs, _centered_kernel_vector(data)[:, None]], axis=1)
+            [es.vectors, _centered_kernel_vector(data)[:, None]], axis=1)
     else:
         vals_c, vecs_c = np.linalg.eig(center_operator(a, tau).data)
         scale = max(1.0, float(np.abs(vals_c).max(initial=0.0)))

@@ -26,8 +26,8 @@ from oversmooth.propcheck import (build_tightness_schedule,
                                   check_prop6_tightness,
                                   check_prop7_centering,
                                   check_vanilla_oversmoothing, fit_log_slope)
-from oversmooth.spectral import (centered_eig, krylov_basis, numerical_rank,
-                                 symmetric_eig, top_k)
+from oversmooth.spectral import (krylov_basis, numerical_rank,
+                                 ones_complement_eig, symmetric_eig, top_k)
 
 # Rank tolerance for the rank-collapse contrast in criterion 5.  At the
 # strict default (1e-10) the PairNorm collapse completes only around
@@ -52,6 +52,13 @@ def _unit_features(n: int, k: int, seed: int) -> np.ndarray:
     return x0 / np.linalg.norm(x0, axis=0)
 
 
+def _adjacency_system(g):
+    """g's adjacency operator and its 1-complement system, as a verify
+    run hands them to the checks of props 5 and 6."""
+    a = build_operator(g, "adjacency")
+    return a, ones_complement_eig(a)
+
+
 def test_criterion_01_vanilla_oversmoothing():
     t0 = time.time()
     g = gen_graph("er:200,0.05", seed=0, largest_cc=True)
@@ -72,9 +79,10 @@ def test_criterion_01_vanilla_oversmoothing():
 def test_criterion_02_residual_no_collapse():
     t0 = time.time()
     g = gen_graph("er:200,0.05", seed=0, largest_cc=True)
-    es = symmetric_eig(build_operator(g, "sym_normalized"))
+    a = build_operator(g, "sym_normalized")
+    es = symmetric_eig(a)
     rep = check_prop1_residual_no_collapse(
-        g, _unit_features(g.n, 32, 0), es.vectors[:, 0], alpha=0.2,
+        a, _unit_features(g.n, 32, 0), es.vectors[:, 0], alpha=0.2,
         trials=50, steps=256, seed=0)
     ok = rep.verdict == "pass"
     _budget(2, t0, 60.0)
@@ -88,12 +96,13 @@ def test_criterion_03_signal_retention_bound():
     # k=32 as in the rank experiments: the retention event is a norm
     # over all feature columns, so the guaranteed frequency is a lower
     # bound that narrow feature matrices approach from above
+    a = build_operator(g, "sym_normalized")
     x0 = _unit_features(g.n, 32, 0)
     alpha, s = 0.5, 1.0
     results = []
     for p_target in (0.5, 0.9):
         eps = alpha * s * np.sqrt(-2.0 * np.log(1.0 - p_target))
-        rep = check_prop2_signal_retention(g, x0, alpha, s, eps,
+        rep = check_prop2_signal_retention(a, x0, alpha, s, eps,
                                            trials=200, seed=0)
         results.append((p_target, rep))
     ok = all(rep.verdict == "pass" for _, rep in results)
@@ -114,7 +123,7 @@ def test_criterion_04_krylov_reachability():
         kb = krylov_basis(a, x0)
         y = kb.basis @ np.random.default_rng((seed, 303)).normal(
             size=(kb.r, 3))
-        reports.append(check_prop3_krylov_reachability(g, x0, y, kb,
+        reports.append(check_prop3_krylov_reachability(a, x0, y, kb,
                                                        seed=seed))
     # converse: mirror-symmetric x0 on Path(6) keeps the Krylov space in
     # the reflection-symmetric subspace; an antisymmetric component of y
@@ -130,7 +139,7 @@ def test_criterion_04_krylov_reachability():
     anti[0, 0], anti[5, 0] = 1.0, -1.0
     anti /= np.linalg.norm(anti[:, 0])
     y = kb.basis @ rng.normal(size=(kb.r, 3)) + 0.7 * anti
-    reports.append(check_prop3_krylov_reachability(g, x0, y, kb, seed=1))
+    reports.append(check_prop3_krylov_reachability(a, x0, y, kb, seed=1))
     ok = (all(r.verdict == "pass" for r in reports)
           and "converse" in reports[-1].notes)
     _budget(4, t0, 5.0)
@@ -177,15 +186,15 @@ def test_criterion_06_topk_decay_rate():
     # than fail
     star = gen_graph("star:16")
     xs = _unit_features(16, 4, 0)
-    star_trace = check_prop5_topk_convergence(star, xs, 4, steps=64)
+    star_trace = check_prop5_topk_convergence(*_adjacency_system(star), xs,
+                                              4, steps=64)
     star_ok = star_trace.verdict == "inconclusive"
 
     # ER(100, 0.1): two-sided rate via the explicit elimination schedule
     # (identity weights after step k isolate the |l_5|/|l_4| ratio),
     # plus top-k convergence under Gaussian weights
     g, x0 = _tightness_fixture()
-    a = build_operator(g, "adjacency")
-    es = centered_eig(a, 1.0)
+    a, es = _adjacency_system(g)
     absl = np.abs(es.values)
     target = float(np.log(absl[4] / absl[3]))
     weights, t_sched, _ = build_tightness_schedule(a, es, x0, 4, 0.01)
@@ -198,7 +207,7 @@ def test_criterion_06_topk_decay_rate():
         np.random.default_rng(0), observer=lambda _, x: np.linalg.norm(nu5 @ x))
     slope = fit_log_slope(np.array(log.records))
     dev = abs(slope - target)
-    gauss = check_prop5_topk_convergence(g, x0, 4, steps=256, seed=1)
+    gauss = check_prop5_topk_convergence(a, es, x0, 4, steps=256, seed=1)
     ok = (star_ok and not log.aborted and dev <= 0.05
           and gauss.verdict == "pass")
     _budget(6, t0, 30.0)
@@ -210,10 +219,11 @@ def test_criterion_06_topk_decay_rate():
 def test_criterion_07_tightness_schedule():
     t0 = time.time()
     star = gen_graph("star:16")
-    star_rep = check_prop6_tightness(star, _unit_features(16, 4, 0), 4,
-                                     eps=0.01)
+    star_rep = check_prop6_tightness(*_adjacency_system(star),
+                                     _unit_features(16, 4, 0), 4, eps=0.01)
     g, x0 = _tightness_fixture()
-    er_rep = check_prop6_tightness(g, x0, 4, eps=0.01, seed=1)
+    er_rep = check_prop6_tightness(*_adjacency_system(g), x0, 4, eps=0.01,
+                                   seed=1)
     ok = (star_rep.verdict == "inconclusive"
           and er_rep.verdict == "pass"
           and min(er_rep.evidence) >= 1.0 / np.sqrt(1.01))

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oversmooth import cli, spectral
+from oversmooth import cli, graphio, spectral
 from oversmooth.graphio import gen_graph
 from oversmooth.metrics import MetricRecord
 
@@ -313,11 +313,25 @@ def test_simulate_solves_only_what_it_reads(tmp_path, capsys, monkeypatch,
     assert len(calls) == solves
 
 
-def test_prop6_solves_its_centered_system_once(capsys, monkeypatch):
-    calls = _count_calls(monkeypatch, spectral.centered_eig)
-    code, _, _ = _run(capsys, ["verify", "--props", "6"])
+# verify builds each operator kind once and solves each eigenproblem
+# once: --props all solves the 1-complement systems of the
+# symmetric-normalized (prop 4) and adjacency (props 5 and 6) operators
+# and prop 7's spectrum of A, and builds those two operators plus prop
+# 7's adjacency from its graph
+@pytest.mark.parametrize("props, solves, builds", [
+    ("all", 3, 3), ("6", 1, 1), ("5,6", 1, 1), ("1,2", 0, 1)],
+    ids=["all", "prop6", "props5-6", "props1-2"])
+def test_verify_builds_each_operator_and_solves_each_system_once(
+        capsys, monkeypatch, props, solves, builds):
+    # numpy's own eigh is counted, so a renamed wrapper cannot hide a solve
+    eigh, solved = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda *a, **kw: solved.append(1) or eigh(*a, **kw))
+    built = _count_calls(monkeypatch, graphio.build_operator)
+    code, _, _ = _run(capsys, ["verify", "--props", props,
+                               "--graph", "er:100,0.1"])
     assert code in (0, 3)
-    assert len(calls) == 1
+    assert (len(solved), len(built)) == (solves, builds)
 
 
 def test_layers_import_nothing_from_spectral():

@@ -18,12 +18,19 @@ from oversmooth.propcheck import (INCONCLUSIVE, PASS, UNDEFINED, PropReport,
                                   check_prop6_tightness,
                                   check_prop7_centering,
                                   check_vanilla_oversmoothing, fit_log_slope)
-from oversmooth.spectral import centered_eig, krylov_basis
+from oversmooth.spectral import krylov_basis, ones_complement_eig
 
 
 def _unit_x0(n, k, seed=0):
     x0 = np.random.default_rng((seed, 202)).normal(size=(n, k))
     return x0 / np.linalg.norm(x0, axis=0)
+
+
+def _read(g, kind="adjacency"):
+    """The operator of this kind and its 1-complement system, as a
+    verify run hands them to the checks of props 4-6."""
+    a = build_operator(g, kind)
+    return a, ones_complement_eig(a)
 
 
 def test_fit_log_slope_exact_exponential():
@@ -52,44 +59,46 @@ def test_prop1_pass_and_precondition():
     g = gen_graph("er:40,0.2", seed=0, largest_cc=True)
     x0 = _unit_x0(g.n, 4)
     v = all_ones_reference(g.n)
-    rep = check_prop1_residual_no_collapse(g, x0, v, trials=10, steps=64)
+    a = build_operator(g, "sym_normalized")
+    rep = check_prop1_residual_no_collapse(a, x0, v, trials=10, steps=64)
     assert rep.verdict == PASS
     assert rep.successes >= 9
     collapsed = np.outer(v.v, np.ones(4))
     with pytest.raises(DomainError):
-        check_prop1_residual_no_collapse(g, collapsed, v, trials=1)
-    rep0 = check_prop1_residual_no_collapse(g, x0, v, trials=0)
+        check_prop1_residual_no_collapse(a, collapsed, v, trials=1)
+    rep0 = check_prop1_residual_no_collapse(a, x0, v, trials=0)
     assert rep0.verdict == UNDEFINED and rep0.trials == 0
 
 
 def test_prop2_bound_and_degenerate_cases():
     g = gen_graph("er:40,0.2", seed=1, largest_cc=True)
     x0 = _unit_x0(g.n, 4, seed=1)
+    a = build_operator(g, "sym_normalized")
     eps = 0.5 * np.sqrt(2.0 * np.log(2.0))  # p = 0.5 at alpha=0.5, s=1
-    rep = check_prop2_signal_retention(g, x0, 0.5, 1.0, eps, trials=60,
+    rep = check_prop2_signal_retention(a, x0, 0.5, 1.0, eps, trials=60,
                                        seed=1)
     assert rep.verdict == PASS
     assert abs(rep.bound - 0.5) < 1e-12
     # s=0 with identity weights: deterministic, frequency 1
-    rep0 = check_prop2_signal_retention(g, x0, 0.5, 0.0, 0.4, trials=10)
+    rep0 = check_prop2_signal_retention(a, x0, 0.5, 0.0, 0.4, trials=10)
     assert rep0.verdict == PASS and rep0.successes == 10
     assert rep0.bound == 1.0
-    assert check_prop2_signal_retention(g, x0, 0.5, 1.0, eps,
+    assert check_prop2_signal_retention(a, x0, 0.5, 1.0, eps,
                                         trials=0).verdict == UNDEFINED
     with pytest.raises(DomainError):
-        check_prop2_signal_retention(g, 2.0 * x0, 0.5, 1.0, eps, trials=1)
+        check_prop2_signal_retention(a, 2.0 * x0, 0.5, 1.0, eps, trials=1)
 
 
-def _krylov(g, x0):
-    return krylov_basis(build_operator(g, "adjacency"), x0)
+def _prop3(g, x0, y):
+    a = build_operator(g, "adjacency")
+    return check_prop3_krylov_reachability(a, x0, y, krylov_basis(a, x0))
 
 
 def test_prop3_forward_trivial_y_is_x0():
     g = gen_graph("path:4")
     x0 = _unit_x0(4, 2, seed=2)
     # y = 0.5 * A^0 x0 is the i=1 Krylov term
-    rep = check_prop3_krylov_reachability(g, x0, x0.copy(),
-                                          _krylov(g, x0))
+    rep = _prop3(g, x0, x0.copy())
     assert rep.verdict == PASS
     assert rep.evidence[0] <= 1e-6 * np.linalg.norm(x0)
 
@@ -98,7 +107,7 @@ def test_prop3_forward_path3_e1_to_e3():
     g = gen_graph("path:3")
     x0 = np.eye(3)[:, :1]
     y = np.eye(3)[:, 2:]
-    rep = check_prop3_krylov_reachability(g, x0, y, _krylov(g, x0))
+    rep = _prop3(g, x0, y)
     assert rep.verdict == PASS
     assert "forward" in rep.notes
 
@@ -110,7 +119,7 @@ def test_prop3_converse_identity_operator():
     y = np.zeros((4, 2))
     y[:, 0] = np.eye(4)[:, 2] * 0.8 + x0[:, 0] * 0.1
     y[:, 1] = x0[:, 1]
-    rep = check_prop3_krylov_reachability(g, x0, y, _krylov(g, x0))
+    rep = _prop3(g, x0, y)
     assert rep.verdict == PASS
     assert "converse" in rep.notes
     assert abs(rep.bound - 0.8) < 1e-10
@@ -121,13 +130,15 @@ def test_prop4_pass_and_rank_precondition():
     g = gen_graph("er:40,0.2", seed=3, largest_cc=True)
     x0 = _unit_x0(g.n, 4, seed=3)
     v = all_ones_reference(g.n)
-    rep = check_prop4_bn_no_collapse(g, x0, v, trials=5, steps=64, seed=3)
+    a, es = _read(g, "sym_normalized")
+    rep = check_prop4_bn_no_collapse(a, es, x0, v, trials=5, steps=64,
+                                     seed=3)
     assert rep.verdict == PASS and rep.successes == 5
     assert rep.bound >= 4 * (v.v @ np.ones(g.n) / np.sqrt(g.n)) ** 2 * 0.999
     rank1 = np.tile(x0[:, :1], (1, 4))
     with pytest.raises(DomainError):
-        check_prop4_bn_no_collapse(g, rank1, v, trials=1)
-    rep0 = check_prop4_bn_no_collapse(g, x0, v, trials=0)
+        check_prop4_bn_no_collapse(a, es, rank1, v, trials=1)
+    rep0 = check_prop4_bn_no_collapse(a, es, x0, v, trials=0)
     assert rep0.verdict == UNDEFINED and rep0.trials == 0
     assert rep0.bound == rep.bound
 
@@ -135,7 +146,7 @@ def test_prop4_pass_and_rank_precondition():
 def test_prop5_star8_k2_decay_rate():
     g = gen_graph("star:8")
     x0 = _unit_x0(8, 2, seed=4)
-    trace = check_prop5_topk_convergence(g, x0, 2, steps=128, seed=4)
+    trace = check_prop5_topk_convergence(*_read(g), x0, 2, steps=128, seed=4)
     # star's centered adjacency has one nonzero eigenvalue: |l_2|=0 at
     # k=2, so the gap check declares the run inconclusive, never fail
     assert trace.verdict == INCONCLUSIVE
@@ -148,7 +159,7 @@ def test_prop5_zero_next_eigenvalue_decides_on_distance(spec, k):
     # rounding noise, so no slope can meet log(|l_{k+1}|/|l_k|)
     g = gen_graph(spec)
     x0 = _unit_x0(g.n, k, seed=0)
-    trace = check_prop5_topk_convergence(g, x0, k, seed=0)
+    trace = check_prop5_topk_convergence(*_read(g), x0, k, seed=0)
     assert trace.verdict == PASS
     assert np.isnan(trace.target_rate)
     assert "numerically zero" in trace.notes
@@ -158,27 +169,26 @@ def test_prop5_er_pass_and_rank_precondition():
     # seed picked for a wide |l_4|/|l_3| gap so 256 steps clear 1e-6
     g = gen_graph("er:40,0.25", seed=3, largest_cc=True)
     x0 = _unit_x0(g.n, 3, seed=3)
-    trace = check_prop5_topk_convergence(g, x0, 3, steps=256, seed=3)
+    a, es = _read(g)
+    trace = check_prop5_topk_convergence(a, es, x0, 3, steps=256, seed=3)
     assert trace.verdict == PASS
     assert trace.slopes[4] <= trace.target_rate + 0.05
-    es = centered_eig(build_operator(g, "adjacency"), 1.0)
     collapsed = np.tile(es.vectors[:, :1], (1, 3))
     with pytest.raises(DomainError):
-        check_prop5_topk_convergence(g, collapsed, 3)
+        check_prop5_topk_convergence(a, es, collapsed, 3)
     with pytest.raises(DomainError):
-        check_prop5_topk_convergence(g, x0, g.n)
+        check_prop5_topk_convergence(a, es, x0, g.n)
 
 
 def test_prop6_schedule_replay_and_pass():
     g = gen_graph("er:40,0.25", seed=3, largest_cc=True)
     x0 = _unit_x0(g.n, 3, seed=3)
-    rep = check_prop6_tightness(g, x0, 3, eps=0.05, seed=3)
+    a, es = _read(g)
+    rep = check_prop6_tightness(a, es, x0, 3, eps=0.05, seed=3)
     assert rep.verdict == PASS
     assert min(rep.evidence) >= 1.0 / np.sqrt(1.05)
     # the schedule replays bit-consistently through the generic runner
-    a = build_operator(g, "adjacency")
-    weights, t_total, x_final = build_tightness_schedule(
-        a, centered_eig(a, 1.0), x0, 3, 0.05)
+    weights, t_total, x_final = build_tightness_schedule(a, es, x0, 3, 0.05)
     cfg = LayerConfig(variant="batchnorm",
                       weight_spec=WeightSpec(mode="explicit",
                                              matrices=tuple(weights)))
@@ -189,15 +199,16 @@ def test_prop6_schedule_replay_and_pass():
 def test_prop6_rejects_k_outside_range():
     g = gen_graph("er:30,0.3", seed=6, largest_cc=True)
     x0 = _unit_x0(g.n, 2, seed=6)
+    a, es = _read(g)
     for k in (0, g.n - 1):
         with pytest.raises(DomainError):
-            check_prop6_tightness(g, x0, k, eps=0.01)
+            check_prop6_tightness(a, es, x0, k, eps=0.01)
 
 
 def test_prop6_k1_power_iteration():
     g = gen_graph("er:30,0.3", seed=6, largest_cc=True)
     x0 = _unit_x0(g.n, 1, seed=6)
-    rep = check_prop6_tightness(g, x0, 1, eps=0.01, seed=6)
+    rep = check_prop6_tightness(*_read(g), x0, 1, eps=0.01, seed=6)
     assert rep.verdict == PASS
 
 
@@ -205,7 +216,7 @@ def test_prop6_degenerate_gap_inconclusive():
     # Star(16): single nonzero centered eigenvalue, so |l_4| = 0
     g = gen_graph("star:16")
     x0 = _unit_x0(16, 4, seed=7)
-    rep = check_prop6_tightness(g, x0, 4, eps=0.01)
+    rep = check_prop6_tightness(*_read(g), x0, 4, eps=0.01)
     assert rep.verdict == INCONCLUSIVE
 
 

@@ -14,7 +14,8 @@ from oversmooth.graphio import (build_operator, gen_graph, load_graph,
                                 make_graph)
 from oversmooth.spectral import (centered_eig, krylov_basis,
                                  krylov_generators, numerical_rank,
-                                 subspace_distance, symmetric_eig, top_k)
+                                 ones_complement_eig, subspace_distance,
+                                 symmetric_eig, top_k)
 
 
 def _rand_sym(n, seed):
@@ -130,6 +131,23 @@ def test_centered_eig_full_basis_on_kernel_orthogonal_to_ones(spec, kind):
     centered = a.data - np.outer(np.ones(n), a.data.sum(axis=0)) / n
     assert np.linalg.svd(es.vectors, compute_uv=False).min() > 0.1
     assert es.residuals(centered).max() < 1e-14
+
+
+@pytest.mark.parametrize("kind", ["adjacency", "sym_normalized"])
+@pytest.mark.parametrize("spec", ["er:100,0.1", "path:3", "path:7", "star:8",
+                                  "star:16", "cycle:8", "reg:10,3",
+                                  "sbm:10+10,0.5,0.1"])
+def test_ones_complement_eig_is_centered_eig_without_its_kernel_column(
+        spec, kind):
+    # the checks of props 4-6 read the complement system where they
+    # once sliced the kernel column off centered_eig(a, 1.0)
+    a = build_operator(load_graph(spec, largest_cc=True), kind)
+    full, comp = centered_eig(a, 1.0), ones_complement_eig(a)
+    kernel = [j for j in range(a.n) if full.values[j] == 0.0
+              and np.array_equal(np.delete(full.values, j), comp.values)
+              and np.array_equal(np.delete(full.vectors, j, axis=1),
+                                 comp.vectors)]
+    assert len(kernel) == 1
 
 
 def test_top_k():
