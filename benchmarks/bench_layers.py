@@ -1,0 +1,124 @@
+"""Per-step cost of every layer variant and of ``metrics.mu``.
+
+    python benchmarks/bench_layers.py [--src DIR] [--column NAME]
+
+Imports oversmooth from DIR (default: the ``src`` of the checkout this
+script sits in), with BLAS pinned to one thread, and times it on three
+(n, T, k) blocks, T trials of n nodes and k features stacked:
+
+- ``er:200,0.05`` at T = 1, k = 32: ``simulate``'s graph and width;
+- ``er:100,0.1`` at T = 50, k = 4: ``verify``'s default prop 1/2/4 block;
+- ``er:1000,0.01`` at T = 20, k = 4: a block that takes the sliced
+  operator product.
+
+Each graph is its largest connected component (graph seed 0) under the
+symmetric-normalized operator.  A variant's time is the median, over
+REPEATS, of one observer-free ``run_trajectory`` of STEPS steps divided
+by STEPS; ``mu`` is timed on the (T, n, k) block (the (n, k) matrix at
+T = 1), median of REPEATS repeats of a timeit loop.  Both are process
+time, which other processes on a shared machine disturb less than wall
+time.  The result goes to column NAME (default ``change``) of
+``BENCH_layers.json`` at the root of this script's checkout, together
+with the numpy and BLAS build, the thread variables and the processor
+count; the file's other columns are kept, so running the script with
+``--src`` pointing at another commit's ``src`` gives a before/after
+table.
+"""
+
+from __future__ import annotations
+
+import os
+
+THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+              "MKL_NUM_THREADS": "1"}
+os.environ.update(THREAD_ENV)   # before numpy loads
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+import timeit  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+OUT = ROOT / "BENCH_layers.json"
+
+# (graph spec, trials T, width k)
+SHAPES = (("er:200,0.05", 1, 32), ("er:100,0.1", 50, 4),
+          ("er:1000,0.01", 20, 4))
+STEPS, REPEATS = 64, 7
+
+
+def _shape_row(pkg, np, spec, trials, k):
+    graphio, layers, metrics = pkg.graphio, pkg.layers, pkg.metrics
+    g = graphio.gen_graph(spec, seed=0, largest_cc=True)
+    a = graphio.build_operator(g, "sym_normalized")
+    x0 = np.random.default_rng(7).normal(size=(g.n, k))
+    x0 /= np.linalg.norm(x0, axis=0)
+    vals, vecs = np.linalg.eigh(a.data)
+    ctx = layers.build_norm_context(
+        vecs[:, np.argsort(-np.abs(vals), kind="stable")[:2]])
+    step_us = {}
+    for variant in layers.VARIANTS:
+        cfg = layers.LayerConfig(variant=variant, norm_context=ctx)
+        per_step = []
+        for rep in range(REPEATS):
+            rng = (np.random.default_rng(rep) if trials == 1 else
+                   [np.random.default_rng((rep, t)) for t in range(trials)])
+            start = time.process_time()
+            log = layers.run_trajectory(a, x0, cfg, STEPS, rng)
+            elapsed = time.process_time() - start
+            if log.aborted:
+                raise RuntimeError(f"{variant} aborted on {spec}")
+            per_step.append(elapsed / STEPS)
+        step_us[variant] = round(1e6 * statistics.median(per_step), 2)
+    block = np.random.default_rng(8).normal(size=(trials, g.n, k))
+    x = block[0] if trials == 1 else block
+    v = metrics.all_ones_reference(g.n)
+    number = 200
+    mu_s = timeit.repeat(lambda: metrics.mu(x, v), timer=time.process_time,
+                         number=number, repeat=REPEATS)
+    return {"n": g.n, "T": trials, "k": k, "step_us": step_us,
+            "mu_us": round(1e6 * statistics.median(mu_s) / number, 2)}
+
+
+def _environment(np) -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "numpy": np.__version__,
+        "blas": {key: blas.get(key) for key in
+                 ("name", "version", "openblas configuration")},
+        "threads": {key: os.environ.get(key) for key in THREAD_ENV},
+        "nproc": len(os.sched_getaffinity(0)),
+    }
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--src", type=Path, default=ROOT / "src")
+    p.add_argument("--column", default="change")
+    args = p.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+    import numpy as np
+    import oversmooth
+    import oversmooth.metrics
+    column = {"environment": _environment(np),
+              "steps": STEPS, "repeats": REPEATS,
+              "shapes": {f"{spec} T={trials} k={k}": _shape_row(
+                  oversmooth, np, spec, trials, k)
+                  for spec, trials, k in SHAPES}}
+    data = (json.loads(OUT.read_text()) if OUT.exists()
+            else {"columns": {}})
+    data["columns"][args.column] = column
+    OUT.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    json.dump(column["shapes"], sys.stdout, indent=1)
+    print()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import propcheck
-from .errors import OversmoothError
+from .errors import OversmoothError, PreconditionError
 from .graphio import (ADJACENCY, SYM_NORMALIZED, Graph, build_operator,
                       is_connected, load_graph)
 from .layers import (VARIANTS, LayerConfig, WeightSpec, build_norm_context,
@@ -257,14 +257,23 @@ _VERIFY = {
 }
 
 
+def _check_report(run: _VerifyRun, pid: int) -> dict:
+    """Proposition pid's JSON report; a check whose precondition on x0
+    fails reports inconclusive instead of stopping the run."""
+    kind, check = _VERIFY[pid]
+    try:
+        report = check(run, run.operator(kind) if kind else None)
+    except PreconditionError as exc:
+        report = propcheck.PropReport(
+            proposition=pid, verdict=propcheck.INCONCLUSIVE, trials=0,
+            successes=0, notes=f"precondition failed: {exc}")
+    # prop 5's trace has no id of its own
+    return {"id": pid, **report.to_json()}
+
+
 def cmd_verify(args) -> int:
     run = _VerifyRun(args)
-    reports = []
-    for pid in args.props:
-        kind, check = _VERIFY[pid]
-        a = run.operator(kind) if kind else None
-        # prop 5's trace has no id of its own
-        reports.append({"id": pid, **check(run, a).to_json()})
+    reports = [_check_report(run, pid) for pid in args.props]
     text = json.dumps(reports, indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text)

@@ -13,6 +13,11 @@ class DomainError(OversmoothError):
     """Input is well-formed but outside the valid domain of an operation."""
 
 
+class PreconditionError(DomainError):
+    """A check's inputs miss a precondition of the claim it tests (a rank
+    condition on x0, say), so the claim cannot be tested on them."""
+
+
 class ContractError(OversmoothError):
     """An internal precondition/postcondition was violated."""
 

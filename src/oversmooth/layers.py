@@ -1,17 +1,20 @@
 """Forward dynamics of every layer variant, plus weight sampling.
 
-Feature matrices are plain float64 arrays of shape (n, k).  All layer
-functions are pure; ``run_trajectory`` owns the only mutable state of a
-run and looks each variant's step up in one table.  Given one generator
-per trial, it advances T trials from a shared x0 as one (n, T, k) block:
-every step applies the operator once to the (n, T*k) block, multiplies
-each trial by its own weights in one batched product, normalizes the
-block once, column statistics along axis 0, and calls the observer once
-with the (T, n, k) trial-major block of the live trials.  Each trial's
-Gaussian weights are drawn from its own generator a chunk of steps at a
-time.  A single generator is the T = 1 block; every variant runs
-through this one block step.  ``batch_norm`` applies the BatchNorm
-block normalizer to one matrix, for prop 6's tightness schedule.
+Feature matrices are plain float64 arrays of shape (n, k).
+``run_trajectory`` owns the only mutable state of a run and looks each
+variant's step up in one table.  Given one generator per trial, it
+advances T trials from a shared x0 as one C-contiguous node-major
+(n, T, k) block: every step applies the operator once to the block's
+(n, T*k) view, multiplies each trial by its own weights in one batched
+product, normalizes the block once, column statistics along axis 0, and
+calls the observer once with a (T, n, k) trial-major copy of the live
+trials.  The step writes its output in place into a second block, the
+two swapping roles each step, so it allocates no float block but A @ X.
+Each trial's Gaussian weights are drawn from its own generator a chunk
+of steps at a time.  A single generator is the T = 1 block; every
+variant runs through this one block step.  ``batch_norm`` applies the
+BatchNorm block normalizer to one matrix, for prop 6's tightness
+schedule.
 Nothing here solves an eigenproblem: graphnormv2 reads V_{k+} from
 ``LayerConfig.norm_context``, built from the caller's top-k block.
 Degenerate (zero/constant) normalization columns abort a trial rather
@@ -120,26 +123,37 @@ class LayerConfig:
             raise DomainError("graphnormv2 needs a norm_context (V_{k+})")
 
 
-def _apply_nl(x: np.ndarray, nl: str) -> np.ndarray:
+def _apply_nl(y: np.ndarray, nl: str):
+    """The nonlinearity, applied to y in place."""
     if nl == "relu":
-        return np.maximum(x, 0.0)
-    return x
+        np.maximum(y, 0.0, out=y)
 
 
-# Block arithmetic.  A block is an (n, T, k) array holding T trials' (n, k)
-# features side by side; column statistics run along axis 0.
+# Block arithmetic.  A block is a C-contiguous (n, T, k) array holding T
+# trials' (n, k) features side by side, node-major: row i is node i in
+# every trial.  Column statistics run along axis 0, so their inner loops
+# run over all T*k columns.  Everything here writes its result into a
+# block it is given, and squares into a scratch block s of that shape.
 
-def _xw(ax: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Each trial's slice of the (n, T, k) block ax times its own weight
-    from the (T, k, k) stack w."""
-    return np.matmul(ax.transpose(1, 0, 2), w).transpose(1, 0, 2)
+def _xw(ax: np.ndarray, w: np.ndarray, out: np.ndarray):
+    """Each trial's slice of the block ax times its own weight from the
+    (T, k, k) stack w, written to the block out."""
+    np.matmul(ax.transpose(1, 0, 2), w, out=out.transpose(1, 0, 2))
 
 
-def _residual_mix(ax: np.ndarray, x0: np.ndarray, w1: np.ndarray,
-                  w2: np.ndarray, alpha: float, nl: str) -> np.ndarray:
-    """sigma((1-alpha) AX W1 + alpha X0 W2) from the propagated block AX."""
-    return _apply_nl((1.0 - alpha) * _xw(ax, w1)
-                     + alpha * np.matmul(x0, w2).transpose(1, 0, 2), nl)
+def _mean(y: np.ndarray) -> np.ndarray:
+    """Column means of the block, as y.mean(axis=0, keepdims=True)."""
+    m = np.add.reduce(y, axis=0, keepdims=True)
+    m /= y.shape[0]
+    return m
+
+
+def _col_norms(y: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Column 2-norms of the block, the sums np.linalg.norm(y, axis=0)
+    forms, squared into the scratch block s."""
+    np.multiply(y, y, out=s)
+    norms = np.add.reduce(s, axis=0)
+    return np.sqrt(norms, out=norms)
 
 
 def _check_denominators(norms: np.ndarray, ref: np.ndarray):
@@ -152,9 +166,10 @@ def _check_denominators(norms: np.ndarray, ref: np.ndarray):
 
 
 def _block_normalized(num: np.ndarray, den: np.ndarray, ref: np.ndarray,
-                      what: str):
-    """num / den, and the DegenerateColumnError of each trial, by its
-    position in the block, whose denominators fail the check."""
+                      what: str) -> dict:
+    """Divide the block num by den in place; returns the
+    DegenerateColumnError of each trial, by its position in the block,
+    whose denominators fail the check."""
     bad, over = _check_denominators(den, ref)
     faults = {}
     if bad.any():
@@ -164,109 +179,133 @@ def _block_normalized(num: np.ndarray, den: np.ndarray, ref: np.ndarray,
                 i, "norm overflowed" if over[t, i] else what)
         # a failing trial's quotient is discarded with the trial
         den = np.where(bad, 1.0, den)
-    return num / den, faults
+    num /= den
+    return faults
 
 
-# A block normalizer maps an (n, T, k) block to (numerator, denominators,
-# reference norms, reason); the result is numerator / denominators.
+# A block normalizer turns the block y, in place, into its numerator and
+# returns (numerator, denominators, reference norms, reason); the step's
+# output is numerator / denominators.
 
-def _bn(y):
-    centered = y - y.mean(axis=0, keepdims=True)
-    return (centered, np.linalg.norm(centered, axis=0),
-            np.linalg.norm(y, axis=0), "zero vector after centering")
-
-
-def _gn(y, tau):
-    centered = y - tau * y.mean(axis=0, keepdims=True)
-    return (centered, np.linalg.norm(centered, axis=0) / np.sqrt(y.shape[0]),
-            np.linalg.norm(y, axis=0), "zero spread after partial centering")
+def _bn(y, s):
+    ref = _col_norms(y, s)
+    y -= _mean(y)
+    return y, _col_norms(y, s), ref, "zero vector after centering"
 
 
-def _gn2(y, ctx, tau):
+def _gn(y, s, tau):
+    ref = _col_norms(y, s)
+    y -= tau * _mean(y)
+    return (y, _col_norms(y, s) / np.sqrt(y.shape[0]), ref,
+            "zero spread after partial centering")
+
+
+def _gn2(y, s, ctx, tau):
+    ref = _col_norms(y, s)
     coords = ctx.vkplus.T @ y.transpose(1, 0, 2)    # (T, k+1, k)
     # column j: V tau_j tau_j^T coords_j
     scal = np.sum(tau * coords, axis=1, keepdims=True)  # tau_j^T V^T y_j
-    centered = y - (ctx.vkplus @ (tau * scal)).transpose(1, 0, 2)
-    return (centered, np.linalg.norm(centered, axis=0),
-            np.linalg.norm(y, axis=0),
+    np.matmul(ctx.vkplus, tau * scal, out=s.transpose(1, 0, 2))
+    y -= s
+    return (y, _col_norms(y, s), ref,
             "zero vector after projection centering")
 
 
-def _frobenius(y: np.ndarray) -> np.ndarray:
+def _frobenius(y: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Per-trial Frobenius norm of the block, as (T, 1): the dot product
     of each trial's flattened features with itself, the sum
-    np.linalg.norm forms for one matrix."""
-    flat = y.transpose(1, 0, 2).reshape(y.shape[1], 1, -1)
+    np.linalg.norm forms for one matrix, over the trials copied
+    trial-major into the scratch block s."""
+    n, trials, k = y.shape
+    flat = s.reshape(trials, 1, n * k)
+    np.copyto(flat.reshape(trials, n, k), y.transpose(1, 0, 2))
     return np.sqrt(flat @ flat.transpose(0, 2, 1))[:, 0]
 
 
-def _pn(y, s):
-    centered = y - y.mean(axis=0, keepdims=True)
-    return (s * np.sqrt(y.shape[0]) * centered, _frobenius(centered),
-            _frobenius(y), "all columns zero after centering")
+def _pn(y, s, scale):
+    ref = _frobenius(y, s)
+    y -= _mean(y)
+    den = _frobenius(y, s)
+    y *= scale * np.sqrt(y.shape[0])
+    return y, den, ref, "all columns zero after centering"
 
 
-def _unit_columns(y, x):
+def _unit_columns(y, s, x):
     """Per-column 2-norm scaling of the step output y of features x."""
-    return (y, np.linalg.norm(y, axis=0), np.linalg.norm(x, axis=0),
-            "zero column")
+    return y, _col_norms(y, s), _col_norms(x, s), "zero column"
 
 
 def batch_norm(x: np.ndarray) -> np.ndarray:
     """Center each column of one (n, k) matrix, then divide by its
     2-norm; an overflow is reported as its DegenerateColumnError, not
     as a numpy warning."""
+    y = np.array(x, dtype=np.float64)[:, None, :]
     with np.errstate(over="ignore", invalid="ignore"):
-        y, faults = _block_normalized(*_bn(x[:, None, :]))
+        faults = _block_normalized(*_bn(y, np.empty_like(y)))
     if faults:
         raise faults[0]
     return y[:, 0, :]
 
 
 # A variant's factory runs once per trajectory with (a, x0, cfg) and
-# returns its block step (X, AX, *weights) -> (X', faults): X and AX =
-# A @ X are (n, T, k) blocks, each weight a (T, k, k) stack, and faults
-# maps a trial's position in the block to the DegenerateColumnError
-# that stops it.
+# returns its block step (X, AX, Y, S, *weights) -> faults: X, AX = A @ X,
+# Y and S are (n, T, k) blocks, each weight a (T, k, k) stack.  The step
+# writes X's successor into Y, using S as scratch, and leaves X and AX
+# as they are; faults maps a trial's position in the block to the
+# DegenerateColumnError that stops it.
 
-def _sigma_xw(ax, w, cfg):
-    return _apply_nl(_xw(ax, w), cfg.nonlinearity)
+def _sigma_xw(ax, w, y, cfg):
+    _xw(ax, w, y)
+    _apply_nl(y, cfg.nonlinearity)
+    return y
 
 
 def _vanilla(a, x0, cfg):
-    return lambda x, ax, w: (_sigma_xw(ax, w, cfg), {})
+    def step(x, ax, y, s, w):
+        _sigma_xw(ax, w, y, cfg)
+        return {}
+    return step
 
 
 def _residual(a, x0, cfg):
-    return lambda x, ax, w1, w2: (
-        _residual_mix(ax, x0, w1, w2, cfg.alpha, cfg.nonlinearity), {})
+    """sigma((1-alpha) AX W1 + alpha X0 W2) from the propagated block AX."""
+    def step(x, ax, y, s, w1, w2):
+        _xw(ax, w1, y)
+        y *= 1.0 - cfg.alpha
+        np.matmul(x0, w2, out=s.transpose(1, 0, 2))
+        s *= cfg.alpha
+        y += s
+        _apply_nl(y, cfg.nonlinearity)
+        return {}
+    return step
 
 
 def _batchnorm(a, x0, cfg):
-    return lambda x, ax, w: _block_normalized(*_bn(_sigma_xw(ax, w, cfg)))
+    return lambda x, ax, y, s, w: _block_normalized(
+        *_bn(_sigma_xw(ax, w, y, cfg), s))
 
 
 def _pairnorm(a, x0, cfg):
-    return lambda x, ax, w: _block_normalized(
-        *_pn(_sigma_xw(ax, w, cfg), cfg.scale))
+    return lambda x, ax, y, s, w: _block_normalized(
+        *_pn(_sigma_xw(ax, w, y, cfg), s, cfg.scale))
 
 
 def _graphnorm(a, x0, cfg):
     tau = np.ones(x0.shape[1])
-    return lambda x, ax, w: _block_normalized(
-        *_gn(_sigma_xw(ax, w, cfg), tau))
+    return lambda x, ax, y, s, w: _block_normalized(
+        *_gn(_sigma_xw(ax, w, y, cfg), s, tau))
 
 
 def _graphnormv2(a, x0, cfg):
     ctx = cfg.norm_context
     tau = np.tile(bn_emulating_tau(ctx)[:, None], (1, x0.shape[1]))
-    return lambda x, ax, w: _block_normalized(
-        *_gn2(_sigma_xw(ax, w, cfg), ctx, tau))
+    return lambda x, ax, y, s, w: _block_normalized(
+        *_gn2(_sigma_xw(ax, w, y, cfg), s, ctx, tau))
 
 
 def _powerembed(a, x0, cfg):
-    return lambda x, ax, w: _block_normalized(
-        *_unit_columns(_sigma_xw(ax, w, cfg), x))
+    return lambda x, ax, y, s, w: _block_normalized(
+        *_unit_columns(_sigma_xw(ax, w, y, cfg), s, x))
 
 
 # variant -> (step factory, weights drawn per step); the weights are
@@ -374,24 +413,29 @@ def run_trajectory(a: OperatorMatrix, x0: np.ndarray, cfg: LayerConfig,
     """Apply the configured layer ``steps`` times.
 
     ``rng`` is one generator, or one generator per trial.  The T trials
-    start from the shared x0 and advance as one (n, T, k) block of the
-    live trials, a single generator being T = 1: each step applies the
-    operator once to the (n, T*k) block, multiplies each trial by its
-    own weights in one batched product, normalizes the block once and
-    checks it for non-finite features once.  Each trial draws its own
-    Gaussian weights (W1 before W2 for the residual variant) from its
-    own generator, a chunk of steps per call, so a generator may be
-    advanced by up to one chunk past the last step it was used for.
+    start from the shared x0 and advance as one C-contiguous node-major
+    (n, T, k) block of the live trials, a single generator being T = 1:
+    each step applies the operator once to the block's (n, T*k) view,
+    multiplies each trial by its own weights in one batched product,
+    normalizes the block once and checks it for non-finite features
+    once.  The step writes in place into a second block, and the two
+    swap roles every step; a third is its scratch.  Each trial draws
+    its own Gaussian weights (W1 before W2 for the residual variant)
+    from its own generator, a chunk of steps per call, so a generator
+    may be advanced by up to one chunk past the last step it was used
+    for.
 
     The observer is called once after every step.  A single generator
     passes (step, X), X the trial's (n, k) features, and the return
     value is appended to the trial's records.  A sequence passes
-    (step, X), X the (T_live, n, k) trial-major block of the trials
+    (step, X), X the (T_live, n, k) trial-major copy of the trials
     still running, in trial order; the observer returns one record per
     live trial, and the i-th goes to the i-th live trial's records.
-    Step and observer run with numpy's overflow and invalid-value
-    warnings silenced; the non-finite check reports an overflow as the
-    abort reason.
+    Either X is valid only during the call: it is a view of a buffer
+    that later steps overwrite, so an observer that keeps features
+    must copy them.  Step and observer run with numpy's overflow and
+    invalid-value warnings silenced; the non-finite check reports an
+    overflow as the abort reason.
 
     Degenerate columns or non-finite features stop a trial with its
     partial records, the features before the failed step, the abort
@@ -401,39 +445,38 @@ def run_trajectory(a: OperatorMatrix, x0: np.ndarray, cfg: LayerConfig,
     """
     if steps < 1:
         raise DomainError("steps must be >= 1")
-    x = np.array(x0, dtype=np.float64, copy=True)
-    if x.ndim != 2 or x.shape[0] != a.n:
-        raise ContractError(f"x0 shape {x.shape} incompatible with n={a.n}")
-    n, k = x.shape
+    x0 = np.array(x0, dtype=np.float64, copy=True)
+    if x0.ndim != 2 or x0.shape[0] != a.n:
+        raise ContractError(f"x0 shape {x0.shape} incompatible with n={a.n}")
+    n, k = x0.shape
     single = isinstance(rng, np.random.Generator)
     rngs = [rng] if single else list(rng)
     if not rngs:
         raise DomainError("a stacked run needs at least one generator")
     factory, n_weights = _STEPS[cfg.variant]
-    step = factory(a, x, cfg)
+    step = factory(a, x0, cfg)
     weights = _Weights(
         (cfg.weight_spec, cfg.weight_spec2 or cfg.weight_spec)[:n_weights],
         rngs, k, steps)
     records = [[] for _ in rngs]
     logs: list = [None] * len(rngs)
     live = list(range(len(rngs)))
-    # trial-major: block[j] is live trial j's (n, k) features, laid out
-    # as a lone trial's are, so its column sums and its observer see the
-    # same bytes; block.transpose(1, 0, 2) is the (n, T, k) view
-    block = np.repeat(x[None], len(rngs), axis=0)
+    # x holds the live trials' features, y receives the step's output
+    # and s is its scratch; seen is the stacked observer's copy
+    x = np.repeat(x0[:, None, :], len(rngs), axis=1)
+    y, s = np.empty_like(x), np.empty_like(x)
+    seen = None
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps):
             if not live:
                 break
-            xb = block.transpose(1, 0, 2)
-            # a C-ordered operand: at k = 1 a plain reshape would give a
-            # Fortran-ordered view, whose product BLAS rounds differently
-            ax = (a @ np.ascontiguousarray(xb).reshape(n, -1)
-                  ).reshape(xb.shape)
-            y, faults = step(xb, ax, *weights.at(t, live))
-            y_trials = y.transpose(1, 0, 2)
-            finite = np.isfinite(y).all(axis=(0, 2))
+            ax = (a @ x.reshape(n, -1)).reshape(x.shape)
+            faults = step(x, ax, y, s, *weights.at(t, live))
+            finite = np.isfinite(y)
+            # one pass over the whole block; per-trial masks only when
+            # some trial stops (all(axis=(0, 2)) would loop k at a time)
             if faults or not finite.all():
+                finite = finite.all(axis=0).all(axis=1)
                 keep = []
                 for j, i in enumerate(live):
                     reason = (str(faults[j]) if j in faults else None
@@ -442,18 +485,23 @@ def run_trajectory(a: OperatorMatrix, x0: np.ndarray, cfg: LayerConfig,
                         keep.append(j)
                         continue
                     logs[i] = TrajectoryLog(
-                        records=records[i], final=block[j].copy(),
+                        records=records[i], final=x[:, j].copy(),
                         aborted=True, abort_step=t + 1, abort_reason=reason)
                 live = [live[j] for j in keep]
-                y_trials = y_trials[keep]
                 weights.keep(keep)
-            block = y_trials
+                x = y[:, keep]
+                y, s = np.empty_like(x), np.empty_like(x)
+            else:
+                x, y = y, x
             if observer is None or not live:
                 continue
             if single:
-                records[0].append(observer(t + 1, block[0]))
+                records[0].append(observer(t + 1, x[:, 0]))
                 continue
-            observed = observer(t + 1, block)
+            if seen is None or len(seen) != len(live):
+                seen = np.empty((len(live), n, k))
+            np.copyto(seen, x.transpose(1, 0, 2))
+            observed = observer(t + 1, seen)
             if len(observed) != len(live):
                 raise ContractError(
                     f"observer returned {len(observed)} records for "
@@ -461,7 +509,7 @@ def run_trajectory(a: OperatorMatrix, x0: np.ndarray, cfg: LayerConfig,
             for i, rec in zip(live, observed):
                 records[i].append(rec)
     for j, i in enumerate(live):
-        logs[i] = TrajectoryLog(records=records[i], final=block[j].copy())
+        logs[i] = TrajectoryLog(records=records[i], final=x[:, j].copy())
     if single:
         return logs[0]
     stopped = not live

@@ -78,8 +78,15 @@ def mu(x: np.ndarray, v: ReferenceVector | np.ndarray) -> float | np.ndarray:
     per-trial values for a (T, n, k) block of trials.
     """
     vec = v.v if isinstance(v, ReferenceVector) else np.asarray(v)
-    resid = x - vec[:, None] * (vec @ x)[..., None, :]
-    sq = np.sum(resid * resid, axis=(-2, -1))
+    n, k = x.shape[-2:]
+    # the residual over the flattened (..., n*k) view, in one buffer, so
+    # every pass runs one long inner loop; entry i*k + j of the
+    # projection is (vec^T x)_j vec_i
+    resid = np.tile(vec @ x, n)
+    resid *= np.repeat(vec, k)
+    np.subtract(x.reshape(*x.shape[:-2], n * k), resid, out=resid)
+    np.multiply(resid, resid, out=resid)
+    sq = np.add.reduce(resid, axis=-1)
     return float(sq) if sq.ndim == 0 else sq
 
 

@@ -11,7 +11,8 @@ Probability-bound checks compare an empirical frequency against the
 theoretical bound with a 3-sigma binomial slack, so only one-sided
 violations fail.  Spectral-gap degeneracies yield "inconclusive", never
 "fail"; a trial check asked for zero trials yields "undefined", never a
-vacuous "pass".
+vacuous "pass".  An x0 that misses a check's precondition raises
+PreconditionError, which ``verify`` reports as "inconclusive".
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, PreconditionError
 from .graphio import Graph, OperatorMatrix, build_operator, is_connected
 from .layers import LayerConfig, WeightSpec, batch_norm, run_trajectory
 from .metrics import ReferenceVector, mu
@@ -143,7 +144,7 @@ def check_prop1_residual_no_collapse(
     Pass requires >= 90% successes.
     """
     if mu(x0, v) <= 1e-20 * max(1.0, float(np.sum(x0 * x0))):
-        raise DomainError("x0 already collapsed onto v: mu_v(x0) = 0")
+        raise PreconditionError("x0 already collapsed onto v: mu_v(x0) = 0")
     if trials == 0:
         return PropReport(proposition=1, verdict=UNDEFINED, trials=0,
                           successes=0, bound=0.9, notes="no trials requested")
@@ -306,8 +307,7 @@ def check_prop4_bn_no_collapse(
     nonzero = np.abs(es.values) > 1e-10 * scale
     v_nonzero = es.vectors[:, nonzero]
     if numerical_rank(v_nonzero.T @ x0) < 2:
-        raise DomainError(
-            "rank precondition failed: V_nonzero^T x0 has rank < 2")
+        raise PreconditionError("rank of V_nonzero^T x0 is below 2")
     k = x0.shape[1]
     c_star = max(k * ones_overlap**2 * (1.0 - 1e-6), 1e-8)
     if trials == 0:
@@ -345,7 +345,7 @@ def check_prop5_topk_convergence(
     absl = np.abs(es.values)
     vk = es.vectors[:, :k]
     if numerical_rank(vk.T @ x0) < k:
-        raise DomainError("rank precondition failed: V_k^T x0 is singular")
+        raise PreconditionError("V_k^T x0 is singular: its rank is below k")
 
     rest = es.vectors[:, k:]
     traces = np.zeros((steps, rest.shape[1]))
@@ -448,7 +448,7 @@ def check_prop6_tightness(a: OperatorMatrix, es: EigenSystem,
                           notes="no spectral gap: |l_{k+1}| = |l_k|")
     vk = es.vectors[:, :k]
     if numerical_rank(vk.T @ x0) < k:
-        raise DomainError("rank precondition failed: V_k^T x0 is singular")
+        raise PreconditionError("V_k^T x0 is singular: its rank is below k")
     try:
         weights, t_total, x_final = build_tightness_schedule(a, es, x0, k, eps)
     except DomainError as exc:

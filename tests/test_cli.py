@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oversmooth import cli, graphio, spectral
+from oversmooth import cli, graphio, layers, spectral
 from oversmooth.graphio import gen_graph
 from oversmooth.metrics import MetricRecord
 
@@ -555,6 +555,39 @@ def test_verify_zero_trials_undefined(capsys):
     reports = json.loads(out)
     assert [(r["id"], r["verdict"]) for r in reports] == [
         (1, "undefined"), (4, "undefined")]
+
+
+def test_verify_failed_precondition_is_inconclusive(capsys):
+    # x0 of star:16 reaches too few nonzero eigenpairs for prop 4; props
+    # 5 and 6 still run and report their own verdicts
+    code, out, _ = _run(capsys, [
+        "verify", "--props", "4,5,6", "--k", "3", "--graph", "star:16"])
+    reports = json.loads(out)
+    assert [r["id"] for r in reports] == [4, 5, 6]
+    assert reports[0]["verdict"] == "inconclusive"
+    assert reports[0]["notes"].startswith("precondition failed:")
+    assert reports[0]["trials"] == 0
+    assert all(r["verdict"] == "inconclusive" for r in reports)
+    assert code == 0
+
+
+def test_verify_all_at_width_one_reports_every_prop(capsys, monkeypatch):
+    # prop 4 needs rank >= 2, so it cannot run at k = 1.  A stacked
+    # normalizing block at k = 1 sums its columns node by node where a
+    # lone trial sums pairwise, so verify must not run one: its stacked
+    # props 1 and 2 use the unnormalized residual layer
+    calls = _count_calls(monkeypatch, layers.run_trajectory)
+    code, out, _ = _run(capsys, [
+        "verify", "--props", "all", "--k", "1", "--trials", "2"])
+    stacked = [cfg.variant for _, _, cfg, _, rng, *_ in calls
+               if isinstance(rng, list) and len(rng) > 1]
+    assert stacked and set(stacked) <= {"vanilla", "residual"}
+    reports = json.loads(out)
+    assert [r["id"] for r in reports] == list(range(1, 8))
+    assert reports[3]["verdict"] == "inconclusive"
+    assert reports[3]["notes"].startswith("precondition failed:")
+    failed = any(r["verdict"] == "fail" for r in reports)
+    assert code == (3 if failed else 0)
 
 
 def test_verify_determinism(capsys):
