@@ -1,23 +1,28 @@
-"""Per-step cost of every layer variant and of ``metrics.mu``.
+"""Per-step cost of every layer variant, of the operator product and of
+``metrics.mu``, and the one-time cost of building a graph and its
+operators.
 
     python benchmarks/bench_layers.py [--src DIR] [--column NAME]
 
 Imports oversmooth from DIR (default: the ``src`` of the checkout this
-script sits in), with BLAS pinned to one thread, and times it on three
+script sits in), with BLAS pinned to one thread, and times it on four
 (n, T, k) blocks, T trials of n nodes and k features stacked:
 
 - ``er:200,0.05`` at T = 1, k = 32: ``simulate``'s graph and width;
 - ``er:100,0.1`` at T = 50, k = 4: ``verify``'s default prop 1/2/4 block;
-- ``er:1000,0.01`` at T = 20, k = 4: a block that takes the sliced
-  operator product.
+- ``er:1000,0.01`` and ``er:3000,0.005`` at T = 20, k = 4: blocks that
+  take the sliced operator product.
 
 Each graph is its largest connected component (graph seed 0) under the
 symmetric-normalized operator.  A variant's time is the median, over
 REPEATS, of one observer-free ``run_trajectory`` of STEPS steps divided
-by STEPS; ``mu`` is timed on the (T, n, k) block (the (n, k) matrix at
-T = 1), median of REPEATS repeats of a timeit loop.  Both are process
-time, which other processes on a shared machine disturb less than wall
-time.  The result goes to column NAME (default ``change``) of
+by STEPS; ``a @ x`` is timed on an (n, T*k) array and ``mu`` on the
+(T, n, k) block (the (n, k) matrix at T = 1), each the median of
+REPEATS repeats of a timeit loop.  For the ONE_TIME graphs, ``gen_graph``
+and ``build_operator`` of each kind get their median time over REPEATS
+calls and the ``tracemalloc`` peak bytes of one more call.  Times are
+process time, which other processes on a shared machine disturb less
+than wall time.  The result goes to column NAME (default ``change``) of
 ``BENCH_layers.json`` at the root of this script's checkout, together
 with the numpy and BLAS build, the thread variables and the processor
 count; the file's other columns are kept, so running the script with
@@ -40,6 +45,7 @@ import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 import timeit  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,8 +53,18 @@ OUT = ROOT / "BENCH_layers.json"
 
 # (graph spec, trials T, width k)
 SHAPES = (("er:200,0.05", 1, 32), ("er:100,0.1", 50, 4),
-          ("er:1000,0.01", 20, 4))
+          ("er:1000,0.01", 20, 4), ("er:3000,0.005", 20, 4))
+# graphs whose generation and operator builds are measured
+ONE_TIME = ("er:1000,0.01", "er:3000,0.005")
 STEPS, REPEATS = 64, 7
+
+
+def _median_us(fn, number):
+    """Median over REPEATS timeit loops of ``number`` calls, in process
+    microseconds per call."""
+    runs = timeit.repeat(fn, timer=time.process_time, number=number,
+                         repeat=REPEATS)
+    return round(1e6 * statistics.median(runs) / number, 2)
 
 
 def _shape_row(pkg, np, spec, trials, k):
@@ -77,11 +93,30 @@ def _shape_row(pkg, np, spec, trials, k):
     block = np.random.default_rng(8).normal(size=(trials, g.n, k))
     x = block[0] if trials == 1 else block
     v = metrics.all_ones_reference(g.n)
-    number = 200
-    mu_s = timeit.repeat(lambda: metrics.mu(x, v), timer=time.process_time,
-                         number=number, repeat=REPEATS)
+    cols = np.random.default_rng(9).normal(size=(g.n, trials * k))
     return {"n": g.n, "T": trials, "k": k, "step_us": step_us,
-            "mu_us": round(1e6 * statistics.median(mu_s) / number, 2)}
+            "product_us": _median_us(lambda: a @ cols, 20),
+            "mu_us": _median_us(lambda: metrics.mu(x, v), 200)}
+
+
+def _one_time_row(graphio, spec):
+    calls = {"gen_graph": lambda: graphio.gen_graph(spec, seed=0,
+                                                    largest_cc=True)}
+    g = calls["gen_graph"]()
+    for kind in graphio.OPERATOR_KINDS:
+        calls[f"build_operator {kind}"] = (
+            lambda kind=kind: graphio.build_operator(g, kind))
+    row = {"n": g.n, "edges": g.num_edges}
+    for name, call in calls.items():
+        ms = _median_us(call, 1) / 1e3
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        row[name] = {"ms": round(ms, 2), "peak_bytes": peak}
+    return row
 
 
 def _environment(np) -> dict:
@@ -108,6 +143,8 @@ def main(argv=None) -> int:
     import oversmooth.metrics
     column = {"environment": _environment(np),
               "steps": STEPS, "repeats": REPEATS,
+              "one_time": {spec: _one_time_row(oversmooth.graphio, spec)
+                           for spec in ONE_TIME},
               "shapes": {f"{spec} T={trials} k={k}": _shape_row(
                   oversmooth, np, spec, trials, k)
                   for spec, trials, k in SHAPES}}
@@ -115,7 +152,8 @@ def main(argv=None) -> int:
             else {"columns": {}})
     data["columns"][args.column] = column
     OUT.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-    json.dump(column["shapes"], sys.stdout, indent=1)
+    json.dump({key: column[key] for key in ("one_time", "shapes")},
+              sys.stdout, indent=1)
     print()
     return 0
 

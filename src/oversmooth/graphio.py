@@ -1,12 +1,16 @@
 """Graph construction, parsing, generators and message-passing operators.
 
 A graph is symmetric and non-negative, stored as edge arrays (one
-entry per unordered pair).  An operator holds a dense float64 matrix,
-which eigensolvers and centring read, and multiplies features by it
-through ``a @ x``: densely, or, when the matrix is sparse enough for
-that to be cheaper, through a sliced-ELLPACK copy of its nonzero
-entries (see ``OperatorMatrix``).  Edge lists are symmetrized on input
-(directed input is silently symmetrized).
+entry per unordered pair).  An operator holds the nonzero entries of
+its matrix, derived from the edge arrays, and multiplies features by
+it through ``a @ x``: through a sliced-ELLPACK copy of the entries
+when the matrix is sparse enough for that to be cheaper, else densely
+(see ``OperatorMatrix``).  Its dense float64 matrix ``data`` is built
+only when something reads it: the eigensolvers, centring, partitions
+or the dense product.  So on a sparse graph, generating it, building
+its operators and running the layer loop make no n x n array.  Edge
+lists are symmetrized on input (directed input is silently
+symmetrized).
 Generators draw from ``numpy.random.default_rng`` (PCG64) seeded per
 call, so a (spec, seed) pair reproduces exactly within this package.
 """
@@ -16,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -25,7 +29,6 @@ from .errors import ContractError, DomainError, ParseError
 ADJACENCY = "adjacency"
 SYM_NORMALIZED = "sym_normalized"
 ROW_STOCHASTIC = "row_stochastic"
-CENTERED = "centered"
 
 OPERATOR_KINDS = (ADJACENCY, SYM_NORMALIZED, ROW_STOCHASTIC)
 
@@ -43,6 +46,12 @@ _SYM_TOL = 1e-12
 # (8.1 against 3.3 ms at 80) stay dense.
 _SLICE_ROWS = 64
 _SLICED_COST = 32
+
+# Random graphs draw one uniform per upper-triangle pair, about this
+# many pairs per call; degrees are summed in dense row blocks of about
+# this many floats.
+_PAIR_CHUNK = 1 << 16
+_ROW_BLOCK_FLOATS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,42 +112,65 @@ class Graph:
         return self._degrees
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """n x n message-passing operator.
+    """n x n message-passing operator, held as its nonzero entries.
 
-    ``data`` is the dense matrix, read by eigensolvers, centring and
-    partitions.  ``a @ x`` multiplies an (n, ...) array by it in one of
-    two ways, chosen from the matrix itself.  For the sliced product the
-    rows, sorted by nonzero count, are cut into slices of _SLICE_ROWS
-    rows, each padded to its widest row (SELL-C-sigma, Kreutzer et al.,
-    SIAM J. Sci. Comput. 2014); each slice costs one gather of x and one
-    batched matmul.  It is taken when _SLICED_COST times the padded
-    entries is below n^2; any other matrix, a skewed one whose hub pads
-    its slice to n entries included, takes the dense product
-    ``data @ x``.  The two sum a row in different orders, so they agree
-    to rounding, not bit for bit, and on the sliced product a column's
-    rounding can also depend on how many columns x has.
+    ``rows``, ``cols`` and ``vals`` (read-only) list the nonzero entries
+    row by row, columns ascending, the order ``np.nonzero`` gives on the
+    dense matrix.  ``build_operator`` derives them from a graph's edge
+    arrays, so building an operator, choosing its product and running
+    the sliced product make no n x n array.  ``data``, the dense matrix,
+    is built from the entries on its first read and kept: the
+    eigensolvers, centring, partitions and the dense product read it.
+
+    ``a @ x`` multiplies an (n, ...) array by A in one of two ways,
+    chosen from the entries' per-row counts.  For the sliced product
+    the rows, sorted by nonzero count, are cut into slices of
+    _SLICE_ROWS rows, each padded to its widest row (SELL-C-sigma,
+    Kreutzer et al., SIAM J. Sci. Comput. 2014); each slice costs one
+    gather of x and one batched matmul.  It is taken when _SLICED_COST
+    times the padded entries is below n^2; any other matrix, a skewed
+    one whose hub pads its slice to n entries included, takes the dense
+    product ``data @ x``.  The two sum a row in different orders, so
+    they agree to rounding, not bit for bit, and on the sliced product
+    a column's rounding can also depend on how many columns x has.
+    ``multiplier`` gives the same product as a function that writes
+    into a given block, for a loop that applies A every step.
     """
 
-    data: np.ndarray
+    n: int
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
     kind: str
-    symmetric: bool
 
     def __post_init__(self):
-        self.data.setflags(write=False)
-        if self.kind in (ADJACENCY, SYM_NORMALIZED):
-            if not self.symmetric:
-                raise ContractError(f"{self.kind} operator must be symmetric")
-            gap = self.data - self.data.T
-            if np.abs(gap, out=gap).max(initial=0.0) > _SYM_TOL:
-                raise ContractError(f"{self.kind} operator data is not symmetric")
-        if self.kind in OPERATOR_KINDS and self.data.size and self.data.min() < 0:
+        for arr in (self.rows, self.cols, self.vals):
+            arr.setflags(write=False)
+        if self.vals.size and self.vals.min() < 0:
             raise ContractError(f"{self.kind} operator has negative entries")
+        if self.symmetric:
+            # sorted by column, then row, the entries list their mirrors
+            mirror = np.argsort(self.cols * self.n + self.rows)
+            if not (np.array_equal(self.rows[mirror], self.cols)
+                    and np.array_equal(self.cols[mirror], self.rows)) or (
+                    np.abs(self.vals[mirror] - self.vals).max(initial=0.0)
+                    > _SYM_TOL):
+                raise ContractError(
+                    f"{self.kind} operator data is not symmetric")
 
     @property
-    def n(self) -> int:
-        return self.data.shape[0]
+    def symmetric(self) -> bool:
+        return self.kind != ROW_STOCHASTIC
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        """The dense matrix (read-only), built on first read."""
+        data = np.zeros((self.n, self.n))
+        data[self.rows, self.cols] = self.vals
+        data.setflags(write=False)
+        return data
 
     @cached_property
     def _slices(self) -> tuple | None:
@@ -148,8 +180,8 @@ class OperatorMatrix:
         s * _SLICE_ROWS onwards as a (column index, value) pair of
         (rows, width) and (rows, 1, width) arrays.  A padded entry is
         column 0 with value 0."""
-        n = self.n
-        counts = np.count_nonzero(self.data, axis=1)
+        n, rows = self.n, self.rows
+        counts = np.bincount(rows, minlength=n)
         order = np.argsort(-counts, kind="stable")
         widths = counts[order[::_SLICE_ROWS]]   # each slice's first row
         heights = np.diff(np.append(np.arange(0, n, _SLICE_ROWS), n))
@@ -158,7 +190,6 @@ class OperatorMatrix:
             return None
         # entry j of row r goes to slot (rank of r in its slice, j) of
         # its slice, in one buffer of the slices laid end to end
-        rows, cols = np.nonzero(self.data)   # row by row, columns ascending
         rank = np.empty(n, dtype=np.intp)
         rank[order] = np.arange(n)
         start = np.cumsum(size) - size
@@ -167,12 +198,37 @@ class OperatorMatrix:
         slot = start[s] + (rank[rows] % _SLICE_ROWS) * widths[s] + within
         index = np.zeros(int(size.sum()), dtype=np.intp)
         value = np.zeros(len(index))
-        index[slot], value[slot] = cols, self.data[rows, cols]
+        index[slot], value[slot] = self.cols, self.vals
         slices = tuple(
             (index[b:b + h * w].reshape(h, w),
              value[b:b + h * w].reshape(h, 1, w))
             for b, h, w in zip(start, heights, widths))
         return rank, slices
+
+    def multiplier(self, width: int) -> Callable[[np.ndarray, np.ndarray],
+                                                 None]:
+        """A function (x, out) that writes A @ x, bit for bit the
+        product ``a @ x`` gives, into out; x and out are C-contiguous
+        (n, width) float64 arrays.  On the sliced layout the function
+        keeps two buffers, one gather sized for the widest slice and
+        the rows in sorted order, so repeated calls allocate no float
+        array."""
+        if self._slices is None:
+            data = self.data
+            return lambda x, out: np.matmul(data, x, out=out)
+        rank, slices = self._slices
+        gathered = np.empty(max(index.size for index, _ in slices) * width)
+        summed = np.empty((self.n, 1, width))
+        starts = range(0, self.n, _SLICE_ROWS)
+
+        def apply(x: np.ndarray, out: np.ndarray):
+            # mode="raise" would buffer each take's out through a temporary
+            for lo, (index, value) in zip(starts, slices):
+                g = gathered[:index.size * width].reshape(*index.shape, width)
+                np.take(x, index, axis=0, out=g, mode="clip")
+                np.matmul(value, g, out=summed[lo:lo + len(index)])
+            np.take(summed[:, 0], rank, axis=0, out=out, mode="clip")
+        return apply
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """The product A @ x of an (n, ...) array, as ``data @ x`` but
@@ -180,16 +236,13 @@ class OperatorMatrix:
         x = np.asarray(x)
         if x.ndim == 0 or x.shape[0] != self.n:
             raise ContractError(
-                f"shape mismatch: A {self.data.shape}, x {x.shape}")
+                f"shape mismatch: A {(self.n, self.n)}, x {x.shape}")
         if self._slices is None:
             return self.data @ x
-        rank, slices = self._slices
-        cols = x.reshape(self.n, -1)
-        out = np.empty((self.n, 1, cols.shape[1]),
-                       dtype=np.result_type(self.data, x))
-        for lo, (index, value) in zip(range(0, self.n, _SLICE_ROWS), slices):
-            np.matmul(value, cols[index], out=out[lo:lo + len(index)])
-        return out[rank].reshape(x.shape)
+        cols = np.ascontiguousarray(x.reshape(self.n, -1), dtype=np.float64)
+        out = np.empty_like(cols)
+        self.multiplier(cols.shape[1])(cols, out)
+        return out.reshape(x.shape)
 
 
 def make_graph(n: int, pairs: Iterable | np.ndarray) -> Graph:
@@ -236,24 +289,42 @@ def _check_prob(p: float, name: str):
         raise DomainError(f"{name}={p} outside [0,1]")
 
 
+def _random_pairs(n: int, prob: Callable, seed: int) -> Graph:
+    """Unit-weight graph keeping each pair i < j when its uniform draw
+    is below prob(i, j), for (i, j) arrays of pairs.  The pairs are
+    drawn in ``np.triu_indices(n, 1)`` order, a chunk of rows of about
+    _PAIR_CHUNK pairs per ``rng.random`` call, so the draws are bit for
+    bit those of one call over all pairs, with no n^2 array."""
+    rng = np.random.default_rng(seed)
+    length = np.arange(n - 1, -1, -1)             # pairs in row i
+    first = np.concatenate([[0], np.cumsum(length)])  # row i's first pair
+    us, vs = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    lo = 0
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(
+            first, first[lo] + _PAIR_CHUNK, side="right")) - 1)
+        i = np.repeat(np.arange(lo, hi), length[lo:hi])
+        j = np.arange(first[lo], first[hi]) - first[i] + i + 1
+        keep = rng.random(len(i)) < prob(i, j)
+        us.append(i[keep])
+        vs.append(j[keep])
+        lo = hi
+    u = np.concatenate(us)
+    return Graph(n, u, np.concatenate(vs), np.ones(len(u)))
+
+
 def gen_erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
     _check_prob(p, "p")
-    rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, k=1)
-    mask = rng.random(len(iu)) < p
-    return Graph(n, iu[mask], ju[mask], np.ones(mask.sum()))
+    return _random_pairs(n, lambda i, j: p, seed)
 
 
 def gen_sbm(block_sizes: list[int], p_in: float, p_out: float, seed: int = 0) -> Graph:
     _check_prob(p_in, "p_in")
     _check_prob(p_out, "p_out")
-    n = sum(block_sizes)
     block = np.repeat(np.arange(len(block_sizes)), block_sizes)
-    rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, k=1)
-    prob = np.where(block[iu] == block[ju], p_in, p_out)
-    mask = rng.random(len(iu)) < prob
-    return Graph(n, iu[mask], ju[mask], np.ones(mask.sum()))
+    return _random_pairs(
+        len(block),
+        lambda i, j: np.where(block[i] == block[j], p_in, p_out), seed)
 
 
 def gen_path(n: int) -> Graph:
@@ -366,37 +437,67 @@ def load_graph(source: str, seed: int = 0, largest_cc: bool = False) -> Graph:
     return gen_graph(source, seed=seed, largest_cc=largest_cc)
 
 
+def _entries(g: Graph) -> tuple:
+    """The adjacency's entries as (rows, cols, edge), row by row,
+    columns ascending: edge e = (u, v) sits at (u, v) and, off the
+    diagonal, at (v, u); ``edge`` holds each entry's edge index."""
+    off = np.flatnonzero(g.u != g.v)
+    rows = np.concatenate([g.u, g.v[off]])
+    cols = np.concatenate([g.v, g.u[off]])
+    order = np.argsort(rows * g.n + cols)
+    return (rows[order], cols[order],
+            np.concatenate([np.arange(g.num_edges), off])[order])
+
+
+def _dense_row_sums(n: int, rows: np.ndarray, cols: np.ndarray,
+                    vals: np.ndarray) -> np.ndarray:
+    """Row sums of the n x n matrix with these entries (sorted by row),
+    bit for bit its dense ``sum(axis=1)``: each row is summed as a dense
+    row, a block of rows scattered into one buffer of about
+    _ROW_BLOCK_FLOATS floats at a time."""
+    height = max(1, _ROW_BLOCK_FLOATS // max(n, 1))
+    block = np.zeros((height, n))
+    sums = np.empty(n)
+    for lo in range(0, n, height):
+        hi = min(lo + height, n)
+        a, b = np.searchsorted(rows, [lo, hi])
+        r, c = rows[a:b] - lo, cols[a:b]
+        block[r, c] = vals[a:b]
+        np.sum(block[:hi - lo], axis=1, out=sums[lo:hi])
+        block[r, c] = 0.0
+    return sums
+
+
 def build_operator(g: Graph, kind: str) -> OperatorMatrix:
-    """Derive a message-passing operator from a graph.
+    """Derive a message-passing operator from a graph's edge arrays.
 
     adjacency -> A; sym_normalized -> D^-1/2 A D^-1/2; row_stochastic
     -> D^-1 A.  Normalized kinds require every node to have positive
-    degree.
+    degree.  Zero entries (zero-weight edges) are left out.
     """
-    if kind == ADJACENCY:
-        return OperatorMatrix(data=g.adjacency(), kind=ADJACENCY,
-                              symmetric=True)
-    if kind not in (SYM_NORMALIZED, ROW_STOCHASTIC):
+    if kind not in OPERATOR_KINDS:
         raise DomainError(f"unknown operator kind {kind!r}")
-    # the dense row sums, whose rounding the operator's bits depend on
-    deg = g.adjacency().sum(axis=1)
-    isolated = np.flatnonzero(deg <= 0)
-    if isolated.size:
-        raise DomainError(
-            f"cannot normalize: node {int(isolated[0])} has degree 0")
-    # each edge's entries, scattered into one zero matrix: the values
-    # of the dense scalings a * dinv[:, None] * dinv[None, :] (then
-    # symmetrized as (data + data.T) / 2) and a / deg[:, None]
-    data = np.zeros((g.n, g.n))
-    if kind == SYM_NORMALIZED:
-        dinv = 1.0 / np.sqrt(deg)
-        wu, wv = g.w * dinv[g.u], g.w * dinv[g.v]
-        data[g.u, g.v] = data[g.v, g.u] = (wu * dinv[g.v]
-                                           + wv * dinv[g.u]) / 2.0
-        return OperatorMatrix(data=data, kind=SYM_NORMALIZED, symmetric=True)
-    data[g.u, g.v] = g.w / deg[g.u]
-    data[g.v, g.u] = g.w / deg[g.v]
-    return OperatorMatrix(data=data, kind=ROW_STOCHASTIC, symmetric=False)
+    rows, cols, edge = _entries(g)
+    vals = g.w[edge]
+    if kind != ADJACENCY:
+        # the dense row sums, whose rounding the operator's bits depend on
+        deg = _dense_row_sums(g.n, rows, cols, vals)
+        isolated = np.flatnonzero(deg <= 0)
+        if isolated.size:
+            raise DomainError(
+                f"cannot normalize: node {int(isolated[0])} has degree 0")
+        # the values of the dense scalings a * dinv[:, None] *
+        # dinv[None, :] (then symmetrized as (data + data.T) / 2) and
+        # a / deg[:, None]
+        if kind == SYM_NORMALIZED:
+            dinv = 1.0 / np.sqrt(deg)
+            wu, wv = g.w * dinv[g.u], g.w * dinv[g.v]
+            vals = ((wu * dinv[g.v] + wv * dinv[g.u]) / 2.0)[edge]
+        else:
+            vals = vals / deg[rows]
+    nonzero = vals != 0
+    return OperatorMatrix(g.n, rows[nonzero], cols[nonzero], vals[nonzero],
+                          kind)
 
 
 def is_regular(g: Graph) -> bool:
@@ -404,11 +505,10 @@ def is_regular(g: Graph) -> bool:
     return g.n == 0 or bool(np.allclose(deg, deg[0], atol=1e-12))
 
 
-def center_operator(a: OperatorMatrix, tau: float) -> OperatorMatrix:
-    """Apply the column-mean subtraction (I - tau * 11^T/n) to an operator."""
-    if a.kind == CENTERED:
-        raise ContractError("operator is already centered")
+def center_operator(a: OperatorMatrix, tau: float) -> np.ndarray:
+    """The dense centred matrix (I - tau * 11^T/n) A of an operator."""
+    if not isinstance(a, OperatorMatrix):
+        raise ContractError("center_operator takes an operator, "
+                            "not an already centred matrix")
     n = a.n
-    data = a.data - (tau / n) * np.outer(np.ones(n), a.data.sum(axis=0))
-    symmetric = bool(np.abs(data - data.T).max(initial=0.0) <= _SYM_TOL)
-    return OperatorMatrix(data=data, kind=CENTERED, symmetric=symmetric)
+    return a.data - (tau / n) * np.outer(np.ones(n), a.data.sum(axis=0))

@@ -9,7 +9,9 @@ advances T trials from a shared x0 as one C-contiguous node-major
 product, normalizes the block once, column statistics along axis 0, and
 calls the observer once with a (T, n, k) trial-major copy of the live
 trials.  The step writes its output in place into a second block, the
-two swapping roles each step, so it allocates no float block but A @ X.
+two swapping roles each step, and A @ X and the non-finite mask into
+kept blocks, so a step allocates no block-sized array; the blocks are
+reallocated only when a trial stops.
 Each trial's Gaussian weights are drawn from its own generator a chunk
 of steps at a time.  A single generator is the T = 1 block; every
 variant runs through this one block step.  ``batch_norm`` applies the
@@ -419,7 +421,10 @@ def run_trajectory(a: OperatorMatrix, x0: np.ndarray, cfg: LayerConfig,
     multiplies each trial by its own weights in one batched product,
     normalizes the block once and checks it for non-finite features
     once.  The step writes in place into a second block, and the two
-    swap roles every step; a third is its scratch.  Each trial draws
+    swap roles every step; a third is its scratch, and A @ X and the
+    non-finite mask go to kept blocks too (``OperatorMatrix.multiplier``
+    writes the product), so a step allocates no block-sized array.  All
+    are reallocated only when a trial stops.  Each trial draws
     its own Gaussian weights (W1 before W2 for the residual variant)
     from its own generator, a chunk of steps per call, so a generator
     may be advanced by up to one chunk past the last step it was used
@@ -461,26 +466,35 @@ def run_trajectory(a: OperatorMatrix, x0: np.ndarray, cfg: LayerConfig,
     records = [[] for _ in rngs]
     logs: list = [None] * len(rngs)
     live = list(range(len(rngs)))
-    # x holds the live trials' features, y receives the step's output
-    # and s is its scratch; seen is the stacked observer's copy
+
+    def buffers(x):
+        """For the block x: y, which receives the step's output, ax for
+        A @ x, the scratch block s, the non-finite check's mask and the
+        product writing A @ x, all reused until a trial stops."""
+        return (*(np.empty_like(x) for _ in range(3)),
+                np.empty(x.shape, dtype=bool),
+                a.multiplier(x.shape[1] * x.shape[2]))
+
+    # x holds the live trials' features; seen is the stacked observer's
+    # copy
     x = np.repeat(x0[:, None, :], len(rngs), axis=1)
-    y, s = np.empty_like(x), np.empty_like(x)
+    y, ax, s, finite, product = buffers(x)
     seen = None
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps):
             if not live:
                 break
-            ax = (a @ x.reshape(n, -1)).reshape(x.shape)
+            product(x.reshape(n, -1), ax.reshape(n, -1))
             faults = step(x, ax, y, s, *weights.at(t, live))
-            finite = np.isfinite(y)
+            np.isfinite(y, out=finite)
             # one pass over the whole block; per-trial masks only when
             # some trial stops (all(axis=(0, 2)) would loop k at a time)
             if faults or not finite.all():
-                finite = finite.all(axis=0).all(axis=1)
+                trial_finite = finite.all(axis=0).all(axis=1)
                 keep = []
                 for j, i in enumerate(live):
                     reason = (str(faults[j]) if j in faults else None
-                              if finite[j] else "non-finite features")
+                              if trial_finite[j] else "non-finite features")
                     if reason is None:
                         keep.append(j)
                         continue
@@ -489,8 +503,11 @@ def run_trajectory(a: OperatorMatrix, x0: np.ndarray, cfg: LayerConfig,
                         aborted=True, abort_step=t + 1, abort_reason=reason)
                 live = [live[j] for j in keep]
                 weights.keep(keep)
-                x = y[:, keep]
-                y, s = np.empty_like(x), np.empty_like(x)
+                # y[:, keep] is laid out trial-major, a layout empty_like
+                # would copy; the product reads and writes the blocks
+                # through reshapes, which must be views
+                x = np.ascontiguousarray(y[:, keep])
+                y, ax, s, finite, product = buffers(x)
             else:
                 x, y = y, x
             if observer is None or not live:

@@ -165,7 +165,7 @@ def check_centering_effect(g: Graph, tau: float) -> CenteringReport:
     es = symmetric_eig(a)
     ep = wl_refine(g)
     split = split_eigenpairs(es, ep)
-    centered = center_operator(a, tau).data
+    centered = center_operator(a, tau)
 
     rest_resid = 0.0
     for i in split.rest:

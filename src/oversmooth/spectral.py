@@ -151,7 +151,7 @@ def centered_eig(a: OperatorMatrix, tau: float) -> EigenSystem:
         vectors = np.concatenate(
             [es.vectors, _centered_kernel_vector(data)[:, None]], axis=1)
     else:
-        vals_c, vecs_c = np.linalg.eig(center_operator(a, tau).data)
+        vals_c, vecs_c = np.linalg.eig(center_operator(a, tau))
         scale = max(1.0, float(np.abs(vals_c).max(initial=0.0)))
         real = np.abs(vals_c.imag) <= 1e-9 * scale
         values = vals_c[real].real.copy()

@@ -1,15 +1,17 @@
 """Graph parsing, generators and operator construction."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oversmooth.errors import ContractError, DomainError, ParseError
-from oversmooth.graphio import (Graph, build_operator, center_operator,
-                                gen_graph, is_connected, is_regular,
-                                largest_component, make_graph,
+from oversmooth.graphio import (OPERATOR_KINDS, Graph, build_operator,
+                                center_operator, gen_graph, is_connected,
+                                is_regular, largest_component, make_graph,
                                 parse_edge_list)
+from oversmooth.layers import LayerConfig, run_trajectory
 from oversmooth.spectral import symmetric_eig
 
 
@@ -90,6 +92,83 @@ def test_er_determinism():
     assert _triples(g1) == _triples(g2)
     g3 = gen_graph("er:50,0.2", seed=8)
     assert _triples(g3) != _triples(g1)
+
+
+def _one_draw_pairs(n, prob, seed):
+    """The generators' reference draw: every upper-triangle pair at
+    once, one uniform each from a single ``rng.random`` call."""
+    iu, ju = np.triu_indices(n, k=1)
+    keep = np.random.default_rng(seed).random(len(iu)) < prob(iu, ju)
+    return iu[keep], ju[keep]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_chunked_generators_match_one_draw(seed):
+    # er:3000 draws 69 chunks of pairs and sbm:700+500 11; the block
+    # boundary of the sbm falls inside a chunk
+    cases = [(f"er:{n},{p}", n, lambda i, j, p=p: p)
+             for n, p in ((0, 0.7), (1, 0.7), (2, 0.7), (3000, 0.005))]
+    for sizes in ((0,), (1,), (1, 1), (700, 500)):
+        block = np.repeat(np.arange(len(sizes)), sizes)
+        cases.append((f"sbm:{'+'.join(map(str, sizes))},0.02,0.005",
+                      len(block), lambda i, j, block=block: np.where(
+                          block[i] == block[j], 0.02, 0.005)))
+    for spec, n, prob in cases:
+        g = gen_graph(spec, seed=seed)
+        u, v = _one_draw_pairs(n, prob, seed)
+        assert g.n == n, spec
+        assert np.array_equal(g.u, u) and np.array_equal(g.v, v), spec
+        assert np.array_equal(g.w, np.ones(len(u))), spec
+
+
+def _dense_operator(g, kind):
+    """The operator's matrix from the dense adjacency: the reference the
+    edge-wise build must reproduce bit for bit."""
+    a = g.adjacency()
+    deg = a.sum(axis=1)
+    if kind == "adjacency":
+        return a
+    if kind == "row_stochastic":
+        return a / deg[:, None]
+    dinv = 1.0 / np.sqrt(deg)
+    scaled = a * dinv[:, None] * dinv[None, :]
+    return (scaled + scaled.T) / 2.0
+
+
+def test_sparse_path_makes_no_dense_matrix():
+    # generating the graph, building each operator, one product at 80
+    # columns and a short stacked run stay under a quarter of the bytes
+    # of one dense n x n float64 matrix
+    tracemalloc.start()
+    try:
+        g = gen_graph("er:3000,0.002", largest_cc=True)
+        ops = [build_operator(g, kind) for kind in OPERATOR_KINDS]
+        assert all(op._slices is not None for op in ops)
+        x = np.random.default_rng(0).normal(size=(g.n, 80))
+        product = ops[1] @ x
+        run_trajectory(ops[1], x[:, :4], LayerConfig(variant="batchnorm"),
+                       4, [np.random.default_rng(t) for t in range(5)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.n * g.n * 8 / 4
+    # the dense matrix, built on its first read, is the dense reference
+    for op in ops:
+        assert np.array_equal(op.data, _dense_operator(g, op.kind)), op.kind
+    scale = (np.abs(ops[1].data) @ np.abs(x)).max()
+    assert np.abs(product - ops[1].data @ x).max() <= 1e-14 * scale
+
+
+def test_zero_entries_are_left_out():
+    # a zero-weight edge is no entry, as count_nonzero drops it
+    g = make_graph(4, [(0, 1, 2.0), (1, 2, 0.0), (2, 3, 1.0), (3, 3, 0.5),
+                       (0, 3, 1.5)])
+    for kind in OPERATOR_KINDS:
+        op = build_operator(g, kind)
+        assert np.array_equal(op.data, _dense_operator(g, kind)), kind
+        rows, cols = np.nonzero(op.data)
+        assert np.array_equal(op.rows, rows), kind
+        assert np.array_equal(op.cols, cols), kind
 
 
 def test_gen_graph_specs():
@@ -188,7 +267,7 @@ def test_sym_normalized_dominant_pair():
 
 def test_center_operator_tau0_identity():
     a = build_operator(gen_graph("star:4"), "adjacency")
-    assert np.array_equal(center_operator(a, 0.0).data, a.data)
+    assert np.array_equal(center_operator(a, 0.0), a.data)
 
 
 def test_center_operator_k3_trace():
@@ -196,13 +275,13 @@ def test_center_operator_k3_trace():
     k3 = make_graph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
     a = build_operator(k3, "adjacency")
     c = center_operator(a, 1.0)
-    assert abs(np.trace(c.data) - (-2.0)) < 1e-12
+    assert abs(np.trace(c) - (-2.0)) < 1e-12
 
 
 def test_center_operator_column_sums_zero():
     a = build_operator(gen_graph("er:20,0.3", seed=0), "adjacency")
     c = center_operator(a, 1.0)
-    assert np.abs(c.data.sum(axis=0)).max() < 1e-12
+    assert np.abs(c.sum(axis=0)).max() < 1e-12
 
 
 def test_center_operator_reconstruction():
@@ -210,7 +289,7 @@ def test_center_operator_reconstruction():
     for tau in (0.3, 1.0):
         c = center_operator(a, tau)
         n = a.n
-        recon = c.data + (tau / n) * np.outer(np.ones(n), a.data.sum(axis=0))
+        recon = c + (tau / n) * np.outer(np.ones(n), a.data.sum(axis=0))
         assert np.abs(recon - a.data).max() < 1e-12
     with pytest.raises(ContractError):
         center_operator(center_operator(a, 1.0), 1.0)
@@ -344,12 +423,17 @@ def test_operator_product_matches_dense(spec, sliced):
     for kind in kinds:
         a = build_operator(g, kind)
         assert (a._slices is not None) == sliced, kind
-        for op in (a, center_operator(a, 1.0)):
-            for width in (1, 4, 80):
-                x = np.random.default_rng(width).normal(size=(g.n, width))
-                got = op @ x
-                assert got.shape == x.shape
-                scale = (np.abs(op.data) @ np.abs(x)).max()
-                assert np.abs(got - op.data @ x).max() <= 1e-14 * scale
+        for width in (1, 4, 80):
+            x = np.random.default_rng(width).normal(size=(g.n, width))
+            got = a @ x
+            assert got.shape == x.shape
+            scale = (np.abs(a.data) @ np.abs(x)).max()
+            assert np.abs(got - a.data @ x).max() <= 1e-14 * scale
+            # the in-place product, run twice on its kept buffers
+            out = np.full_like(x, np.nan)
+            apply = a.multiplier(width)
+            for _ in range(2):
+                apply(x, out)
+                assert np.array_equal(out, got)
     with pytest.raises(ContractError):
         a @ np.ones((g.n + 1, 2))
