@@ -456,7 +456,7 @@ def _dense_row_sums(n: int, rows: np.ndarray, cols: np.ndarray,
     row, a block of rows scattered into one buffer of about
     _ROW_BLOCK_FLOATS floats at a time."""
     height = max(1, _ROW_BLOCK_FLOATS // max(n, 1))
-    block = np.zeros((height, n))
+    block = np.zeros((min(height, n), n))
     sums = np.empty(n)
     for lo in range(0, n, height):
         hi = min(lo + height, n)
