@@ -104,7 +104,7 @@ def _one_draw_pairs(n, prob, seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_chunked_generators_match_one_draw(seed):
-    # er:3000 draws 69 chunks of pairs and sbm:700+500 11; the block
+    # er:3000 draws 294 chunks of pairs and sbm:700+500 46; the block
     # boundary of the sbm falls inside a chunk
     cases = [(f"er:{n},{p}", n, lambda i, j, p=p: p)
              for n, p in ((0, 0.7), (1, 0.7), (2, 0.7), (3000, 0.005))]
