@@ -1,6 +1,6 @@
 """Per-step cost of every layer variant, of the operator product and of
 ``metrics.mu``, and the one-time cost of building a graph and its
-operators.
+operators and of ``simulate``'s set-up and run.
 
     python benchmarks/bench_layers.py [--src DIR] [--column NAME]
 
@@ -20,7 +20,13 @@ by STEPS; ``a @ x`` is timed on an (n, T*k) array and ``mu`` on the
 (T, n, k) block (the (n, k) matrix at T = 1), each the median of
 REPEATS repeats of a timeit loop.  For the ONE_TIME graphs, ``gen_graph``
 and ``build_operator`` of each kind get their median time over REPEATS
-calls and the ``tracemalloc`` peak bytes of one more call.  Times are
+calls and the ``tracemalloc`` peak bytes of one more call.  So does
+``simulate`` with its defaults (the dominant-eigenvector reference of
+the symmetric-normalized operator) at batchnorm, k = SIM_K and
+SIM_STEPS steps, through ``cli.main``, over SIM_REPEATS calls: its
+set-up, stopped at the first layer step (graph, operator, reference
+and observer, so its excess over ``gen_graph`` and ``build_operator
+sym_normalized`` is the reference's), and the whole run.  Times are
 process time, which other processes on a shared machine disturb less
 than wall time.  The result goes to column NAME (default ``change``) of
 ``BENCH_layers.json`` at the root of this script's checkout, together
@@ -43,6 +49,7 @@ import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 import timeit  # noqa: E402
 import tracemalloc  # noqa: E402
@@ -57,13 +64,15 @@ SHAPES = (("er:200,0.05", 1, 32), ("er:100,0.1", 50, 4),
 # graphs whose generation and operator builds are measured
 ONE_TIME = ("er:1000,0.01", "er:3000,0.005")
 STEPS, REPEATS = 64, 7
+# simulate's width, steps and repeats on the ONE_TIME graphs
+SIM_K, SIM_STEPS, SIM_REPEATS = 32, 16, 3
 
 
-def _median_us(fn, number):
-    """Median over REPEATS timeit loops of ``number`` calls, in process
-    microseconds per call."""
+def _median_us(fn, number, repeats=REPEATS):
+    """Median over ``repeats`` timeit loops of ``number`` calls, in
+    process microseconds per call."""
     runs = timeit.repeat(fn, timer=time.process_time, number=number,
-                         repeat=REPEATS)
+                         repeat=repeats)
     return round(1e6 * statistics.median(runs) / number, 2)
 
 
@@ -99,23 +108,56 @@ def _shape_row(pkg, np, spec, trials, k):
             "mu_us": _median_us(lambda: metrics.mu(x, v), 200)}
 
 
-def _one_time_row(graphio, spec):
-    calls = {"gen_graph": lambda: graphio.gen_graph(spec, seed=0,
-                                                    largest_cc=True)}
-    g = calls["gen_graph"]()
-    for kind in graphio.OPERATOR_KINDS:
-        calls[f"build_operator {kind}"] = (
-            lambda kind=kind: graphio.build_operator(g, kind))
-    row = {"n": g.n, "edges": g.num_edges}
-    for name, call in calls.items():
-        ms = _median_us(call, 1) / 1e3
-        tracemalloc.start()
+class _SetupDone(BaseException):
+    """Raised at simulate's first layer step; a BaseException, so the
+    CLI's error handling lets it through."""
+
+
+def _simulate(cli, spec, setup_only):
+    """One default ``simulate`` on spec, or its set-up alone."""
+    def first_step(*args, **kwargs):
+        raise _SetupDone
+    run = cli.run_trajectory
+    with tempfile.TemporaryDirectory() as outdir:
+        if setup_only:
+            cli.run_trajectory = first_step
         try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
+            code = cli.main(["simulate", "--graph", spec, "--largest-cc",
+                             "--variant", "batchnorm", "--k", str(SIM_K),
+                             "--steps", str(SIM_STEPS), "--outdir", outdir])
+            if code != 0:
+                raise RuntimeError(f"simulate exited {code} on {spec}")
+        except _SetupDone:
+            pass
         finally:
-            tracemalloc.stop()
-        row[name] = {"ms": round(ms, 2), "peak_bytes": peak}
+            cli.run_trajectory = run
+
+
+def _timed(call, repeats):
+    """The call's median process time in ms over ``repeats`` calls and
+    the ``tracemalloc`` peak bytes of one more."""
+    ms = _median_us(call, 1, repeats) / 1e3
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"ms": round(ms, 2), "peak_bytes": peak}
+
+
+def _one_time_row(pkg, spec):
+    graphio = pkg.graphio
+    g = graphio.gen_graph(spec, seed=0, largest_cc=True)
+    row = {"n": g.n, "edges": g.num_edges, "gen_graph": _timed(
+        lambda: graphio.gen_graph(spec, seed=0, largest_cc=True), REPEATS)}
+    for kind in graphio.OPERATOR_KINDS:
+        row[f"build_operator {kind}"] = _timed(
+            lambda kind=kind: graphio.build_operator(g, kind), REPEATS)
+    for name, setup_only in (("simulate set-up", True),
+                             ("simulate run", False)):
+        row[name] = _timed(lambda setup_only=setup_only: _simulate(
+            pkg.cli, spec, setup_only), SIM_REPEATS)
     return row
 
 
@@ -140,10 +182,13 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(args.src.resolve()))
     import numpy as np
     import oversmooth
+    import oversmooth.cli
     import oversmooth.metrics
     column = {"environment": _environment(np),
               "steps": STEPS, "repeats": REPEATS,
-              "one_time": {spec: _one_time_row(oversmooth.graphio, spec)
+              "simulate": {"k": SIM_K, "steps": SIM_STEPS,
+                           "repeats": SIM_REPEATS},
+              "one_time": {spec: _one_time_row(oversmooth, spec)
                            for spec in ONE_TIME},
               "shapes": {f"{spec} T={trials} k={k}": _shape_row(
                   oversmooth, np, spec, trials, k)

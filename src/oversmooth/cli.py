@@ -25,7 +25,8 @@ from .graphio import (ADJACENCY, SYM_NORMALIZED, Graph, build_operator,
 from .layers import (VARIANTS, LayerConfig, WeightSpec, build_norm_context,
                      run_trajectory)
 from .metrics import (CSV_COLUMNS, MetricObserver, all_ones_reference,
-                      degree_sqrt_reference, dominant_eig_reference)
+                      degree_sqrt_reference, dominant_eig_reference,
+                      normalized_dominant_reference)
 from .partition import quotient, split_eigenpairs, wl_refine
 from .spectral import (centered_eig, krylov_basis, ones_complement_eig,
                        symmetric_eig, top_k)
@@ -82,11 +83,15 @@ def _fmt(x) -> str:
     return FLOAT_FMT % float(x)
 
 
-def _reference(cfg: RunConfig, g: Graph, es):
+def _reference(cfg: RunConfig, g: Graph, a, es):
+    """The reference vector; dominant_eig is in closed form for the
+    symmetric-normalized operator and read from es otherwise."""
     if cfg.reference == "all_ones":
         return all_ones_reference(g.n)
     if cfg.reference == "degree_sqrt":
         return degree_sqrt_reference(g)
+    if a.kind == SYM_NORMALIZED:
+        return normalized_dominant_reference(g, a)
     return dominant_eig_reference(es)
 
 
@@ -148,10 +153,12 @@ def cmd_simulate(args) -> int:
               "graph; pass --largest-cc", file=sys.stderr)
         return EXIT_CONFIG
     gnv2 = cfg.variant == "graphnormv2"
-    # the settings that read the operator's spectrum
+    # the settings that read the operator's spectrum; the
+    # symmetric-normalized nu_1 has a closed form
     readers = [flag for flag, on in (
         ("--variant graphnormv2", gnv2),
-        ("--reference dominant_eig", cfg.reference == "dominant_eig"),
+        ("--reference dominant_eig", cfg.reference == "dominant_eig"
+         and a.kind != SYM_NORMALIZED),
         ("--top-k-metric", cfg.top_k_metric > 0)) if on]
     if readers and not a.symmetric:
         print(f"config error: --operator {cfg.operator} is not symmetric; "
@@ -172,7 +179,7 @@ def cmd_simulate(args) -> int:
                        weight_spec=WeightSpec(std=cfg.weight_std),
                        weight_spec2=spec2, alpha=cfg.alpha, scale=cfg.scale,
                        norm_context=ctx)
-    v = _reference(cfg, g, es)
+    v = _reference(cfg, g, a, es)
     tk = top_k(es, cfg.top_k_metric) if cfg.top_k_metric > 0 else None
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

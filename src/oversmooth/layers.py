@@ -213,14 +213,22 @@ def _gn2(y, s, ctx, tau):
             "zero vector after projection centering")
 
 
+def _trial_major(y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Copy the block y into out, a C-contiguous (T, n, k) array, each
+    trial's k-float row of a node moved as one np.void element, so the
+    transposing copy loops over n*T rows rather than n*T*k floats."""
+    row = np.dtype((np.void, y.shape[2] * y.itemsize))
+    np.copyto(out.view(row)[..., 0], y.view(row)[..., 0].T)
+    return out
+
+
 def _frobenius(y: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Per-trial Frobenius norm of the block, as (T, 1): the dot product
     of each trial's flattened features with itself, the sum
     np.linalg.norm forms for one matrix, over the trials copied
     trial-major into the scratch block s."""
     n, trials, k = y.shape
-    flat = s.reshape(trials, 1, n * k)
-    np.copyto(flat.reshape(trials, n, k), y.transpose(1, 0, 2))
+    flat = _trial_major(y, s.reshape(trials, n, k)).reshape(trials, 1, -1)
     return np.sqrt(flat @ flat.transpose(0, 2, 1))[:, 0]
 
 
@@ -517,8 +525,7 @@ def run_trajectory(a: OperatorMatrix, x0: np.ndarray, cfg: LayerConfig,
                 continue
             if seen is None or len(seen) != len(live):
                 seen = np.empty((len(live), n, k))
-            np.copyto(seen, x.transpose(1, 0, 2))
-            observed = observer(t + 1, seen)
+            observed = observer(t + 1, _trial_major(x, seen))
             if len(observed) != len(live):
                 raise ContractError(
                     f"observer returned {len(observed)} records for "

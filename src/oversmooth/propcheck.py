@@ -26,8 +26,9 @@ from .graphio import Graph, OperatorMatrix, build_operator, is_connected
 from .layers import LayerConfig, WeightSpec, batch_norm, run_trajectory
 from .metrics import ReferenceVector, mu
 from .partition import check_centering_effect
-from .spectral import (EigenSystem, KrylovBasis, krylov_generators,
-                       numerical_rank, subspace_distance, symmetric_eig)
+from .spectral import (EigenSystem, KrylovBasis, check_orthonormal,
+                       krylov_generators, numerical_rank, subspace_distance,
+                       symmetric_eig)
 
 DEFAULT_TRIALS = 50
 DEFAULT_STEPS = 256
@@ -343,7 +344,7 @@ def check_prop5_topk_convergence(
     if not 1 <= k <= a.n - 2:
         raise DomainError(f"k={k} outside [1, n-2]")
     absl = np.abs(es.values)
-    vk = es.vectors[:, :k]
+    vk = check_orthonormal(es.vectors[:, :k])
     if numerical_rank(vk.T @ x0) < k:
         raise PreconditionError("V_k^T x0 is singular: its rank is below k")
 
@@ -446,7 +447,7 @@ def check_prop6_tightness(a: OperatorMatrix, es: EigenSystem,
         return PropReport(proposition=6, verdict=INCONCLUSIVE, trials=k,
                           successes=0, bound=None,
                           notes="no spectral gap: |l_{k+1}| = |l_k|")
-    vk = es.vectors[:, :k]
+    vk = check_orthonormal(es.vectors[:, :k])
     if numerical_rank(vk.T @ x0) < k:
         raise PreconditionError("V_k^T x0 is singular: its rank is below k")
     try:

@@ -204,15 +204,26 @@ def numerical_rank(x: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
     return int(np.sum(sigma > threshold))
 
 
-def subspace_distance(x: np.ndarray, basis: np.ndarray) -> float:
-    """(1/n) ||X - B B^T X||_F for an orthonormal basis B."""
+def check_orthonormal(basis: np.ndarray) -> np.ndarray:
+    """The basis as a float64 array; ContractError unless its columns
+    are orthonormal to ORTHO_TOL.  Check a basis once, before the
+    distances that read it."""
     basis = np.asarray(basis, dtype=np.float64)
-    n = basis.shape[0]
     gram = basis.T @ basis
     if np.abs(gram - np.eye(basis.shape[1])).max(initial=0.0) > ORTHO_TOL:
         raise ContractError("basis is not orthonormal")
+    return basis
+
+
+def subspace_distance(x: np.ndarray, basis: np.ndarray,
+                      out: np.ndarray | None = None) -> float:
+    """(1/n) ||X - B B^T X||_F for a basis B with orthonormal columns
+    (see ``check_orthonormal``); the residual is formed in out, a
+    C-contiguous array of X's shape, when one is given."""
     x = np.asarray(x, dtype=np.float64)
-    return float(np.linalg.norm(x - basis @ (basis.T @ x)) / n)
+    resid = np.matmul(basis, basis.T @ x, out=out)
+    np.subtract(x, resid, out=resid)
+    return float(np.linalg.norm(resid) / basis.shape[0])
 
 
 def krylov_generators(a: OperatorMatrix, x0: np.ndarray) -> np.ndarray:

@@ -313,6 +313,49 @@ def test_simulate_solves_only_what_it_reads(tmp_path, capsys, monkeypatch,
     assert len(calls) == solves
 
 
+def _count_eigh(monkeypatch) -> list:
+    """Record each np.linalg.eigh call; numpy's own eigh is counted, so
+    a renamed wrapper cannot hide a solve."""
+    eigh, solved = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda *a, **kw: solved.append(1) or eigh(*a, **kw))
+    return solved
+
+
+# the default reference, nu_1 of the symmetric-normalized operator, is
+# in closed form; the adjacency's is still solved for
+@pytest.mark.parametrize("flags, solves", [
+    ([], 0), (["--operator", "adjacency"], 1),
+    (["--variant", "graphnormv2"], 1)],
+    ids=["default", "adjacency", "graphnormv2"])
+def test_simulate_default_reference_solves_nothing(tmp_path, capsys,
+                                                   monkeypatch, flags,
+                                                   solves):
+    solved = _count_eigh(monkeypatch)
+    code, _, err = _run(capsys, ["simulate", "--graph", "er:30,0.3",
+                                 "--largest-cc", "--steps", "3", *flags,
+                                 "--outdir", str(tmp_path / "out")])
+    assert code == 0, err
+    assert len(solved) == solves
+
+
+def test_simulate_default_builds_no_dense_operator(tmp_path, capsys,
+                                                   monkeypatch):
+    # er:1000,0.01 takes the sliced product: graph, operator, reference,
+    # layer loop and metrics then read no n x n matrix
+    reads = []
+    dense = graphio.OperatorMatrix.data.func
+    monkeypatch.setattr(graphio.OperatorMatrix, "data", property(
+        lambda op: reads.append(op.kind) or dense(op)))
+    code, _, err = _run(capsys, ["simulate", "--graph", "er:1000,0.01",
+                                 "--largest-cc", "--steps", "3",
+                                 "--outdir", str(tmp_path / "out")])
+    assert code == 0, err
+    g = gen_graph("er:1000,0.01", largest_cc=True)
+    assert graphio.build_operator(g, "sym_normalized")._slices is not None
+    assert reads == []
+
+
 # verify builds each operator kind once and solves each eigenproblem
 # once: --props all solves the 1-complement systems of the
 # symmetric-normalized (prop 4) and adjacency (props 5 and 6) operators
@@ -323,10 +366,7 @@ def test_simulate_solves_only_what_it_reads(tmp_path, capsys, monkeypatch,
     ids=["all", "prop6", "props5-6", "props1-2"])
 def test_verify_builds_each_operator_and_solves_each_system_once(
         capsys, monkeypatch, props, solves, builds):
-    # numpy's own eigh is counted, so a renamed wrapper cannot hide a solve
-    eigh, solved = np.linalg.eigh, []
-    monkeypatch.setattr(np.linalg, "eigh",
-                        lambda *a, **kw: solved.append(1) or eigh(*a, **kw))
+    solved = _count_eigh(monkeypatch)
     built = _count_calls(monkeypatch, graphio.build_operator)
     code, _, _ = _run(capsys, ["verify", "--props", props,
                                "--graph", "er:100,0.1"])

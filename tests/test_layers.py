@@ -310,6 +310,24 @@ def test_pair_norm_fixed_point_and_error():
 
 # ----------------------------------------------------------- power embed
 
+@pytest.mark.parametrize("shape", [(1000, 20, 4), (100, 50, 4), (7, 1, 3),
+                                   (7, 3, 1), (7, 1, 1), (200, 1, 32)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_trial_major_copy_and_frobenius(shape):
+    # the np.void row copy is the transposing copy, bit for bit, and the
+    # pairnorm norms over it are the dot products of each trial's
+    # contiguous copy
+    n, trials, k = shape
+    y = np.random.default_rng(sum(shape)).normal(size=shape)
+    out = np.full((trials, n, k), np.nan)
+    assert layers._trial_major(y, out) is out
+    want = np.ascontiguousarray(y.transpose(1, 0, 2))
+    assert np.array_equal(out, want)
+    flat = want.reshape(trials, 1, n * k)
+    norms = np.sqrt(flat @ flat.transpose(0, 2, 1))[:, 0]
+    assert np.array_equal(layers._frobenius(y, np.empty_like(y)), norms)
+
+
 def test_power_embed_unit_columns_and_identity():
     x = np.random.default_rng(17).normal(size=(4, 2))
     x /= np.linalg.norm(x, axis=0)

@@ -1,5 +1,7 @@
 """Collapse measures and their identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,13 @@ from oversmooth import metrics
 from oversmooth.errors import ContractError, DomainError
 from oversmooth.graphio import build_operator, gen_graph, make_graph
 from oversmooth.metrics import (CSV_COLUMNS, MetricObserver, ReferenceVector,
-                                all_ones_reference, col_distance,
+                                Workspace, all_ones_reference, col_distance,
                                 col_projection_distance,
                                 degree_sqrt_reference, dirichlet,
                                 dominant_eig_reference, eigenspace_distance,
-                                mu)
-from oversmooth.spectral import symmetric_eig
+                                mu, normalized_dominant_reference)
+from oversmooth.spectral import (numerical_rank, subspace_distance,
+                                 symmetric_eig)
 
 
 def _unit(v):
@@ -43,6 +46,37 @@ def test_reference_vectors():
         ReferenceVector(v=np.array([1.0, 1.0]), kind="custom")
     with pytest.raises(DomainError):
         degree_sqrt_reference(make_graph(3, []))
+
+
+def _weighted_self_loop_graph():
+    return make_graph(5, [(0, 0, 2.5), (0, 1, 0.3), (1, 2, 1.7),
+                          (2, 3, 0.9), (3, 4, 4.0), (1, 4, 0.25)])
+
+
+# path:8 is bipartite: -1 ties |1| and is sorted after it
+@pytest.mark.parametrize("g", [
+    gen_graph("er:200,0.05", seed=0, largest_cc=True),
+    gen_graph("sbm:40+30,0.3,0.05", seed=1, largest_cc=True),
+    gen_graph("path:8"), gen_graph("star:16"), _weighted_self_loop_graph()],
+    ids=["er", "sbm", "path", "star", "weighted-self-loop"])
+def test_closed_form_nu1_is_the_dominant_eigenvector(g):
+    a = build_operator(g, "sym_normalized")
+    ref = normalized_dominant_reference(g, a)
+    es = symmetric_eig(a)
+    assert ref.kind == "dominant_eig"
+    assert es.values[0] == pytest.approx(1.0, abs=1e-14)
+    assert np.abs(ref.v - es.vectors[:, 0]).max() <= 1e-14
+    assert np.array_equal(ref.v, degree_sqrt_reference(g).v)
+
+
+def test_closed_form_nu1_is_certified():
+    g = gen_graph("path:5")
+    with pytest.raises(ContractError, match="sym_normalized operator"):
+        normalized_dominant_reference(g, build_operator(g, "adjacency"))
+    # the degrees of another graph's operator on as many nodes
+    with pytest.raises(ContractError, match=r"\|\|A v - v\|\| = "):
+        normalized_dominant_reference(
+            g, build_operator(gen_graph("cycle:5"), "sym_normalized"))
 
 
 # -------------------------------------------------------------- dirichlet
@@ -200,6 +234,82 @@ def test_metric_observer_dirichlet_is_dirichlet():
     assert obs(1, x).dirichlet == dirichlet(g, x)
     with pytest.raises(DomainError, match="isolated node 2"):
         MetricObserver(make_graph(3, [(0, 1, 1.0)]), all_ones_reference(3))
+
+
+def _observer_cases():
+    """(graph, top-k basis, feature matrices) for the observer tests:
+    one graph with more edges than an edge block, features with a zero
+    column and one at rounding level of zero."""
+    cases = []
+    for spec, k in (("er:200,0.5", 6), ("er:60,0.2", 1), ("er:60,0.2", 9)):
+        g = gen_graph(spec, seed=2, largest_cc=True)
+        es = symmetric_eig(build_operator(g, "sym_normalized"))
+        rng = np.random.default_rng(k)
+        xs = [rng.normal(size=(g.n, k)) for _ in range(3)]
+        if k > 1:
+            xs[1][:, 1] = 0.0
+            xs[2][:, 0] *= 1e-13
+        cases.append((g, es.vectors[:, :3], xs))
+    assert cases[0][0].num_edges > metrics._EDGE_BLOCK
+    return cases
+
+
+def test_metric_observer_records_are_the_free_functions():
+    # bit for bit, call after call on the observer's kept arrays
+    for g, basis, xs in _observer_cases():
+        v = degree_sqrt_reference(g)
+        obs = MetricObserver(g, v, top_k_basis=basis)
+        for step, x in enumerate(xs * 2, start=1):
+            want = (step, mu(x, v), dirichlet(g, x), col_distance(x),
+                    col_projection_distance(x), numerical_rank(x),
+                    subspace_distance(x, basis))
+            assert obs(step, x).row() == want
+
+
+def test_metrics_with_a_workspace_match_fresh_arrays():
+    g, _, xs = _observer_cases()[0]
+    v = all_ones_reference(g.n)
+    work = Workspace()
+    block = np.stack(xs)
+    for x in (*xs, xs[0].T):
+        assert dirichlet(g, x, work) == dirichlet(g, x)
+    for x in (*xs, np.asfortranarray(xs[1]), xs[2][::2]):
+        assert col_distance(x, work) == col_distance(x)
+        assert col_projection_distance(x, work) == col_projection_distance(x)
+    for x in (*xs, block, block[:2]):
+        assert np.array_equal(mu(x, v, work), mu(x, v))
+
+
+def test_metric_observer_call_allocates_no_block():
+    # after a warm-up call, one call allocates nothing the size of the
+    # (n, k) features or of an (edges, k) gather.  What it does allocate
+    # is small: (k, k) products, an edge block's clipped indices and the
+    # buffer of a broadcasting ufunc, which numpy caps at 8192 floats,
+    # so n * k is taken above that
+    g = gen_graph("er:1000,0.01", seed=1, largest_cc=True)
+    k = 32
+    es = symmetric_eig(build_operator(g, "sym_normalized"))
+    obs = MetricObserver(g, degree_sqrt_reference(g),
+                         top_k_basis=es.vectors[:, :4])
+    x = np.random.default_rng(1).normal(size=(g.n, k))
+    block = g.n * k * x.itemsize
+    gather = min(g.num_edges, metrics._EDGE_BLOCK) * k * x.itemsize
+    assert g.n * k > 8192 and gather > block
+    obs(1, x)
+    tracemalloc.start()
+    try:
+        obs(2, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < block // 2, (peak, block)
+
+
+def test_metric_observer_checks_its_basis_once():
+    g = gen_graph("er:30,0.3", seed=0, largest_cc=True)
+    with pytest.raises(ContractError, match="basis is not orthonormal"):
+        MetricObserver(g, all_ones_reference(g.n),
+                       top_k_basis=np.ones((g.n, 2)))
 
 
 @pytest.mark.parametrize("shape", [(50, 100, 4), (20, 1000, 4)])

@@ -12,10 +12,10 @@ from oversmooth.cli import _initial_features
 from oversmooth.errors import ContractError, DomainError
 from oversmooth.graphio import (build_operator, gen_graph, load_graph,
                                 make_graph)
-from oversmooth.spectral import (centered_eig, krylov_basis,
-                                 krylov_generators, numerical_rank,
-                                 ones_complement_eig, subspace_distance,
-                                 symmetric_eig, top_k)
+from oversmooth.spectral import (centered_eig, check_orthonormal,
+                                 krylov_basis, krylov_generators,
+                                 numerical_rank, ones_complement_eig,
+                                 subspace_distance, symmetric_eig, top_k)
 
 
 def _rand_sym(n, seed):
@@ -210,8 +210,13 @@ def test_subspace_distance_goldens():
     es = symmetric_eig(_rand_sym(8, 3))
     x = np.random.default_rng(3).normal(size=(8, 5))
     assert subspace_distance(x, es.vectors) < 1e-8
-    with pytest.raises(ContractError):
-        subspace_distance(x, np.ones((8, 2)))
+    # the basis is checked once, before the distances that read it
+    assert check_orthonormal(basis) is basis
+    with pytest.raises(ContractError, match="basis is not orthonormal"):
+        check_orthonormal(np.ones((8, 2)))
+    out = np.empty_like(x)
+    assert subspace_distance(x, es.vectors[:, :3], out=out) == \
+        subspace_distance(x, es.vectors[:, :3])
 
 
 # -------------------------------------------------------------- Krylov
