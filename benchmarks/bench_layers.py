@@ -1,6 +1,6 @@
 """Per-step cost of every layer variant, of the operator product and of
 ``metrics.mu``, and the one-time cost of building a graph and its
-operators and of ``simulate``'s set-up and run.
+operators, of ``simulate``'s set-up and run and of prop 6's check.
 
     python benchmarks/bench_layers.py [--src DIR] [--column NAME]
 
@@ -26,7 +26,11 @@ the symmetric-normalized operator) at batchnorm, k = SIM_K and
 SIM_STEPS steps, through ``cli.main``, over SIM_REPEATS calls: its
 set-up, stopped at the first layer step (graph, operator, reference
 and observer, so its excess over ``gen_graph`` and ``build_operator
-sym_normalized`` is the reference's), and the whole run.  Times are
+sym_normalized`` is the reference's), and the whole run.  For each
+PROP6 (graph spec, seed), ``check_prop6_tightness`` at verify's k = 4
+and eps = 0.01 gets the same over PROP6_REPEATS calls, given the
+adjacency operator, its ``ones_complement_eig`` system and x0 as
+``verify --seed`` builds them, with its verdict and notes.  Times are
 process time, which other processes on a shared machine disturb less
 than wall time.  The result goes to column NAME (default ``change``) of
 ``BENCH_layers.json`` at the root of this script's checkout, together
@@ -66,6 +70,9 @@ ONE_TIME = ("er:1000,0.01", "er:3000,0.005")
 STEPS, REPEATS = 64, 7
 # simulate's width, steps and repeats on the ONE_TIME graphs
 SIM_K, SIM_STEPS, SIM_REPEATS = 32, 16, 3
+# (graph spec, verify seed) of the timed prop 6 checks
+PROP6 = (("er:100,0.1", 0), ("er:1000,0.01", 1))
+PROP6_REPEATS = 3
 
 
 def _median_us(fn, number, repeats=REPEATS):
@@ -161,6 +168,21 @@ def _one_time_row(pkg, spec):
     return row
 
 
+def _prop6_row(pkg, spec, seed):
+    graphio = pkg.graphio
+    g = graphio.load_graph(spec, seed=seed, largest_cc=True)
+    a = graphio.build_operator(g, graphio.ADJACENCY)
+    es = pkg.spectral.ones_complement_eig(a)
+    x0 = pkg.cli._initial_features(g, 4, (seed, 202), True)
+
+    def check():
+        return pkg.propcheck.check_prop6_tightness(a, es, x0, 4, 0.01,
+                                                   seed=seed)
+    report = check()
+    return {"n": g.n, "verdict": report.verdict, "notes": report.notes,
+            "check_prop6_tightness": _timed(check, PROP6_REPEATS)}
+
+
 def _environment(np) -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
@@ -184,12 +206,17 @@ def main(argv=None) -> int:
     import oversmooth
     import oversmooth.cli
     import oversmooth.metrics
+    import oversmooth.propcheck
+    import oversmooth.spectral
     column = {"environment": _environment(np),
               "steps": STEPS, "repeats": REPEATS,
               "simulate": {"k": SIM_K, "steps": SIM_STEPS,
                            "repeats": SIM_REPEATS},
               "one_time": {spec: _one_time_row(oversmooth, spec)
                            for spec in ONE_TIME},
+              "prop6_repeats": PROP6_REPEATS,
+              "prop6": {f"{spec} seed={seed}": _prop6_row(
+                  oversmooth, spec, seed) for spec, seed in PROP6},
               "shapes": {f"{spec} T={trials} k={k}": _shape_row(
                   oversmooth, np, spec, trials, k)
                   for spec, trials, k in SHAPES}}
@@ -197,7 +224,7 @@ def main(argv=None) -> int:
             else {"columns": {}})
     data["columns"][args.column] = column
     OUT.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-    json.dump({key: column[key] for key in ("one_time", "shapes")},
+    json.dump({key: column[key] for key in ("one_time", "prop6", "shapes")},
               sys.stdout, indent=1)
     print()
     return 0

@@ -424,7 +424,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--steps", type=_at_least(1),
                      default=propcheck.DEFAULT_STEPS,
                      help="read by props 1, 4 and 5; prop 2 runs 64 steps, "
-                          "prop 3 runs n steps and prop 6 its analytic T")
+                          "prop 3 n steps, and prop 6 builds its analytic T "
+                          "in eigen-coordinates, replayed in n-space up to "
+                          "its float64 horizon")
     ver.add_argument("--tau", type=float, default=1.0,
                      help="read by prop 7 (centering strength)")
     ver.add_argument("--eps", type=float, default=0.01,

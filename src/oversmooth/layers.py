@@ -2,21 +2,10 @@
 
 Feature matrices are plain float64 arrays of shape (n, k).
 ``run_trajectory`` owns the only mutable state of a run and looks each
-variant's step up in one table.  Given one generator per trial, it
-advances T trials from a shared x0 as one C-contiguous node-major
-(n, T, k) block: every step applies the operator once to the block's
-(n, T*k) view, multiplies each trial by its own weights in one batched
-product, normalizes the block once, column statistics along axis 0, and
-calls the observer once with a (T, n, k) trial-major copy of the live
-trials.  The step writes its output in place into a second block, the
-two swapping roles each step, and A @ X and the non-finite mask into
-kept blocks, so a step allocates no block-sized array; the blocks are
-reallocated only when a trial stops.
-Each trial's Gaussian weights are drawn from its own generator a chunk
-of steps at a time.  A single generator is the T = 1 block; every
-variant runs through this one block step.  ``batch_norm`` applies the
-BatchNorm block normalizer to one matrix, for prop 6's tightness
-schedule.
+variant's step up in one table.  It advances T trials, one generator
+each, as one node-major (n, T, k) block that every step rewrites in
+place (its docstring has the layout); a single generator is the T = 1
+block, so every variant runs through this one block step.
 Nothing here solves an eigenproblem: graphnormv2 reads V_{k+} from
 ``LayerConfig.norm_context``, built from the caller's top-k block.
 Degenerate (zero/constant) normalization columns abort a trial rather
@@ -243,18 +232,6 @@ def _pn(y, s, scale):
 def _unit_columns(y, s, x):
     """Per-column 2-norm scaling of the step output y of features x."""
     return y, _col_norms(y, s), _col_norms(x, s), "zero column"
-
-
-def batch_norm(x: np.ndarray) -> np.ndarray:
-    """Center each column of one (n, k) matrix, then divide by its
-    2-norm; an overflow is reported as its DegenerateColumnError, not
-    as a numpy warning."""
-    y = np.array(x, dtype=np.float64)[:, None, :]
-    with np.errstate(over="ignore", invalid="ignore"):
-        faults = _block_normalized(*_bn(y, np.empty_like(y)))
-    if faults:
-        raise faults[0]
-    return y[:, 0, :]
 
 
 # A variant's factory runs once per trajectory with (a, x0, cfg) and

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .graphio import Graph, OperatorMatrix, build_operator, is_connected
-from .layers import LayerConfig, WeightSpec, batch_norm, run_trajectory
+from .layers import LayerConfig, WeightSpec, run_trajectory
 from .metrics import ReferenceVector, mu
 from .partition import check_centering_effect
 from .spectral import (EigenSystem, KrylovBasis, check_orthonormal,
@@ -45,6 +45,8 @@ _TRACE_FLOOR = 1e-13
 _SLOPE_SKIP = 4
 
 _GAP_TOL = 1e-8
+# Bound on the gap between prop 6's n-space replay and its schedule.
+_REPLAY_GAP = 1e-10
 
 
 @dataclass(frozen=True)
@@ -378,53 +380,60 @@ def check_prop5_topk_convergence(
                             target_rate=target, verdict=verdict, notes=notes)
 
 
+def identity_steps(values: np.ndarray, c: np.ndarray, t: int) -> np.ndarray:
+    """Eigen-coordinates c after t identity BatchNorm steps (t = 0 only
+    normalises): column i is l^t c_i renormalised, formed as (l/rho_i)^t
+    c_i, rho_i the largest |l_j| on the column's nonzero entries, so no
+    power overflows.  A vanishing column raises DomainError."""
+    lam = np.where(c != 0, values[:, None], 0.0)
+    rho = np.abs(lam).max(axis=0)
+    c = (lam / np.where(rho > 0, rho, np.inf)) ** t * c
+    norms = np.linalg.norm(c, axis=0)
+    if not np.all(norms > 0):
+        raise DomainError("elimination failure: a column vanishes")
+    return c / norms
+
+
 def build_tightness_schedule(a: OperatorMatrix, es: EigenSystem,
                              x0: np.ndarray, k: int, eps: float):
-    """Explicit BatchNorm weight schedule recovering the top-k centered
+    """BatchNorm weight schedule recovering the top-k centered
     eigenvectors: k Gaussian-elimination steps, then identity weights
-    until the analytic step bound T.  ``es`` is ``ones_complement_eig(a)``,
-    whose vectors span the 1-complement, where BatchNorm's columns live.
-
-    Projection coefficients are recomputed at each elimination step from
-    the current features (exact in the linear setting).  Returns
-    (weights, T, final_features); raises DomainError on a tiny pivot.
-    """
+    until the analytic step bound T, in the coordinates c = V^T X of
+    ``es = ones_complement_eig(a)``.  BatchNorm's centred columns live
+    on the 1-complement, where the centred A acts as diag(l): only the
+    first step reads the graph, c <- colnorm(V^T A X0 W), and step m is
+    c <- colnorm(diag(l) c W).  Its weight eliminates row m off the
+    diagonal, set to exact zeros, so the rows above column i stay zero.
+    Returns (the k weights, T, c after step k)."""
     n, kdim = x0.shape
     if k > kdim:
         raise DomainError(f"k={k} exceeds feature width {kdim}")
     absl = np.abs(es.values)
     if absl[k - 1] <= 1e-12 * max(1.0, absl[0]):
         raise DomainError("elimination failure: |l_k| is numerically zero")
-    x = np.array(x0, dtype=np.float64)
+    sig = es.vectors.T @ (a @ x0)
     weights = []
     for m in range(k):
-        sig = es.vectors.T @ (a @ x)
-        pivot = sig[m, m]
-        if abs(pivot) <= 1e-12:
-            raise DomainError(
-                f"elimination failure: pivot {m} below 1e-12 "
-                "(rank precondition violated)")
+        if abs(sig[m, m]) <= 1e-12:
+            raise DomainError(f"elimination failure: pivot {m} below "
+                              "1e-12 (rank precondition violated)")
         w = np.eye(kdim)
-        for i in range(kdim):
-            if i != m:
-                w[m, i] = -sig[m, i] / pivot
+        w[m] = -sig[m] / sig[m, m]
+        w[m, m] = 1.0
         weights.append(w)
-        x = batch_norm(a @ x @ w)
-    sig = es.vectors.T @ x
+        c = sig @ w
+        c[m, :m] = c[m, m + 1:] = 0.0
+        c = identity_steps(es.values, c, 0)
+        sig = es.values[:, None] * c
     t_extra = 0
     for i in range(k):
-        sii = abs(sig[i, i])
-        tail = np.abs(sig[k:, i]).max(initial=0.0)
-        if tail == 0.0 or sii == 0.0:
-            continue
-        num = np.log(eps * sii**2 / ((n - k) * tail**2))
+        sii, tail = abs(c[i, i]), np.abs(c[k:, i]).max(initial=0.0)
+        num = (np.log(eps * sii**2 / ((n - k) * tail**2)) if tail and sii
+               else 0.0)
         den = 2.0 * np.log(absl[k] / absl[i])
         if den < 0 and num < 0:
             t_extra = max(t_extra, int(np.ceil(num / den)))
-    for _ in range(t_extra):
-        weights.append(np.eye(kdim))
-        x = batch_norm(a @ x)
-    return weights, k + t_extra, x
+    return weights, k + t_extra, c
 
 
 def check_prop6_tightness(a: OperatorMatrix, es: EigenSystem,
@@ -433,8 +442,12 @@ def check_prop6_tightness(a: OperatorMatrix, es: EigenSystem,
     """The top-k convergence on ``a`` (``verify`` passes the adjacency
     operator) is tight: an explicit schedule aligns column i with the
     i-th centered eigenvector, |nu_i^T X_{:,i}| >= 1/sqrt(1+eps) for all
-    i <= k after the analytic step bound.  ``es`` is
-    ``ones_complement_eig(a)``."""
+    i <= k after the analytic step bound T, read from the schedule's
+    eigen-coordinates c in ``es = ones_complement_eig(a)``.  Its first
+    k + t_f steps, replayed in n-space by ``run_trajectory``, must land
+    within _REPLAY_GAP of V c: t_f is the last step at which rounding of
+    size n u reinjected on nu_j (j < i <= k), growing by |l_1 / l_k| per
+    identity step, stays below _REPLAY_GAP."""
     if not 1 <= k <= a.n - 2:
         raise DomainError(f"k={k} outside [1, n-2]")
     absl = np.abs(es.values)
@@ -447,28 +460,35 @@ def check_prop6_tightness(a: OperatorMatrix, es: EigenSystem,
         return PropReport(proposition=6, verdict=INCONCLUSIVE, trials=k,
                           successes=0, bound=None,
                           notes="no spectral gap: |l_{k+1}| = |l_k|")
-    vk = check_orthonormal(es.vectors[:, :k])
-    if numerical_rank(vk.T @ x0) < k:
+    if numerical_rank(check_orthonormal(es.vectors[:, :k]).T @ x0) < k:
         raise PreconditionError("V_k^T x0 is singular: its rank is below k")
     try:
-        weights, t_total, x_final = build_tightness_schedule(a, es, x0, k, eps)
+        weights, t_total, c = build_tightness_schedule(a, es, x0, k, eps)
+        growth = np.log(absl[0] / absl[k - 1])
+        budget = np.log(_REPLAY_GAP / (a.n * np.finfo(float).eps))
+        t_f = min(t_total - k, int(budget / growth) if growth else t_total)
+        final = identity_steps(es.values, c, t_total - k)
+        replayed = es.vectors @ identity_steps(es.values, c, t_f)
     except DomainError as exc:
         return PropReport(proposition=6, verdict=FAIL, trials=k, successes=0,
                           bound=None, notes=str(exc))
-    # cross-check: replay the schedule through the generic runner
-    cfg = LayerConfig(variant="batchnorm",
-                      weight_spec=WeightSpec(mode="explicit",
-                                             matrices=tuple(weights)))
-    log = run_trajectory(a, x0, cfg, t_total, np.random.default_rng(seed))
-    replay_gap = float(np.linalg.norm(log.final - x_final))
-    overlaps = np.abs(np.diag(vk.T @ log.final[:, :k]))
+    cfg = LayerConfig(variant="batchnorm", weight_spec=WeightSpec(
+        mode="explicit", matrices=(*weights, *[np.eye(x0.shape[1])] * t_f)))
+    log = run_trajectory(a, x0, cfg, k + t_f, np.random.default_rng(seed))
+    gap = float(np.linalg.norm(log.final - replayed))
     threshold = 1.0 / np.sqrt(1.0 + eps)
+    overlaps = np.abs(np.diag(final))[:k]
     successes = int(np.sum(overlaps >= threshold))
-    verdict = PASS if successes == k and replay_gap <= 1e-10 else FAIL
-    return PropReport(proposition=6, verdict=verdict, trials=k,
+    ok = successes == k and gap <= _REPLAY_GAP and not log.aborted
+    span = (f"all {t_total} steps" if t_f == t_total - k else
+            f"{k + t_f} of {t_total} steps (float64 horizon)")
+    notes = f"T={t_total}, t_f={t_f}, replay gap {gap:.3e} after {span}"
+    if log.aborted:
+        notes += f"; replay aborted: {log.abort_reason}"
+    return PropReport(proposition=6, verdict=PASS if ok else FAIL, trials=k,
                       successes=successes, bound=float(threshold),
                       evidence=tuple(float(o) for o in overlaps),
-                      notes=f"T={t_total}, replay gap {replay_gap:.3e}")
+                      notes=notes)
 
 
 def check_prop7_centering(g: Graph, tau: float) -> PropReport:

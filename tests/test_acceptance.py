@@ -197,6 +197,7 @@ def test_criterion_06_topk_decay_rate():
     a, es = _adjacency_system(g)
     absl = np.abs(es.values)
     target = float(np.log(absl[4] / absl[3]))
+    # the schedule's k elimination weights, then identity weights
     weights, t_sched, _ = build_tightness_schedule(a, es, x0, 4, 0.01)
     nu5 = es.vectors[:, 4]
     steps = max(t_sched, 220)

@@ -148,11 +148,9 @@ def test_residual_appnp_fixed_point():
 # ------------------------------------------------------------ batch norm
 
 def test_batch_norm_golden():
-    # batch_norm is the same normalizer on one matrix, for prop 6
     x = np.array([[1.0], [2.0], [3.0]])
     want = np.array([[-1.0], [0.0], [1.0]]) / np.sqrt(2.0)
-    for out in (_one_step("batchnorm", x).final, layers.batch_norm(x)):
-        assert np.abs(out - want).max() < 1e-14
+    assert np.abs(_one_step("batchnorm", x).final - want).max() < 1e-14
 
 
 def test_batch_norm_idempotent_on_centered_unit():
@@ -165,11 +163,14 @@ def test_batch_norm_postconditions_and_error():
     out = _one_step("batchnorm", x).final
     assert np.abs(out.sum(axis=0)).max() < 1e-10
     assert np.abs(np.linalg.norm(out, axis=0) - 1.0).max() < 1e-10
+    # a constant column stops the run with its DegenerateColumnError,
+    # keeping the features before the failed step
     log = _one_step("batchnorm", np.full((3, 1), 5.0))
     assert (log.abort_step, log.abort_reason) == (
         1, "degenerate column 0: zero vector after centering")
-    with pytest.raises(DegenerateColumnError):
-        layers.batch_norm(np.full((3, 1), 5.0))
+    assert log.abort_reason == str(
+        DegenerateColumnError(0, "zero vector after centering"))
+    assert log.final.tolist() == [[5.0]] * 3
 
 
 def test_overflowed_norm_is_reported_as_overflow():

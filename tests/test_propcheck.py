@@ -1,15 +1,18 @@
 """Proposition checks: verdict logic, schedules and slope fitting."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
-from oversmooth import cli
+from oversmooth import cli, layers
 from oversmooth.errors import DomainError
 from oversmooth.graphio import build_operator, gen_graph, make_graph
 from oversmooth.layers import LayerConfig, WeightSpec, run_trajectory
 from oversmooth.metrics import all_ones_reference
-from oversmooth.propcheck import (INCONCLUSIVE, PASS, UNDEFINED, PropReport,
-                                  build_tightness_schedule,
+from oversmooth.propcheck import (FAIL, INCONCLUSIVE, PASS, UNDEFINED,
+                                  PropReport, build_tightness_schedule,
                                   check_prop1_residual_no_collapse,
                                   check_prop2_signal_retention,
                                   check_prop3_krylov_reachability,
@@ -17,7 +20,8 @@ from oversmooth.propcheck import (INCONCLUSIVE, PASS, UNDEFINED, PropReport,
                                   check_prop5_topk_convergence,
                                   check_prop6_tightness,
                                   check_prop7_centering,
-                                  check_vanilla_oversmoothing, fit_log_slope)
+                                  check_vanilla_oversmoothing, fit_log_slope,
+                                  identity_steps)
 from oversmooth.spectral import krylov_basis, ones_complement_eig
 
 
@@ -187,13 +191,72 @@ def test_prop6_schedule_replay_and_pass():
     rep = check_prop6_tightness(a, es, x0, 3, eps=0.05, seed=3)
     assert rep.verdict == PASS
     assert min(rep.evidence) >= 1.0 / np.sqrt(1.05)
-    # the schedule replays bit-consistently through the generic runner
-    weights, t_total, x_final = build_tightness_schedule(a, es, x0, 3, 0.05)
-    cfg = LayerConfig(variant="batchnorm",
-                      weight_spec=WeightSpec(mode="explicit",
-                                             matrices=tuple(weights)))
+    weights, t_total, c = build_tightness_schedule(a, es, x0, 3, 0.05)
+    # each elimination step leaves exact zeros off the diagonal of its row
+    assert np.array_equal(c[:3] == 0, ~np.eye(3, dtype=bool))
+    # the eigen-coordinate schedule matches the generic runner in n-space
+    # over all of its T steps, which the check's replay covers here
+    cfg = LayerConfig(variant="batchnorm", weight_spec=WeightSpec(
+        mode="explicit", matrices=(*weights, *[np.eye(3)] * (t_total - 3))))
     log = run_trajectory(a, x0, cfg, t_total, np.random.default_rng(0))
-    assert np.linalg.norm(log.final - x_final) <= 1e-10
+    want = es.vectors @ identity_steps(es.values, c, t_total - 3)
+    assert np.linalg.norm(log.final - want) <= 1e-10
+    # the reported overlaps are those of step T
+    got = np.abs(np.diag(es.vectors[:, :3].T @ log.final))
+    assert np.abs(np.array(rep.evidence) - got).max() <= 1e-10
+    assert rep.notes.startswith(f"T={t_total}, t_f={t_total - 3}, ")
+    assert rep.notes.endswith(f" after all {t_total} steps")
+
+
+def _verify_prop6(capsys, graph, seed):
+    code = cli.main(["verify", "--props", "6", "--graph", graph,
+                     "--seed", str(seed)])
+    return code, json.loads(capsys.readouterr().out)[0]
+
+
+@pytest.mark.parametrize("seed", [0, 2, 3])
+def test_prop6_passes_where_n_space_rounding_used_to_fail(capsys, seed):
+    # verify's setting, k = 4 and eps = 0.01: an n-space run of the
+    # whole schedule loses column 4 (and 3) to rounding reinjected on
+    # nu_1..nu_3 long before T on these seeds
+    code, rep = _verify_prop6(capsys, "er:100,0.1", seed)
+    assert (code, rep["verdict"], rep["successes"]) == (0, PASS, 4)
+    assert min(rep["evidence"]) >= 1.0 / np.sqrt(1.01)
+
+
+def test_prop6_replay_stops_at_its_float64_horizon(capsys):
+    _, rep = _verify_prop6(capsys, "er:100,0.1", 0)
+    t_total, t_f = map(int, re.match(r"T=(\d+), t_f=(\d+), ",
+                                     rep["notes"]).groups())
+    assert 4 + t_f < t_total
+    assert rep["notes"].endswith(
+        f" after {4 + t_f} of {t_total} steps (float64 horizon)")
+    # rounding n u grown by |l_1 / l_4| per step stays within 1e-10
+    # for t_f steps, and not for one more
+    g = gen_graph("er:100,0.1", seed=0, largest_cc=True)
+    absl = np.abs(_read(g)[1].values)
+    grown = g.n * np.finfo(float).eps * (absl[0] / absl[3]) ** np.array(
+        [t_f, t_f + 1])
+    assert grown[0] <= 1e-10 < grown[1]
+
+
+def test_prop6_fails_when_the_layer_step_is_wrong(monkeypatch):
+    # BatchNorm columns of norm 2: the schedule's own normalisation does
+    # not share the layer code, so the replay gap shows the fault
+    normalize = layers._bn
+
+    def doubled(y, s):
+        num, den, ref, why = normalize(y, s)
+        return num, den / 2.0, ref, why
+
+    monkeypatch.setattr(layers, "_bn", doubled)
+    g = gen_graph("er:40,0.25", seed=3, largest_cc=True)
+    rep = check_prop6_tightness(*_read(g), _unit_x0(g.n, 3, seed=3), 3,
+                                eps=0.05, seed=3)
+    assert rep.verdict == FAIL
+    assert min(rep.evidence) >= 1.0 / np.sqrt(1.05)
+    gap = float(re.search(r"replay gap (\S+) ", rep.notes).group(1))
+    assert gap > 1.0
 
 
 def test_prop6_rejects_k_outside_range():
