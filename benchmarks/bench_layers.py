@@ -1,6 +1,7 @@
 """Per-step cost of every layer variant, of the operator product and of
 ``metrics.mu``, and the one-time cost of building a graph and its
-operators, of ``simulate``'s set-up and run and of prop 6's check.
+operators, of ``simulate``'s set-up and run, of the centred solves, of
+props 4 and 6's checks and of one ``verify`` run.
 
     python benchmarks/bench_layers.py [--src DIR] [--column NAME]
 
@@ -30,7 +31,15 @@ sym_normalized`` is the reference's), and the whole run.  For each
 PROP6 (graph spec, seed), ``check_prop6_tightness`` at verify's k = 4
 and eps = 0.01 gets the same over PROP6_REPEATS calls, given the
 adjacency operator, its ``ones_complement_eig`` system and x0 as
-``verify --seed`` builds them, with its verdict and notes.  Times are
+``verify --seed`` builds them, with its verdict and notes.  On the
+ONE_TIME graphs, ``ones_complement_eig`` of both symmetric kinds,
+``centered_eig(adjacency, 1.0)`` and prop 4's check at trials = 0 (its
+precondition and floor, with verify's x0 and all-ones reference) get
+their median over SOLVE_REPEATS calls and one call's peak; where prop
+4's check still takes an ``EigenSystem``, the timed call includes the
+``ones_complement_eig`` that verify solved for it.  So does
+``verify --props VERIFY_PROPS --graph VERIFY_GRAPH``, through
+``cli.main``.  Times are
 process time, which other processes on a shared machine disturb less
 than wall time.  The result goes to column NAME (default ``change``) of
 ``BENCH_layers.json`` at the root of this script's checkout, together
@@ -49,6 +58,7 @@ THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
 os.environ.update(THREAD_ENV)   # before numpy loads
 
 import argparse  # noqa: E402
+import inspect  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
@@ -73,6 +83,11 @@ SIM_K, SIM_STEPS, SIM_REPEATS = 32, 16, 3
 # (graph spec, verify seed) of the timed prop 6 checks
 PROP6 = (("er:100,0.1", 0), ("er:1000,0.01", 1))
 PROP6_REPEATS = 3
+# repeats of the ONE_TIME graphs' centred solves and prop 4 check, and
+# the verify run timed whole
+SOLVE_REPEATS = 3
+VERIFY_GRAPH, VERIFY_PROPS = "er:1000,0.01", "4,5,6"
+VERIFY_KEY = f"verify --props {VERIFY_PROPS} --graph {VERIFY_GRAPH}"
 
 
 def _median_us(fn, number, repeats=REPEATS):
@@ -153,8 +168,21 @@ def _timed(call, repeats):
     return {"ms": round(ms, 2), "peak_bytes": peak}
 
 
+def _prop4_check(pkg, g):
+    """Prop 4's check at trials = 0 on verify's seed-0 inputs, with the
+    solve it reads where it still takes an ``EigenSystem``."""
+    a = pkg.graphio.build_operator(g, pkg.graphio.SYM_NORMALIZED)
+    x0 = pkg.cli._initial_features(g, 4, (0, 202), True)
+    v = pkg.metrics.all_ones_reference(g.n)
+    check = pkg.propcheck.check_prop4_bn_no_collapse
+    if "es" in inspect.signature(check).parameters:
+        return lambda: check(a, pkg.spectral.ones_complement_eig(a), x0, v,
+                             trials=0)
+    return lambda: check(a, x0, v, trials=0)
+
+
 def _one_time_row(pkg, spec):
-    graphio = pkg.graphio
+    graphio, spectral = pkg.graphio, pkg.spectral
     g = graphio.gen_graph(spec, seed=0, largest_cc=True)
     row = {"n": g.n, "edges": g.num_edges, "gen_graph": _timed(
         lambda: graphio.gen_graph(spec, seed=0, largest_cc=True), REPEATS)}
@@ -165,7 +193,28 @@ def _one_time_row(pkg, spec):
                              ("simulate run", False)):
         row[name] = _timed(lambda setup_only=setup_only: _simulate(
             pkg.cli, spec, setup_only), SIM_REPEATS)
+    for kind in (graphio.ADJACENCY, graphio.SYM_NORMALIZED):
+        a = graphio.build_operator(g, kind)
+        row[f"ones_complement_eig {kind}"] = _timed(
+            lambda a=a: spectral.ones_complement_eig(a), SOLVE_REPEATS)
+    a = graphio.build_operator(g, graphio.ADJACENCY)
+    row["centered_eig adjacency tau=1"] = _timed(
+        lambda: spectral.centered_eig(a, 1.0), SOLVE_REPEATS)
+    row["check_prop4 trials=0"] = _timed(_prop4_check(pkg, g),
+                                         SOLVE_REPEATS)
     return row
+
+
+def _verify_row(cli):
+    """``verify --props VERIFY_PROPS`` on VERIFY_GRAPH, seed 0."""
+    def run():
+        with tempfile.TemporaryDirectory() as outdir:
+            code = cli.main(["verify", "--props", VERIFY_PROPS, "--graph",
+                             VERIFY_GRAPH, "--out", f"{outdir}/report.json"])
+        # prop 5 fails on this graph for its step budget: exit 3
+        if code not in (0, 3):
+            raise RuntimeError(f"verify exited {code} on {VERIFY_GRAPH}")
+    return _timed(run, SOLVE_REPEATS)
 
 
 def _prop6_row(pkg, spec, seed):
@@ -214,6 +263,8 @@ def main(argv=None) -> int:
                            "repeats": SIM_REPEATS},
               "one_time": {spec: _one_time_row(oversmooth, spec)
                            for spec in ONE_TIME},
+              "solve_repeats": SOLVE_REPEATS,
+              VERIFY_KEY: _verify_row(oversmooth.cli),
               "prop6_repeats": PROP6_REPEATS,
               "prop6": {f"{spec} seed={seed}": _prop6_row(
                   oversmooth, spec, seed) for spec, seed in PROP6},
@@ -224,7 +275,8 @@ def main(argv=None) -> int:
             else {"columns": {}})
     data["columns"][args.column] = column
     OUT.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-    json.dump({key: column[key] for key in ("one_time", "prop6", "shapes")},
+    json.dump({key: column[key] for key in ("one_time", "prop6", "shapes",
+                                            VERIFY_KEY)},
               sys.stdout, indent=1)
     print()
     return 0

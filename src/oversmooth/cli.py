@@ -236,9 +236,9 @@ def _prop3(r: _VerifyRun, a):
 
 
 # proposition id -> (the operator kind its check reads, the check).  The
-# check is called with the run and that kind's operator, and props 4-6
-# also read the run's 1-complement system of it; prop 7 reads the graph
-# (kind None).  Prop 2 runs at alpha = 0.5, s = 1 and
+# check is called with the run and that kind's operator, and props 5
+# and 6 also read the run's 1-complement system of it; prop 7 reads the
+# graph (kind None).  Prop 2 runs at alpha = 0.5, s = 1 and
 # eps = sqrt(2 ln 2) / 2, so that p = 0.5.
 _VERIFY = {
     1: (SYM_NORMALIZED,
@@ -252,7 +252,7 @@ _VERIFY = {
     3: (ADJACENCY, _prop3),
     4: (SYM_NORMALIZED,
         lambda r, a: propcheck.check_prop4_bn_no_collapse(
-            a, r.system(a), r.x0, r.v, trials=r.o.trials, steps=r.o.steps,
+            a, r.x0, r.v, trials=r.o.trials, steps=r.o.steps,
             seed=r.o.seed)),
     5: (ADJACENCY,
         lambda r, a: propcheck.check_prop5_topk_convergence(

@@ -259,7 +259,9 @@ def _residual(a, x0, cfg):
     def step(x, ax, y, s, w1, w2):
         _xw(ax, w1, y)
         y *= 1.0 - cfg.alpha
-        np.matmul(x0, w2, out=s.transpose(1, 0, 2))
+        # X0 [W2_1 ... W2_T] as one product; a view at T = 1
+        np.matmul(x0, w2.transpose(1, 0, 2).reshape(x0.shape[1], -1),
+                  out=s.reshape(len(s), -1))
         s *= cfg.alpha
         y += s
         _apply_nl(y, cfg.nonlinearity)

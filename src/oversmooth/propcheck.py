@@ -4,7 +4,7 @@ Each check is deterministic given (graph, seed, trial count).  Each
 trial draws its weights from its own (seed, trial) generator; a check's
 trials advance together as one stacked ``run_trajectory`` call, in which
 a trial that aborts stops alone.  Props 1-6 take the operator they
-verify, and props 4-6 also its ``ones_complement_eig`` system, from the
+verify, and props 5-6 also its ``ones_complement_eig`` system, from the
 caller, so a run that checks several builds each operator and solves
 each eigenproblem once; prop 7 and the vanilla baseline take the graph.
 Probability-bound checks compare an empirical frequency against the
@@ -290,12 +290,13 @@ def check_prop3_krylov_reachability(
 
 
 def check_prop4_bn_no_collapse(
-        a: OperatorMatrix, es: EigenSystem, x0: np.ndarray,
-        v: ReferenceVector | np.ndarray, trials: int = DEFAULT_TRIALS,
-        steps: int = DEFAULT_STEPS, seed: int = 0) -> PropReport:
+        a: OperatorMatrix, x0: np.ndarray, v: ReferenceVector | np.ndarray,
+        trials: int = DEFAULT_TRIALS, steps: int = DEFAULT_STEPS,
+        seed: int = 0) -> PropReport:
     """BatchNorm on ``a`` (``verify`` passes the symmetric-normalized
-    operator) keeps mu_v above a positive constant; ``es`` is
-    ``ones_complement_eig(a)``, whose nonzero pairs x0 must reach.
+    operator) keeps mu_v above a positive constant.  x0 must reach two
+    nonzero centred pairs, rank(V_nonzero^T x0) >= 2, read with no solve
+    as rank(P A P x0), P = I - 11^T/n: P A P = V_nz diag(l_nz) V_nz^T.
 
     The floor follows from BatchNorm output columns being centered unit
     vectors: mu_v >= k (v^T 1 / sqrt(n))^2, applied with a small safety
@@ -306,10 +307,8 @@ def check_prop4_bn_no_collapse(
     ones_overlap = float(vec @ np.ones(n)) / np.sqrt(n)
     if ones_overlap <= 0:
         raise DomainError("v must have positive overlap with the ones vector")
-    scale = max(1.0, float(np.abs(es.values).max(initial=0.0)))
-    nonzero = np.abs(es.values) > 1e-10 * scale
-    v_nonzero = es.vectors[:, nonzero]
-    if numerical_rank(v_nonzero.T @ x0) < 2:
+    pap = a @ (x0 - x0.mean(axis=0))
+    if numerical_rank(pap - pap.mean(axis=0)) < 2:
         raise PreconditionError("rank of V_nonzero^T x0 is below 2")
     k = x0.shape[1]
     c_star = max(k * ones_overlap**2 * (1.0 - 1e-6), 1e-8)

@@ -7,9 +7,10 @@ the first nonzero eigenvector entry, and each eigenvector's sign is
 fixed so its largest-magnitude entry is positive.
 
 The mean-centred operator (I - 11^T/n) A is read through its n-1 pairs
-on the complement of 1 (``ones_complement_eig``, one solve);
-``centered_eig(a, 1.0)`` adds the kernel column at the cost of a full
-second solve.
+on the complement of 1 (``ones_complement_eig``): one solve of A
+reflected by the Householder reflector that sends 1/sqrt(n) to e_n.
+``centered_eig(a, 1.0)`` adds the kernel column, read from the same
+solve.
 
 Krylov bases come from block Arnoldi (Saad, Iterative Methods for
 Sparse Linear Systems, 6.12); ``krylov_generators`` builds the
@@ -62,27 +63,22 @@ class KrylovBasis:
     r: int
 
 
-def _first_nonzero(vec: np.ndarray) -> int:
-    scale = np.abs(vec).max(initial=0.0)
-    if scale == 0.0:
-        return vec.shape[0]
-    return int(np.flatnonzero(np.abs(vec) > 1e-12 * scale)[0])
-
-
 def _canonicalize(values: np.ndarray, vectors: np.ndarray):
     """Apply the deterministic ordering and sign convention."""
-    # sign: largest-magnitude entry positive (first such entry on ties)
-    for i in range(vectors.shape[1]):
-        col = vectors[:, i]
-        if col.size and col[int(np.argmax(np.abs(col)))] < 0:
-            vectors[:, i] = -col
+    n, m = vectors.shape
+    first = np.full(m, n)
+    if n:
+        mag = np.abs(vectors)
+        # sign: largest-magnitude entry positive (first such entry on ties)
+        flip = vectors[np.argmax(mag, axis=0), np.arange(m)] < 0
+        vectors *= np.where(flip, -1.0, 1.0)
+        # first entry above 1e-12 of its column's largest, n if all zero
+        hit = mag > 1e-12 * mag.max(axis=0)
+        del mag     # freed before the ordered copy
+        first = np.where(hit.any(axis=0), np.argmax(hit, axis=0), n)
     # magnitudes quantized to 12 significant digits so +/- pairs tie
-    order = sorted(
-        range(len(values)),
-        key=lambda i: (-float("%.12g" % abs(values[i])),
-                       0.0 if values[i] > 0 else 1.0,
-                       _first_nonzero(vectors[:, i])),
-    )
+    quant = np.array([float("%.12g" % x) for x in np.abs(values)])
+    order = np.lexsort((first, np.where(values > 0, 0.0, 1.0), -quant))
     return values[order], vectors[:, order]
 
 
@@ -104,29 +100,33 @@ def symmetric_eig(m) -> EigenSystem:
     return EigenSystem(values=values, vectors=vectors)
 
 
-def _ones_complement_basis(n: int) -> np.ndarray:
-    """Deterministic orthonormal basis of the complement of the all-ones
-    direction (Helmert construction), shape n x (n-1)."""
-    q = np.zeros((n, n - 1))
-    for j in range(1, n):
-        q[:j, j - 1] = 1.0
-        q[j, j - 1] = -j
-        q[:, j - 1] /= np.sqrt(j * (j + 1))
-    return q
-
-
 def ones_complement_eig(a: OperatorMatrix) -> EigenSystem:
-    """The n-1 eigenpairs of (I - 11^T/n) A on the complement of 1: one
-    symmetric solve of Q^T A Q (Q the Helmert basis), lifted by Q.  They
-    are ``centered_eig(a, 1.0)`` without its kernel column, bit for bit.
+    """The n-1 eigenpairs of (I - 11^T/n) A on the complement of 1.
+
+    The Householder reflector H = I - 2uu^T with H e_n = 1/sqrt(n)
+    (Golub & Van Loan, Matrix Computations, 5.1) turns its first n-1
+    columns into an orthonormal basis of the complement, so the pairs
+    are those of the leading (n-1) x (n-1) block of B = HAH, one
+    symmetric solve, lifted by H.  B is A - uz^T - zu^T with
+    z = 2Au - 2(u^T A u)u, and the lift is a rank-1 update.
     """
     if not a.symmetric:
         raise ContractError(
             "ones_complement_eig requires a symmetric source operator")
-    data = np.asarray(a.data, dtype=np.float64)
-    q = _ones_complement_basis(a.n)
-    vals, vecs = np.linalg.eigh(q.T @ data @ q)
-    values, vectors = _canonicalize(vals, q @ vecs)
+    u = np.full(a.n, -1.0 / np.sqrt(a.n))
+    u[-1] += 1.0
+    # n = 1 has no complement: u = 0 leaves H = I
+    u /= np.linalg.norm(u) or 1.0
+    au = a @ u
+    z = 2.0 * au - 2.0 * float(u @ au) * u
+    head = u[:-1]
+    b11 = a.data[:-1, :-1] - np.outer(head, z[:-1])
+    b11 -= np.outer(z[:-1], head)
+    vals, y = np.linalg.eigh(b11)
+    vecs = np.outer(-2.0 * u, head @ y)
+    vecs[:-1] += y
+    del b11, y      # freed before canonicalizing
+    values, vectors = _canonicalize(vals, vecs)
     return EigenSystem(values=values, vectors=vectors)
 
 
@@ -134,22 +134,21 @@ def centered_eig(a: OperatorMatrix, tau: float) -> EigenSystem:
     """Eigenpairs of the centered operator (I - tau 11^T/n) A.
 
     tau=0 falls back to the symmetric decomposition of A.  tau=1 is
-    ``ones_complement_eig`` augmented with the kernel direction, which
-    costs a second, full symmetric solve.  Other tau use a dense
-    general eigensolver; complex pairs are dropped.
+    ``ones_complement_eig`` augmented with the kernel direction, read
+    from that solve.  Other tau use a dense general eigensolver;
+    complex pairs are dropped.
     """
     if not a.symmetric:
         raise ContractError("centered_eig requires a symmetric source operator")
     if tau == 0.0:
         return symmetric_eig(a)
-    data = np.asarray(a.data, dtype=np.float64)
     if tau == 1.0:
         # canonical pairs keep their signs and order; the kernel pair
         # is sorted in among them
         es = ones_complement_eig(a)
         values = np.concatenate([es.values, [0.0]])
         vectors = np.concatenate(
-            [es.vectors, _centered_kernel_vector(data)[:, None]], axis=1)
+            [es.vectors, _centered_kernel_vector(a, es)[:, None]], axis=1)
     else:
         vals_c, vecs_c = np.linalg.eig(center_operator(a, tau))
         scale = max(1.0, float(np.abs(vals_c).max(initial=0.0)))
@@ -163,23 +162,19 @@ def centered_eig(a: OperatorMatrix, tau: float) -> EigenSystem:
     return EigenSystem(values=values, vectors=vectors)
 
 
-def _centered_kernel_vector(data: np.ndarray) -> np.ndarray:
-    """Unit vector w outside the 1-complement with (I - 11^T/n) A w = 0.
-
-    The part of 1 in ker A is such a w.  When 1 has none, ker A lies in
-    the 1-complement, whose restriction already holds it, and 1 lies in
-    the range of A: then w = A^+ 1 over the nonzero eigenpairs, which
-    is A^{-1} 1 when A is invertible, has A w = 1.
+def _centered_kernel_vector(a: OperatorMatrix, es: EigenSystem) -> np.ndarray:
+    """Unit vector w outside the 1-complement with (I - 11^T/n) A w = 0,
+    from es = ``ones_complement_eig(a)``: w = e - C^+ (I - ee^T) A e,
+    e = 1/sqrt(n) and C^+ the pseudo-inverse of the complement system
+    over its pairs with |l| > 1e-10 max(1, |l_1|).  In that solve's
+    reflected frame this is H[-B11^+ b; 1], b the last column of B above
+    its corner; it is the part of 1 in ker A, or A^+ 1 when 1 has none.
     """
-    n = data.shape[0]
-    es = symmetric_eig(data)
+    e = np.full(es.n, 1.0 / np.sqrt(es.n))
     scale = max(1.0, float(np.abs(es.values).max(initial=0.0)))
-    small = np.abs(es.values) <= 1e-10 * scale
-    ones = np.ones(n)
-    w = es.vectors[:, small] @ (es.vectors[:, small].T @ ones)
-    if np.linalg.norm(w) <= 1e-10 * np.sqrt(n):
-        vecs = es.vectors[:, ~small]
-        w = vecs @ ((vecs.T @ ones) / es.values[~small])
+    keep = np.abs(es.values) > 1e-10 * scale
+    vecs = es.vectors[:, keep]
+    w = e - vecs @ ((vecs.T @ (a @ e)) / es.values[keep])
     return w / np.linalg.norm(w)
 
 

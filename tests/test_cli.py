@@ -357,13 +357,14 @@ def test_simulate_default_builds_no_dense_operator(tmp_path, capsys,
 
 
 # verify builds each operator kind once and solves each eigenproblem
-# once: --props all solves the 1-complement systems of the
-# symmetric-normalized (prop 4) and adjacency (props 5 and 6) operators
-# and prop 7's spectrum of A, and builds those two operators plus prop
-# 7's adjacency from its graph
+# once: --props all solves the adjacency's 1-complement system (props 5
+# and 6) and prop 7's spectrum of A, and builds the symmetric-normalized
+# (props 1, 2 and 4) and adjacency (props 3, 5 and 6) operators plus
+# prop 7's adjacency from its graph; prop 4 reads its centred operator
+# through one product, with no solve
 @pytest.mark.parametrize("props, solves, builds", [
-    ("all", 3, 3), ("6", 1, 1), ("5,6", 1, 1), ("1,2", 0, 1)],
-    ids=["all", "prop6", "props5-6", "props1-2"])
+    ("all", 2, 3), ("6", 1, 1), ("5,6", 1, 1), ("1,2", 0, 1), ("4", 0, 1)],
+    ids=["all", "prop6", "props5-6", "props1-2", "prop4"])
 def test_verify_builds_each_operator_and_solves_each_system_once(
         capsys, monkeypatch, props, solves, builds):
     solved = _count_eigh(monkeypatch)
@@ -372,6 +373,18 @@ def test_verify_builds_each_operator_and_solves_each_system_once(
                                "--graph", "er:100,0.1"])
     assert code in (0, 3)
     assert (len(solved), len(built)) == (solves, builds)
+
+
+# tau = 1 reads its kernel column from the 1-complement solve
+@pytest.mark.parametrize("flags", [["--tau", "1.0"],
+                                   ["--tau", "1.0", "--vectors"], []],
+                         ids=["tau1", "tau1-vectors", "plain"])
+def test_spectrum_solves_once(capsys, monkeypatch, flags):
+    solved = _count_eigh(monkeypatch)
+    code, out, _ = _run(capsys, ["spectrum", "er:30,0.2", *flags])
+    assert code == 0
+    assert len(solved) == 1
+    assert out.count("\n") >= 31
 
 
 def test_layers_import_nothing_from_spectral():

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from oversmooth import cli, layers
-from oversmooth.errors import DomainError
-from oversmooth.graphio import build_operator, gen_graph, make_graph
+from oversmooth.errors import DomainError, PreconditionError
+from oversmooth.graphio import (build_operator, gen_graph, load_graph,
+                                make_graph)
 from oversmooth.layers import LayerConfig, WeightSpec, run_trajectory
 from oversmooth.metrics import all_ones_reference
 from oversmooth.propcheck import (FAIL, INCONCLUSIVE, PASS, UNDEFINED,
@@ -22,7 +23,8 @@ from oversmooth.propcheck import (FAIL, INCONCLUSIVE, PASS, UNDEFINED,
                                   check_prop7_centering,
                                   check_vanilla_oversmoothing, fit_log_slope,
                                   identity_steps)
-from oversmooth.spectral import krylov_basis, ones_complement_eig
+from oversmooth.spectral import (krylov_basis, numerical_rank,
+                                 ones_complement_eig)
 
 
 def _unit_x0(n, k, seed=0):
@@ -32,7 +34,7 @@ def _unit_x0(n, k, seed=0):
 
 def _read(g, kind="adjacency"):
     """The operator of this kind and its 1-complement system, as a
-    verify run hands them to the checks of props 4-6."""
+    verify run hands them to the checks of props 5 and 6."""
     a = build_operator(g, kind)
     return a, ones_complement_eig(a)
 
@@ -134,17 +136,47 @@ def test_prop4_pass_and_rank_precondition():
     g = gen_graph("er:40,0.2", seed=3, largest_cc=True)
     x0 = _unit_x0(g.n, 4, seed=3)
     v = all_ones_reference(g.n)
-    a, es = _read(g, "sym_normalized")
-    rep = check_prop4_bn_no_collapse(a, es, x0, v, trials=5, steps=64,
-                                     seed=3)
+    a = build_operator(g, "sym_normalized")
+    rep = check_prop4_bn_no_collapse(a, x0, v, trials=5, steps=64, seed=3)
     assert rep.verdict == PASS and rep.successes == 5
     assert rep.bound >= 4 * (v.v @ np.ones(g.n) / np.sqrt(g.n)) ** 2 * 0.999
     rank1 = np.tile(x0[:, :1], (1, 4))
     with pytest.raises(DomainError):
-        check_prop4_bn_no_collapse(a, es, rank1, v, trials=1)
-    rep0 = check_prop4_bn_no_collapse(a, es, x0, v, trials=0)
+        check_prop4_bn_no_collapse(a, rank1, v, trials=1)
+    rep0 = check_prop4_bn_no_collapse(a, x0, v, trials=0)
     assert rep0.verdict == UNDEFINED and rep0.trials == 0
     assert rep0.bound == rep.bound
+
+
+def _prop4_precondition_holds(a, x0):
+    try:
+        check_prop4_bn_no_collapse(a, x0, all_ones_reference(a.n), trials=0)
+    except PreconditionError:
+        return False
+    return True
+
+
+# prop 4's rank(P A P x0), P = I - 11^T/n, is the rank of x0 on the
+# nonzero pairs of the 1-complement system
+@pytest.mark.parametrize("spec", ["er:100,0.1", "star:16", "path:7",
+                                  "cycle:12", "reg:20,3", "path:5",
+                                  "sbm:60+40,0.2,0.05"])
+def test_prop4_rank_is_the_complement_systems_rank(spec):
+    for seed in range(4):
+        g = load_graph(spec, seed=seed, largest_cc=True)
+        a = build_operator(g, "sym_normalized")
+        es = ones_complement_eig(a)
+        scale = max(1.0, float(np.abs(es.values).max()))
+        v_nz = es.vectors[:, np.abs(es.values) > 1e-10 * scale]
+        for k in range(1, 5):
+            x0 = _unit_x0(g.n, k, seed=seed)
+            # a constant column reaches no centred pair, though A x0's is
+            # not constant on an irregular graph
+            flat = x0.copy()
+            flat[:, 0] = 1.0 / np.sqrt(g.n)
+            for x in (x0, flat):
+                expected = numerical_rank(v_nz.T @ x) >= 2
+                assert _prop4_precondition_holds(a, x) == expected, (seed, k)
 
 
 def test_prop5_star8_k2_decay_rate():
