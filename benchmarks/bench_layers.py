@@ -1,7 +1,8 @@
 """Per-step cost of every layer variant, of the operator product and of
 ``metrics.mu``, and the one-time cost of building a graph and its
 operators, of ``simulate``'s set-up and run, of the centred solves, of
-props 4 and 6's checks and of one ``verify`` run.
+props 4 and 6's checks, of stacked residual runs and of ``verify`` runs,
+one in this process and two each in a fresh process.
 
     python benchmarks/bench_layers.py [--src DIR] [--column NAME]
 
@@ -39,14 +40,21 @@ their median over SOLVE_REPEATS calls and one call's peak; where prop
 4's check still takes an ``EigenSystem``, the timed call includes the
 ``ones_complement_eig`` that verify solved for it.  So does
 ``verify --props VERIFY_PROPS --graph VERIFY_GRAPH``, through
-``cli.main``.  Times are
+``cli.main``.  For each STACKED (graph, T, k), a residual
+``run_trajectory`` with prop 1's ``mu`` observer, as ``verify`` runs
+it, gets its median time per step over REPEATS runs of STEPS steps and
+the ``tracemalloc`` peak of one more.  Times are
 process time, which other processes on a shared machine disturb less
-than wall time.  The result goes to column NAME (default ``change``) of
-``BENCH_layers.json`` at the root of this script's checkout, together
-with the numpy and BLAS build, the thread variables and the processor
-count; the file's other columns are kept, so running the script with
-``--src`` pointing at another commit's ``src`` gives a before/after
-table.
+than wall time.  Each PROCESS_RUNS ``verify`` invocation instead runs
+PROCESS_REPEATS times in a fresh process, and gets the median wall time
+and peak resident set size (``ru_maxrss``) of the whole process; these
+run before this script imports numpy, since a child's peak counts the
+pages it shares with its parent until it execs.  The result goes to
+column NAME (default ``change``) of ``BENCH_layers.json`` at the root
+of this script's checkout, together with the numpy and BLAS build, the
+thread variables and the processor count; the file's other columns are
+kept, so running the script with ``--src`` pointing at another commit's
+``src`` gives a before/after table.
 """
 
 from __future__ import annotations
@@ -62,6 +70,7 @@ import inspect  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
@@ -88,6 +97,13 @@ PROP6_REPEATS = 3
 SOLVE_REPEATS = 3
 VERIFY_GRAPH, VERIFY_PROPS = "er:1000,0.01", "4,5,6"
 VERIFY_KEY = f"verify --props {VERIFY_PROPS} --graph {VERIFY_GRAPH}"
+# (graph spec, trials T, width k) of the timed stacked residual runs
+STACKED = (("er:1000,0.01", 20, 4), ("er:3000,0.005", 50, 4))
+# verify arguments run whole in a fresh process, and its repeats
+PROCESS_RUNS = (("--props", "1,2", "--graph", "er:3000,0.005"),
+                ("--props", "1,2", "--graph", "er:10000,0.0015",
+                 "--trials", "50", "--steps", "32"))
+PROCESS_REPEATS = 3
 
 
 def _median_us(fn, number, repeats=REPEATS):
@@ -232,6 +248,50 @@ def _prop6_row(pkg, spec, seed):
             "check_prop6_tightness": _timed(check, PROP6_REPEATS)}
 
 
+def _stacked_row(pkg, np, spec, trials, k):
+    """A stacked residual run with prop 1's mu observer, on verify's
+    seed-0 graph, operator, x0 and all-ones reference."""
+    graphio, metrics = pkg.graphio, pkg.metrics
+    g = graphio.gen_graph(spec, seed=0, largest_cc=True)
+    a = graphio.build_operator(g, graphio.SYM_NORMALIZED)
+    x0 = pkg.cli._initial_features(g, k, (0, 202), True)
+    v = metrics.all_ones_reference(g.n)
+    cfg = pkg.layers.LayerConfig(variant="residual")
+
+    def run():
+        pkg.layers.run_trajectory(
+            a, x0, cfg, STEPS,
+            [np.random.default_rng((0, t)) for t in range(trials)],
+            observer=lambda _, x: metrics.mu(x, v))
+    timed = _timed(run, REPEATS)
+    return {"n": g.n, "T": trials, "k": k,
+            "step_us": round(1e3 * timed["ms"] / STEPS, 2),
+            "peak_bytes": timed["peak_bytes"],
+            "block_bytes": g.n * trials * k * 8}
+
+
+def _process_row(src: Path, args) -> dict:
+    """``verify ARGS`` in PROCESS_REPEATS fresh processes: the median
+    wall time and peak resident set size."""
+    walls, rss = [], []
+    env = {**os.environ, **THREAD_ENV, "PYTHONPATH": str(src.resolve())}
+    for _ in range(PROCESS_REPEATS):
+        with tempfile.TemporaryDirectory() as outdir:
+            cmd = [sys.executable, "-m", "oversmooth.cli", "verify", *args,
+                   "--out", f"{outdir}/report.json"]
+            start = time.monotonic()
+            proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
+            _, status, usage = os.wait4(proc.pid, 0)
+            walls.append(time.monotonic() - start)
+            code = os.waitstatus_to_exitcode(status)
+            if code not in (0, 3):
+                raise RuntimeError(f"verify {' '.join(args)} exited {code}")
+        rss.append(usage.ru_maxrss / 1024.0)
+    return {"wall_s": round(statistics.median(walls), 2),
+            "peak_rss_mb": round(statistics.median(rss), 1),
+            "repeats": PROCESS_REPEATS}
+
+
 def _environment(np) -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
@@ -250,6 +310,10 @@ def main(argv=None) -> int:
     p.add_argument("--src", type=Path, default=ROOT / "src")
     p.add_argument("--column", default="change")
     args = p.parse_args(argv)
+    # the fresh processes run first, while this one is small: a child's
+    # peak RSS counts the pages it shares with this process until exec
+    process = {"verify " + " ".join(run): _process_row(args.src, run)
+               for run in PROCESS_RUNS}
     sys.path.insert(0, str(args.src.resolve()))
     import numpy as np
     import oversmooth
@@ -270,13 +334,19 @@ def main(argv=None) -> int:
                   oversmooth, spec, seed) for spec, seed in PROP6},
               "shapes": {f"{spec} T={trials} k={k}": _shape_row(
                   oversmooth, np, spec, trials, k)
-                  for spec, trials, k in SHAPES}}
+                  for spec, trials, k in SHAPES},
+              "stacked residual": {f"{spec} T={trials} k={k}": _stacked_row(
+                  oversmooth, np, spec, trials, k)
+                  for spec, trials, k in STACKED},
+              "process_repeats": PROCESS_REPEATS,
+              "verify process": process}
     data = (json.loads(OUT.read_text()) if OUT.exists()
             else {"columns": {}})
     data["columns"][args.column] = column
     OUT.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-    json.dump({key: column[key] for key in ("one_time", "prop6", "shapes",
-                                            VERIFY_KEY)},
+    json.dump({key: column[key] for key in (
+        "one_time", "prop6", "shapes", VERIFY_KEY, "stacked residual",
+        "verify process")},
               sys.stdout, indent=1)
     print()
     return 0

@@ -46,6 +46,13 @@ _SYM_TOL = 1e-12
 # (8.1 against 3.3 ms at 80) stay dense.
 _SLICE_ROWS = 64
 _SLICED_COST = 32
+# Floats of one piece's gather in the sliced product (512 KB), whatever
+# the slice's width times the product's.  Measured as above at 200
+# columns, a piece of 64 K floats took 7.1-7.8 ms on er:3000,0.005
+# against 8.2-8.6 at 32 K, 9.9-10.3 at 128 K and 11.3-12.2 for one
+# gather of each whole slice, and 34 against 35-44 ms on
+# er:10000,0.0015; at 80 columns every size was within 10 %.
+_GATHER_FLOATS = 1 << 16
 
 # Random graphs draw one uniform per upper-triangle pair, about
 # _PAIR_CHUNK pairs per call, so each chunk's index arrays stay at
@@ -140,7 +147,11 @@ class OperatorMatrix:
     they agree to rounding, not bit for bit, and on the sliced product
     a column's rounding can also depend on how many columns x has.
     ``multiplier`` gives the same product as a function that writes
-    into a given block, for a loop that applies A every step.
+    into a given block, for a loop that applies A every step: it sorts
+    the rows into a second block the caller passes, and gathers x's
+    rows a piece of slice rows at a time, each piece at most
+    _GATHER_FLOATS floats (cache blocking, Williams et al., SC 2007),
+    so the function keeps only that gather buffer.
     """
 
     n: int
@@ -209,29 +220,39 @@ class OperatorMatrix:
             for b, h, w in zip(start, heights, widths))
         return rank, slices
 
-    def multiplier(self, width: int) -> Callable[[np.ndarray, np.ndarray],
-                                                 None]:
-        """A function (x, out) that writes A @ x, bit for bit the
-        product ``a @ x`` gives, into out; x and out are C-contiguous
-        (n, width) float64 arrays.  On the sliced layout the function
-        keeps two buffers, one gather sized for the widest slice and
-        the rows in sorted order, so repeated calls allocate no float
-        array."""
+    def multiplier(self, width: int) -> Callable[[np.ndarray, np.ndarray,
+                                                  np.ndarray], None]:
+        """A function (x, out, rows) that writes A @ x, bit for bit the
+        product ``a @ x`` gives, into out; x, out and rows are distinct
+        C-contiguous (n, width) float64 arrays.  On the sliced layout
+        the product rows, in sorted order, go to rows, whose contents
+        the call overwrites, and then out; the dense product leaves rows
+        alone.  Each slice is gathered and summed in pieces of rows, a
+        piece's gather at most _GATHER_FLOATS floats (or one row, where
+        a row alone is wider), into one kept buffer, so repeated calls
+        allocate no float array; a row's sum is the same whatever piece
+        it is in."""
         if self._slices is None:
             data = self.data
-            return lambda x, out: np.matmul(data, x, out=out)
+            return lambda x, out, rows: np.matmul(data, x, out=out)
         rank, slices = self._slices
-        gathered = np.empty(max(index.size for index, _ in slices) * width)
-        summed = np.empty((self.n, 1, width))
-        starts = range(0, self.n, _SLICE_ROWS)
+        pieces = []
+        for lo, (index, value) in zip(range(0, self.n, _SLICE_ROWS), slices):
+            step = max(1, _GATHER_FLOATS // max(1, index.shape[1] * width))
+            pieces.extend((lo + r, index[r:r + step], value[r:r + step])
+                          for r in range(0, len(index), step))
+        gathered = np.empty(max(index.size for _, index, _ in pieces) * width)
+        pieces = [(lo, lo + len(index), index, value,
+                   gathered[:index.size * width].reshape(*index.shape, width))
+                  for lo, index, value in pieces]
 
-        def apply(x: np.ndarray, out: np.ndarray):
+        def apply(x: np.ndarray, out: np.ndarray, rows: np.ndarray):
+            summed = rows.reshape(self.n, 1, width)
             # mode="raise" would buffer each take's out through a temporary
-            for lo, (index, value) in zip(starts, slices):
-                g = gathered[:index.size * width].reshape(*index.shape, width)
+            for lo, hi, index, value, g in pieces:
                 np.take(x, index, axis=0, out=g, mode="clip")
-                np.matmul(value, g, out=summed[lo:lo + len(index)])
-            np.take(summed[:, 0], rank, axis=0, out=out, mode="clip")
+                np.matmul(value, g, out=summed[lo:hi])
+            np.take(rows, rank, axis=0, out=out, mode="clip")
         return apply
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
@@ -245,7 +266,7 @@ class OperatorMatrix:
             return self.data @ x
         cols = np.ascontiguousarray(x.reshape(self.n, -1), dtype=np.float64)
         out = np.empty_like(cols)
-        self.multiplier(cols.shape[1])(cols, out)
+        self.multiplier(cols.shape[1])(cols, out, np.empty_like(cols))
         return out.reshape(x.shape)
 
 

@@ -124,7 +124,8 @@ def _apply_nl(y: np.ndarray, nl: str):
 # trials' (n, k) features side by side, node-major: row i is node i in
 # every trial.  Column statistics run along axis 0, so their inner loops
 # run over all T*k columns.  Everything here writes its result into a
-# block it is given, and squares into a scratch block s of that shape.
+# block it is given, and squares into a scratch block s of that shape
+# (the step passes its spent A @ X block).
 
 def _xw(ax: np.ndarray, w: np.ndarray, out: np.ndarray):
     """Each trial's slice of the block ax times its own weight from the
@@ -235,11 +236,12 @@ def _unit_columns(y, s, x):
 
 
 # A variant's factory runs once per trajectory with (a, x0, cfg) and
-# returns its block step (X, AX, Y, S, *weights) -> faults: X, AX = A @ X,
-# Y and S are (n, T, k) blocks, each weight a (T, k, k) stack.  The step
-# writes X's successor into Y, using S as scratch, and leaves X and AX
-# as they are; faults maps a trial's position in the block to the
-# DegenerateColumnError that stops it.
+# returns its block step (X, AX, Y, *weights) -> faults: X, AX = A @ X
+# and Y are (n, T, k) blocks, each weight a (T, k, k) stack.  The step
+# writes X's successor into Y and leaves X as it is.  Its first
+# operation, _xw(AX, W, Y), is its last read of AX, so it then uses AX
+# as its scratch block.  faults maps a trial's position in the block to
+# the DegenerateColumnError that stops it.
 
 def _sigma_xw(ax, w, y, cfg):
     _xw(ax, w, y)
@@ -248,7 +250,7 @@ def _sigma_xw(ax, w, y, cfg):
 
 
 def _vanilla(a, x0, cfg):
-    def step(x, ax, y, s, w):
+    def step(x, ax, y, w):
         _sigma_xw(ax, w, y, cfg)
         return {}
     return step
@@ -256,45 +258,46 @@ def _vanilla(a, x0, cfg):
 
 def _residual(a, x0, cfg):
     """sigma((1-alpha) AX W1 + alpha X0 W2) from the propagated block AX."""
-    def step(x, ax, y, s, w1, w2):
+    def step(x, ax, y, w1, w2):
         _xw(ax, w1, y)
         y *= 1.0 - cfg.alpha
-        # X0 [W2_1 ... W2_T] as one product; a view at T = 1
+        # X0 [W2_1 ... W2_T] as one product into the spent AX; a view at
+        # T = 1
         np.matmul(x0, w2.transpose(1, 0, 2).reshape(x0.shape[1], -1),
-                  out=s.reshape(len(s), -1))
-        s *= cfg.alpha
-        y += s
+                  out=ax.reshape(len(ax), -1))
+        ax *= cfg.alpha
+        y += ax
         _apply_nl(y, cfg.nonlinearity)
         return {}
     return step
 
 
 def _batchnorm(a, x0, cfg):
-    return lambda x, ax, y, s, w: _block_normalized(
-        *_bn(_sigma_xw(ax, w, y, cfg), s))
+    return lambda x, ax, y, w: _block_normalized(
+        *_bn(_sigma_xw(ax, w, y, cfg), ax))
 
 
 def _pairnorm(a, x0, cfg):
-    return lambda x, ax, y, s, w: _block_normalized(
-        *_pn(_sigma_xw(ax, w, y, cfg), s, cfg.scale))
+    return lambda x, ax, y, w: _block_normalized(
+        *_pn(_sigma_xw(ax, w, y, cfg), ax, cfg.scale))
 
 
 def _graphnorm(a, x0, cfg):
     tau = np.ones(x0.shape[1])
-    return lambda x, ax, y, s, w: _block_normalized(
-        *_gn(_sigma_xw(ax, w, y, cfg), s, tau))
+    return lambda x, ax, y, w: _block_normalized(
+        *_gn(_sigma_xw(ax, w, y, cfg), ax, tau))
 
 
 def _graphnormv2(a, x0, cfg):
     ctx = cfg.norm_context
     tau = np.tile(bn_emulating_tau(ctx)[:, None], (1, x0.shape[1]))
-    return lambda x, ax, y, s, w: _block_normalized(
-        *_gn2(_sigma_xw(ax, w, y, cfg), s, ctx, tau))
+    return lambda x, ax, y, w: _block_normalized(
+        *_gn2(_sigma_xw(ax, w, y, cfg), ax, ctx, tau))
 
 
 def _powerembed(a, x0, cfg):
-    return lambda x, ax, y, s, w: _block_normalized(
-        *_unit_columns(_sigma_xw(ax, w, y, cfg), s, x))
+    return lambda x, ax, y, w: _block_normalized(
+        *_unit_columns(_sigma_xw(ax, w, y, cfg), ax, x))
 
 
 # variant -> (step factory, weights drawn per step); the weights are
@@ -407,33 +410,38 @@ def run_trajectory(a: OperatorMatrix, x0: np.ndarray, cfg: LayerConfig,
     each step applies the operator once to the block's (n, T*k) view,
     multiplies each trial by its own weights in one batched product,
     normalizes the block once and checks it for non-finite features
-    once.  The step writes in place into a second block, and the two
-    swap roles every step; a third is its scratch, and A @ X and the
-    non-finite mask go to kept blocks too (``OperatorMatrix.multiplier``
-    writes the product), so a step allocates no block-sized array.  All
-    are reallocated only when a trial stops.  Each trial draws
-    its own Gaussian weights (W1 before W2 for the residual variant)
-    from its own generator, a chunk of steps per call, so a generator
-    may be advanced by up to one chunk past the last step it was used
-    for.
+    once.  The loop keeps four blocks: x, the output block y (the two
+    swap roles every step), ax for A @ X, which the step's first product
+    spends and then uses as its scratch, and the bool non-finite mask.
+    ``OperatorMatrix.multiplier`` writes A @ X into ax and sorts its
+    rows in y, which the step has not yet written, so a step allocates
+    no block-sized array.  All are reallocated only when a trial stops.
+    Each trial draws its own Gaussian weights (W1 before W2 for the
+    residual variant) from its own generator, a chunk of steps per call,
+    so a generator may be advanced by up to one chunk past the last step
+    it was used for.
 
     The observer is called once after every step.  A single generator
     passes (step, X), X the trial's (n, k) features, and the return
     value is appended to the trial's records.  A sequence passes
-    (step, X), X the (T_live, n, k) trial-major copy of the trials
-    still running, in trial order; the observer returns one record per
-    live trial, and the i-th goes to the i-th live trial's records.
-    Either X is valid only during the call: it is a view of a buffer
-    that later steps overwrite, so an observer that keeps features
-    must copy them.  Step and observer run with numpy's overflow and
-    invalid-value warnings silenced; the non-finite check reports an
-    overflow as the abort reason.
+    (step, X), X the (T_live, n, k) transposed view of the live block,
+    the trials still running in trial order (not C-contiguous unless
+    T_live = 1); the observer returns one record per live trial, and the
+    i-th goes to the i-th live trial's records.  Either X is valid only
+    during the call: it is a view of a buffer that later steps
+    overwrite, so an observer that keeps features must copy them.  Step
+    and observer run with numpy's overflow and invalid-value warnings
+    silenced; the non-finite check reports an overflow as the abort
+    reason.
 
     Degenerate columns or non-finite features stop a trial with its
     partial records, the features before the failed step, the abort
     step and the reason; the other trials go on.  A single generator
     returns that trial's log; a sequence returns a stacked log whose
-    ``trials`` are the per-trial logs in order.
+    ``trials`` are the per-trial logs in order.  When no trial stops,
+    the finals are views of the last block: the stacked ``final`` is its
+    (n, T*k) reshape and trial j's is its (n, k) slice [:, j].  When
+    some trial stops, every final is a copy.
     """
     if steps < 1:
         raise DomainError("steps must be >= 1")
@@ -456,23 +464,23 @@ def run_trajectory(a: OperatorMatrix, x0: np.ndarray, cfg: LayerConfig,
 
     def buffers(x):
         """For the block x: y, which receives the step's output, ax for
-        A @ x, the scratch block s, the non-finite check's mask and the
-        product writing A @ x, all reused until a trial stops."""
-        return (*(np.empty_like(x) for _ in range(3)),
+        A @ x and the step's scratch, the non-finite check's mask and
+        the product writing A @ x, all reused until a trial stops."""
+        return (np.empty_like(x), np.empty_like(x),
                 np.empty(x.shape, dtype=bool),
                 a.multiplier(x.shape[1] * x.shape[2]))
 
-    # x holds the live trials' features; seen is the stacked observer's
-    # copy
+    # x holds the live trials' features
     x = np.repeat(x0[:, None, :], len(rngs), axis=1)
-    y, ax, s, finite, product = buffers(x)
-    seen = None
+    y, ax, finite, product = buffers(x)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps):
             if not live:
                 break
-            product(x.reshape(n, -1), ax.reshape(n, -1))
-            faults = step(x, ax, y, s, *weights.at(t, live))
+            # y is dead until the step writes it, so the product sorts
+            # its rows there
+            product(x.reshape(n, -1), ax.reshape(n, -1), y.reshape(n, -1))
+            faults = step(x, ax, y, *weights.at(t, live))
             np.isfinite(y, out=finite)
             # one pass over the whole block; per-trial masks only when
             # some trial stops (all(axis=(0, 2)) would loop k at a time)
@@ -494,7 +502,7 @@ def run_trajectory(a: OperatorMatrix, x0: np.ndarray, cfg: LayerConfig,
                 # would copy; the product reads and writes the blocks
                 # through reshapes, which must be views
                 x = np.ascontiguousarray(y[:, keep])
-                y, ax, s, finite, product = buffers(x)
+                y, ax, finite, product = buffers(x)
             else:
                 x, y = y, x
             if observer is None or not live:
@@ -502,22 +510,25 @@ def run_trajectory(a: OperatorMatrix, x0: np.ndarray, cfg: LayerConfig,
             if single:
                 records[0].append(observer(t + 1, x[:, 0]))
                 continue
-            if seen is None or len(seen) != len(live):
-                seen = np.empty((len(live), n, k))
-            observed = observer(t + 1, _trial_major(x, seen))
+            observed = observer(t + 1, x.transpose(1, 0, 2))
             if len(observed) != len(live):
                 raise ContractError(
                     f"observer returned {len(observed)} records for "
                     f"{len(live)} live trials")
             for i, rec in zip(live, observed):
                 records[i].append(rec)
+    # with every trial live the finals are views of the last block, else
+    # the survivors' are copies, like the stopped trials'
+    whole = len(live) == len(rngs)
     for j, i in enumerate(live):
-        logs[i] = TrajectoryLog(records=records[i], final=x[:, j].copy())
+        logs[i] = TrajectoryLog(records=records[i],
+                                final=x[:, j] if whole else x[:, j].copy())
     if single:
         return logs[0]
     stopped = not live
     return TrajectoryLog(
-        records=[], final=np.concatenate([log.final for log in logs], axis=1),
+        records=[], final=x.reshape(n, -1) if whole else np.concatenate(
+            [log.final for log in logs], axis=1),
         aborted=stopped,
         abort_step=max(log.abort_step for log in logs) if stopped else None,
         abort_reason="every trial aborted" if stopped else None,

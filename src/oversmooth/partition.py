@@ -140,6 +140,7 @@ def split_eigenpairs(es: EigenSystem, ep: EquitablePartition) -> EigenpairSplit:
 class CenteringReport:
     """Numeric evidence for the three centering-effect claims."""
 
+    rest_pairs: int
     rest_preserved: bool
     rest_max_residual: float
     dominant_distorted: bool
@@ -153,11 +154,12 @@ def check_centering_effect(g: Graph, tau: float) -> CenteringReport:
     """Evaluate the effect of the centering operator (I - tau 11^T/n)
     on the adjacency spectrum.
 
-    Claim 1: rest eigenpairs survive centering unchanged.  Claim 2: the
-    dominant eigenvector stops being an eigenvector (non-regular
-    graphs), measured by its Rayleigh residual under the centered
-    operator.  Claim 3: the trace (eigenvalue sum) drops by
-    tau * (1^T A 1) / n.
+    Claim 1: rest eigenpairs survive centering unchanged
+    (``rest_pairs`` counts them; none exist when the WL partition is
+    discrete).  Claim 2: the dominant eigenvector stops being an
+    eigenvector (non-regular graphs), measured by its Rayleigh residual
+    under the centered operator.  Claim 3: the trace (eigenvalue sum)
+    drops by tau * (1^T A 1) / n.
     """
     if tau <= 0:
         raise DomainError(f"tau={tau} must be positive")
@@ -179,6 +181,7 @@ def check_centering_effect(g: Graph, tau: float) -> CenteringReport:
 
     trace_gap = float(np.trace(a.data) - np.trace(centered))
     return CenteringReport(
+        rest_pairs=len(split.rest),
         rest_preserved=bool(rest_resid <= STRUCTURAL_TOL),
         rest_max_residual=rest_resid,
         dominant_distorted=bool(rayleigh_resid > 1e-6),

@@ -492,10 +492,16 @@ def check_prop6_tightness(a: OperatorMatrix, es: EigenSystem,
 
 def check_prop7_centering(g: Graph, tau: float) -> PropReport:
     """Centering leaves rest eigenpairs intact, distorts the dominant
-    eigenvector of non-regular graphs, and shrinks the eigenvalue sum."""
+    eigenvector of non-regular graphs, and shrinks the eigenvalue sum.
+
+    Each claim counts as a trial only where the graph can test it: claim
+    1 needs rest pairs (a discrete WL partition has none), claim 2 a
+    non-regular graph and claim 3 an edge."""
     rep = check_centering_effect(g, tau)
     has_edges = g.num_edges > 0
-    claims = [rep.rest_preserved]
+    claims = []
+    if rep.rest_pairs:
+        claims.append(rep.rest_preserved)
     if not rep.graph_is_regular:
         claims.append(rep.dominant_distorted)
     if has_edges:
@@ -507,10 +513,13 @@ def check_prop7_centering(g: Graph, tau: float) -> PropReport:
     else:
         verdict = PASS if all(claims) else FAIL
         notes = (f"rest residual {rep.rest_max_residual:.3e}, "
-                 f"rayleigh residual {rep.dominant_rayleigh_residual:.3e}, "
-                 f"trace gap {rep.trace_gap:.6g}"
-                 + ("; claim 2 skipped (regular graph)"
-                    if rep.graph_is_regular else ""))
+                 if rep.rest_pairs else "")
+        notes += (f"rayleigh residual {rep.dominant_rayleigh_residual:.3e}, "
+                  f"trace gap {rep.trace_gap:.6g}")
+        if rep.graph_is_regular:
+            notes += "; claim 2 skipped (regular graph)"
+        if not rep.rest_pairs:
+            notes += "; no rest pairs: the WL partition is discrete"
     return PropReport(proposition=7, verdict=verdict, trials=len(claims),
                       successes=successes, bound=None,
                       evidence=(rep.rest_max_residual,

@@ -69,11 +69,15 @@ def _canonicalize(values: np.ndarray, vectors: np.ndarray):
     first = np.full(m, n)
     if n:
         mag = np.abs(vectors)
-        # sign: largest-magnitude entry positive (first such entry on ties)
-        flip = vectors[np.argmax(mag, axis=0), np.arange(m)] < 0
+        top = mag.max(axis=0)
+        # sign: the first entry within 1e-12 relative of the column's
+        # largest magnitude is positive, so entries that tie in exact
+        # arithmetic pick the same one whatever the rounding
+        lead = np.argmax(mag >= (1.0 - 1e-12) * top, axis=0)
+        flip = vectors[lead, np.arange(m)] < 0
         vectors *= np.where(flip, -1.0, 1.0)
         # first entry above 1e-12 of its column's largest, n if all zero
-        hit = mag > 1e-12 * mag.max(axis=0)
+        hit = mag > 1e-12 * top
         del mag     # freed before the ordered copy
         first = np.where(hit.any(axis=0), np.argmax(hit, axis=0), n)
     # magnitudes quantized to 12 significant digits so +/- pairs tie

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oversmooth import graphio
 from oversmooth.errors import ContractError, DomainError, ParseError
 from oversmooth.graphio import (OPERATOR_KINDS, Graph, build_operator,
                                 center_operator, gen_graph, is_connected,
@@ -429,11 +430,42 @@ def test_operator_product_matches_dense(spec, sliced):
             assert got.shape == x.shape
             scale = (np.abs(a.data) @ np.abs(x)).max()
             assert np.abs(got - a.data @ x).max() <= 1e-14 * scale
-            # the in-place product, run twice on its kept buffers
-            out = np.full_like(x, np.nan)
+            # the in-place product, run twice on its kept buffers and a
+            # rows block holding whatever the last call left there
+            out, rows = np.full_like(x, np.nan), np.full_like(x, np.nan)
             apply = a.multiplier(width)
             for _ in range(2):
-                apply(x, out)
+                apply(x, out, rows)
                 assert np.array_equal(out, got)
     with pytest.raises(ContractError):
         a @ np.ones((g.n + 1, 2))
+
+
+def _single_gather_product(a, x):
+    """The sliced product with each whole slice gathered at once, as
+    the product summed it before it was cut into pieces."""
+    rank, slices = a._slices
+    summed = np.empty((a.n, 1, x.shape[1]))
+    for lo, (index, value) in zip(range(0, a.n, graphio._SLICE_ROWS),
+                                  slices):
+        np.matmul(value, x[index], out=summed[lo:lo + len(index)])
+    return summed[rank, 0]
+
+
+@pytest.mark.parametrize("cap", [None, 7], ids=["default", "row-pieces"])
+@pytest.mark.parametrize("spec", ["er:1000,0.01", "cycle:200+isolated"])
+def test_pieced_product_matches_single_gather(spec, cap, monkeypatch):
+    # a cap of 7 floats puts every row in a piece of its own
+    if cap is not None:
+        monkeypatch.setattr(graphio, "_GATHER_FLOATS", cap)
+    a = build_operator(_product_graph(spec), "adjacency")
+    widest = max(index.size for index, _ in a._slices[1])
+    if spec == "er:1000,0.01":
+        assert widest * 200 > graphio._GATHER_FLOATS
+    for width in (0, 1, 4, 200):
+        x = np.random.default_rng(width).normal(size=(a.n, width))
+        want = _single_gather_product(a, x)
+        out, rows = np.full_like(x, np.nan), np.full_like(x, np.nan)
+        a.multiplier(width)(x, out, rows)
+        assert np.array_equal(out, want), width
+        assert np.array_equal(a @ x, want), width

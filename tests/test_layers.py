@@ -1,5 +1,6 @@
 """Layer forward dynamics, normalizations and trajectory running."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from oversmooth.graphio import build_operator, gen_graph, make_graph
 from oversmooth.layers import (VARIANTS, LayerConfig, NormContext,
                                WeightSpec, bn_emulating_tau,
                                build_norm_context, run_trajectory)
+from oversmooth.metrics import mu
 from oversmooth.spectral import symmetric_eig, top_k
 
 
@@ -712,3 +714,68 @@ def test_stacked_observer_must_return_a_record_per_trial():
     with pytest.raises(ContractError):
         run_trajectory(a, x0, LayerConfig(), 3, _trial_rngs(2),
                        observer=lambda t, x: [t])
+
+
+# ------------------------------------------------------ working set
+
+def test_stacked_observer_gets_a_view_equal_to_the_trial_major_copy():
+    a, x0 = _stack_fixture("path:100", "adjacency", k=3)
+    seen = []
+
+    def observe(t, x):
+        seen.append((x.copy(), x.flags.owndata))
+        return [None] * len(x)
+    log = run_trajectory(a, x0, LayerConfig(variant="residual"), 4,
+                         _trial_rngs(6), observer=observe)
+    assert not any(owned for _, owned in seen)
+    # the last step's block is the stacked final
+    block = log.final.reshape(a.n, 6, 3)
+    assert np.array_equal(seen[-1][0], layers._trial_major(
+        block, np.empty((6, a.n, 3))))
+
+
+def test_finals_are_views_unless_a_trial_stops():
+    a, x0 = _stack_fixture()
+    whole = run_trajectory(a, x0, LayerConfig(variant="residual"), 5,
+                           _trial_rngs(4))
+    assert not any(tr.aborted for tr in whole.trials)
+    for tr in whole.trials:
+        assert not tr.final.flags.owndata
+        assert np.shares_memory(tr.final, whole.final)
+    assert np.array_equal(whole.final, np.concatenate(
+        [tr.final for tr in whole.trials], axis=1))
+    single = run_trajectory(a, x0, LayerConfig(variant="residual"), 5,
+                            np.random.default_rng((9, 0)))
+    assert np.array_equal(single.final, whole.trials[0].final)
+    options, steps = _STACK_CASES["vanilla"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        partial = run_trajectory(a, x0, LayerConfig(**options), steps,
+                                 _trial_rngs(5))
+    assert any(tr.aborted for tr in partial.trials)
+    assert not all(tr.aborted for tr in partial.trials)
+    finals = [tr.final for tr in partial.trials] + [partial.final]
+    assert all(f.flags.owndata for f in finals)
+    assert not any(np.shares_memory(f, g) for i, f in enumerate(finals)
+                   for g in finals[i + 1:])
+
+
+def test_stacked_residual_working_set():
+    # (n, T, k) = (about 3000, 20, 4) with prop 1's mu observer: the
+    # loop keeps x, y, A @ X (also the step's scratch) and the bool
+    # mask, mu its residual, and the product one gather piece of at most
+    # 512 KB, so the peak stays under 5.5 blocks plus 1 MB
+    g = gen_graph("er:3000,0.002", seed=0, largest_cc=True)
+    a = build_operator(g, "sym_normalized")
+    x0 = np.random.default_rng(0).normal(size=(g.n, 4))
+    a @ x0      # builds the sliced layout outside the traced run
+    v = np.ones(g.n) / np.sqrt(g.n)
+    block = g.n * 20 * 4 * 8
+    tracemalloc.start()
+    try:
+        run_trajectory(a, x0, LayerConfig(variant="residual"), 4,
+                       _trial_rngs(20), observer=lambda _, x: mu(x, v))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a._slices is not None
+    assert peak <= 5.5 * block + (1 << 20), peak / block

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from oversmooth import cli, layers
+from oversmooth import cli, graphio, layers, partition
 from oversmooth.errors import DomainError, PreconditionError
 from oversmooth.graphio import (build_operator, gen_graph, load_graph,
                                 make_graph)
@@ -322,6 +322,41 @@ def test_prop7_star_cycle_edgeless():
     assert "regular" in rep.notes
     assert check_prop7_centering(make_graph(3, []), 1.0).verdict == \
         INCONCLUSIVE
+
+
+@pytest.mark.parametrize("spec, trials", [("star:16", 3), ("cycle:12", 2),
+                                          ("path:7", 3)])
+def test_prop7_counts_claim1_where_rest_pairs_exist(spec, trials):
+    rep = check_prop7_centering(gen_graph(spec), 1.0)
+    assert (rep.verdict, rep.trials, rep.successes) == (PASS, trials, trials)
+    assert rep.notes.startswith("rest residual")
+
+
+def test_prop7_leaves_out_claim1_on_a_discrete_partition():
+    g = gen_graph("er:100,0.1", seed=0)
+    assert partition.wl_refine(g).m == g.n
+    rep = check_prop7_centering(g, 1.0)
+    assert (rep.verdict, rep.trials, rep.successes) == (PASS, 2, 2)
+    assert "rest residual" not in rep.notes
+    assert rep.notes.endswith("; no rest pairs: the WL partition is discrete")
+    # the evidence keeps its order: rest, rayleigh residual, trace gap
+    assert rep.evidence[0] == 0.0
+    assert rep.evidence[2] == pytest.approx(2 * g.num_edges / g.n)
+
+
+def test_prop7_fails_a_centring_that_moves_rest_pairs(monkeypatch):
+    # e_1 - e_2 lies in star:16's rest eigenspace (sum zero on the
+    # leaves, zero at the hub); a centring that adds a rank-one term
+    # along it keeps claims 2 and 3 but moves every generic rest vector
+    g = gen_graph("star:16")
+    r = np.zeros(g.n)
+    r[1], r[2] = 1.0, -1.0
+    monkeypatch.setattr(
+        partition, "center_operator",
+        lambda a, tau: graphio.center_operator(a, tau) + 1e-3 * np.outer(r, r))
+    rep = check_prop7_centering(g, 1.0)
+    assert (rep.verdict, rep.trials, rep.successes) == (FAIL, 3, 2)
+    assert rep.evidence[0] > 1e-6
 
 
 def test_vanilla_oversmoothing_check():

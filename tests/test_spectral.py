@@ -195,6 +195,18 @@ def test_canonicalize_matches_loop_oracle(vals, vecs):
     assert np.array_equal(got[1], want[1])
 
 
+def test_canonicalize_sign_ignores_rounding_of_tied_entries():
+    # entries tied in exact arithmetic, one nudged by a few ulps either
+    # way: the first of the tied entries still sets the sign
+    col = np.array([0.1, -0.5, 0.3, 0.5, -0.5, 0.2])
+    for bump in (1e-15, -1e-15):
+        for i in (1, 3, 4):
+            moved = col.copy()
+            moved[i] += bump * np.sign(moved[i])
+            got = _canonicalize(np.ones(1), moved[:, None])[1][:, 0]
+            assert got[1] > 0 > got[3], (bump, i)
+
+
 def _helmert_complement_eig(a):
     """The 1-complement pairs from the dense Helmert basis, as
     ones_complement_eig once solved them: Q^T A Q lifted by Q."""
@@ -268,11 +280,11 @@ def test_centered_kernel_column_matches_full_solve(spec, kind):
     j = next(j for j in range(a.n) if full.values[j] == 0.0
              and np.array_equal(np.delete(full.vectors, j, axis=1),
                                 comp.vectors))
+    # under the sign convention: on path:9 the largest entries tie in
+    # exact arithmetic and the two solves round them apart
     w = _old_kernel_vector(np.asarray(a.data))
-    # up to sign: on path:9 the largest entries tie, so rounding picks
-    # which of them the sign convention makes positive
-    assert min(np.abs(full.vectors[:, j] - w).max(),
-               np.abs(full.vectors[:, j] + w).max()) <= 1e-12
+    w = _canonicalize(np.zeros(1), w[:, None])[1][:, 0]
+    assert np.abs(full.vectors[:, j] - w).max() <= 1e-12
 
 
 def test_ones_complement_eig_single_node():
