@@ -1,8 +1,8 @@
 """Per-step cost of every layer variant, of the operator product and of
 ``metrics.mu``, and the one-time cost of building a graph and its
 operators, of ``simulate``'s set-up and run, of the centred solves, of
-props 4 and 6's checks, of stacked residual runs and of ``verify`` runs,
-one in this process and two each in a fresh process.
+props 3, 4 and 6's checks, of stacked residual runs and of ``verify``
+runs, one in this process and three each in a fresh process.
 
     python benchmarks/bench_layers.py [--src DIR] [--column NAME]
 
@@ -32,7 +32,12 @@ sym_normalized`` is the reference's), and the whole run.  For each
 PROP6 (graph spec, seed), ``check_prop6_tightness`` at verify's k = 4
 and eps = 0.01 gets the same over PROP6_REPEATS calls, given the
 adjacency operator, its ``ones_complement_eig`` system and x0 as
-``verify --seed`` builds them, with its verdict and notes.  On the
+``verify --seed`` builds them, with its verdict and notes.  For each
+PROP3 (graph spec, seed), ``check_prop3_krylov_reachability`` on the
+same inputs gets the process time of one call, its verdict and notes,
+and the ``tracemalloc`` peak of a second call; where the check still
+takes a caller-drawn y and Krylov basis, the timed call builds them as
+``verify`` did.  On the
 ONE_TIME graphs, ``ones_complement_eig`` of both symmetric kinds,
 ``centered_eig(adjacency, 1.0)`` and prop 4's check at trials = 0 (its
 precondition and floor, with verify's x0 and all-ones reference) get
@@ -92,6 +97,8 @@ SIM_K, SIM_STEPS, SIM_REPEATS = 32, 16, 3
 # (graph spec, verify seed) of the timed prop 6 checks
 PROP6 = (("er:100,0.1", 0), ("er:1000,0.01", 1))
 PROP6_REPEATS = 3
+# (graph spec, verify seed) of the timed prop 3 checks
+PROP3 = (("er:1000,0.01", 0), ("er:3000,0.005", 1))
 # repeats of the ONE_TIME graphs' centred solves and prop 4 check, and
 # the verify run timed whole
 SOLVE_REPEATS = 3
@@ -102,7 +109,8 @@ STACKED = (("er:1000,0.01", 20, 4), ("er:3000,0.005", 50, 4))
 # verify arguments run whole in a fresh process, and its repeats
 PROCESS_RUNS = (("--props", "1,2", "--graph", "er:3000,0.005"),
                 ("--props", "1,2", "--graph", "er:10000,0.0015",
-                 "--trials", "50", "--steps", "32"))
+                 "--trials", "50", "--steps", "32"),
+                ("--props", "all", "--graph", "er:1000,0.01"))
 PROCESS_REPEATS = 3
 
 
@@ -248,6 +256,40 @@ def _prop6_row(pkg, spec, seed):
             "check_prop6_tightness": _timed(check, PROP6_REPEATS)}
 
 
+def _prop3_check(pkg, np, a, x0, seed):
+    """Prop 3's check on verify's inputs, with the y and Krylov basis
+    verify drew for it where the check still takes them."""
+    check = pkg.propcheck.check_prop3_krylov_reachability
+    if "y" not in inspect.signature(check).parameters:
+        return lambda: check(a, x0, seed=seed)
+
+    def with_y():
+        kb = pkg.spectral.krylov_basis(a, x0)
+        y = kb.basis @ np.random.default_rng((seed, 303)).normal(
+            size=(kb.basis.shape[1], x0.shape[1]))
+        return check(a, x0, y, kb, seed=seed)
+    return with_y
+
+
+def _prop3_row(pkg, np, spec, seed):
+    graphio = pkg.graphio
+    g = graphio.load_graph(spec, seed=seed, largest_cc=True)
+    a = graphio.build_operator(g, graphio.ADJACENCY)
+    x0 = pkg.cli._initial_features(g, 4, (seed, 202), True)
+    check = _prop3_check(pkg, np, a, x0, seed)
+    start = time.process_time()
+    report = check()
+    ms = 1e3 * (time.process_time() - start)
+    tracemalloc.start()
+    try:
+        check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"n": g.n, "verdict": report.verdict, "notes": report.notes,
+            "check_prop3": {"ms": round(ms, 2), "peak_bytes": peak}}
+
+
 def _stacked_row(pkg, np, spec, trials, k):
     """A stacked residual run with prop 1's mu observer, on verify's
     seed-0 graph, operator, x0 and all-ones reference."""
@@ -332,6 +374,8 @@ def main(argv=None) -> int:
               "prop6_repeats": PROP6_REPEATS,
               "prop6": {f"{spec} seed={seed}": _prop6_row(
                   oversmooth, spec, seed) for spec, seed in PROP6},
+              "prop3": {f"{spec} seed={seed}": _prop3_row(
+                  oversmooth, np, spec, seed) for spec, seed in PROP3},
               "shapes": {f"{spec} T={trials} k={k}": _shape_row(
                   oversmooth, np, spec, trials, k)
                   for spec, trials, k in SHAPES},
@@ -345,8 +389,8 @@ def main(argv=None) -> int:
     data["columns"][args.column] = column
     OUT.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     json.dump({key: column[key] for key in (
-        "one_time", "prop6", "shapes", VERIFY_KEY, "stacked residual",
-        "verify process")},
+        "one_time", "prop6", "prop3", "shapes", VERIFY_KEY,
+        "stacked residual", "verify process")},
               sys.stdout, indent=1)
     print()
     return 0

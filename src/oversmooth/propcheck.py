@@ -26,8 +26,8 @@ from .graphio import Graph, OperatorMatrix, build_operator, is_connected
 from .layers import LayerConfig, WeightSpec, run_trajectory
 from .metrics import ReferenceVector, mu
 from .partition import check_centering_effect
-from .spectral import (EigenSystem, KrylovBasis, check_orthonormal,
-                       krylov_generators, numerical_rank, subspace_distance,
+from .spectral import (KRYLOV_DROP_TOL, EigenSystem, check_orthonormal,
+                       krylov_basis, numerical_rank, subspace_distance,
                        symmetric_eig)
 
 DEFAULT_TRIALS = 50
@@ -47,6 +47,11 @@ _SLOPE_SKIP = 4
 _GAP_TOL = 1e-8
 # Bound on the gap between prop 6's n-space replay and its schedule.
 _REPLAY_GAP = 1e-10
+# Prop 3: the forward relative error bar, which also sets the float64
+# horizon, the converse's slack and its number of random schedules.
+_REACH_TOL = 1e-6
+_CONVERSE_SLACK = 1e-8
+_CONVERSE_TRIALS = 5
 
 
 @dataclass(frozen=True)
@@ -195,98 +200,97 @@ def check_prop2_signal_retention(
                       evidence=tuple(values))
 
 
-def _krylov_schedule(gen: np.ndarray, scales: np.ndarray, y: np.ndarray):
-    """Weight schedule reaching y through n residual layers (alpha=0.5).
+def check_prop3_krylov_reachability(a: OperatorMatrix, x0: np.ndarray,
+                                    seed: int = 0) -> PropReport:
+    """Exact reachability of the block Krylov space Kr(A, X0) under
+    residual updates on ``a`` (``verify`` passes the adjacency operator),
+    decided at each depth d up to the float64 horizon d_f: the last at
+    which eps times the condition number of Kr_d's unit-column
+    generators A^i X0, i < d, over their singular values above
+    KRYLOV_DROP_TOL sigma_1, stays within _REACH_TOL, the rounding an
+    expansion over them costs (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 20).  Forward: y drawn from Kr_d is reached
+    in d steps to _REACH_TOL relative error.  Converse: each random
+    schedule's X_d has at most _CONVERSE_SLACK |X_d| outside Kr_{d+1}
+    while that is a proper subspace, so every y with a component rho
+    outside it stays rho - _CONVERSE_SLACK away (the nearest adds rho
+    along that part to X_d's projection).  Fail if a depth fails; pass
+    only if Kr closes within d_f (a ``krylov_basis`` block adds no
+    direction); else inconclusive."""
+    n, k = x0.shape
+    rng = np.random.default_rng((seed, 303))
+    gen, scales = np.empty((n, 0)), np.empty(0)
+    block, scale, rank = x0, np.ones(k), 0
+    forward = []    # relative error at each decided depth
+    # the rank grows at each decided depth, so some depth <= n + 1 stops
+    for d in range(1, n + 2):
+        norms = np.linalg.norm(block, axis=0)
+        block = block / np.where(norms > 0, norms, 1.0)
+        scale = scale * norms
+        gen = np.concatenate([gen, block], axis=1)
+        scales = np.concatenate([scales, scale])
+        # least squares from the SVD, which also gives cond and a basis
+        u, sigma, vt = np.linalg.svd(gen, full_matrices=False)
+        kept = sigma > KRYLOV_DROP_TOL * sigma[0]
+        cond = sigma[0] / sigma[kept][-1] if kept.any() else np.inf
+        if cond * np.finfo(float).eps > _REACH_TOL or kept.sum() == rank:
+            break
+        rank = int(kept.sum())
+        z = rng.normal(size=(rank, k))
+        coef = vt[kept].T @ (z / sigma[kept, None])
+        coef /= np.where(scales > 0, scales, np.inf)[:, None]
+        y = u[:, kept] @ z
+        final = run_trajectory(a, x0, _reach_config(coef, d), d,
+                               np.random.default_rng(seed)).final
+        forward.append(float(np.linalg.norm(final - y) / np.linalg.norm(y)))
+        block = a @ block
+    d_f = len(forward)
+    notes = f"decided to depth d_f={d_f}; cond at depth {d} {cond:.3e}"
+    if d_f == 0:
+        return PropReport(proposition=3, verdict=INCONCLUSIVE, trials=0,
+                          successes=0, bound=_REACH_TOL, notes=notes)
+    kb = krylov_basis(a, x0, d_f + 1)
+    # dims[d-1] = dim Kr_d, which stops growing once a block adds nothing
+    dims = np.cumsum(kb.blocks + (0,) * (d_f + 1 - len(kb.blocks)))
+    converse = np.zeros(int(np.sum(dims[1:] < n)))
 
-    Expands y in the Krylov generators A^{i-1} X0 (least squares on
-    unit-scaled columns; ``scales`` are their norms) and spreads the
-    coefficients over the W2 sequence; W1 is zero at step 0 and
-    identity afterwards.  Returns (w1_list, w2_list, expansion_residual).
-    """
-    n = gen.shape[0]
-    k = gen.shape[1] // n
-    scales = np.where(scales == 0, 1.0, scales)
-    coef_scaled, *_ = np.linalg.lstsq(gen / scales, y, rcond=None)
-    coef = coef_scaled / scales[:, None]
-    resid = float(np.linalg.norm(gen @ coef - y))
-    # the unrolled update pairs the A^{i-1} term with W2 of step n-i
-    w2s: list = [None] * n
-    for i in range(1, n + 1):
-        w2s[n - i] = coef[(i - 1) * k:i * k, :] / 0.5**i
-    w1s = [np.zeros((k, k))] + [np.eye(k)] * (n - 1)
-    return w1s, w2s, resid
+    def outside(t: int, xt: np.ndarray):
+        q = kb.basis[:, :dims[t]]
+        rel = (np.linalg.norm(xt - q @ (q.T @ xt), axis=(1, 2))
+               / np.linalg.norm(xt, axis=(1, 2)))
+        converse[t - 1] = rel.max()
+        return rel
+    if converse.size:
+        run_trajectory(a, x0, LayerConfig(variant="residual", alpha=0.5),
+                       converse.size, _trial_rngs(seed, _CONVERSE_TRIALS),
+                       observer=outside)
+    notes += f"; dim Kr_{d_f} = {dims[d_f - 1]}"
+    closed = len(kb.blocks) <= d_f
+    if closed:
+        notes += f"; Kr closes at depth D={len(kb.blocks)} with r={dims[-1]}"
+    checks = {"forward fails at depth": [e <= _REACH_TOL for e in forward],
+              "converse fails at step": list(converse <= _CONVERSE_SLACK)}
+    for name, oks in checks.items():
+        if not all(oks):
+            notes += f"; {name} {oks.index(False) + 1}"
+    ok = [o for oks in checks.values() for o in oks]
+    verdict = FAIL if not all(ok) else PASS if closed else INCONCLUSIVE
+    return PropReport(proposition=3, verdict=verdict, trials=len(ok),
+                      successes=int(sum(ok)), bound=_REACH_TOL,
+                      evidence=(*forward, *converse), notes=notes)
 
 
-def _schedule_config(w1s: list, w2s: list) -> LayerConfig:
+def _reach_config(coef: np.ndarray, d: int) -> LayerConfig:
+    """d residual steps (alpha = 0.5) landing on sum_i A^i X0 coef_i:
+    W1 is zero at step 0 and identity after, and W2 of step d-1-i
+    carries coef_i / 0.5^(i+1)."""
+    k = coef.shape[1]
+    w1s = (np.zeros((k, k)),) + (np.eye(k),) * (d - 1)
+    w2s = [coef[i * k:(i + 1) * k] / 0.5**(i + 1) for i in range(d)]
     return LayerConfig(
         variant="residual", alpha=0.5,
-        weight_spec=WeightSpec(mode="explicit", matrices=tuple(w1s)),
-        weight_spec2=WeightSpec(mode="explicit", matrices=tuple(w2s)))
-
-
-def check_prop3_krylov_reachability(
-        a: OperatorMatrix, x0: np.ndarray, y: np.ndarray, kb: KrylovBasis,
-        seed: int = 0) -> PropReport:
-    """Exact reachability of the Krylov subspace under residual updates
-    on ``a`` (``verify`` passes the adjacency operator).
-
-    ``kb`` is ``krylov_basis(a, x0)``; the caller builds it, usually to
-    draw y from it too.  Forward: if y lies in Kr(A, x0), the
-    constructed n-step schedule must land on y to 1e-6 relative error.
-    Converse: if y has a component of norm rho outside the subspace,
-    every produced X^(n) stays at distance >= rho - 1e-8 from y.
-    Inconclusive when the norm of a monomial A^i X0 overflows float64:
-    the scaled expansion cannot be formed.
-    """
-    n, k = x0.shape
-    proj_resid = float(np.linalg.norm(y - kb.basis @ (kb.basis.T @ y)))
-    y_norm = float(np.linalg.norm(y))
-    forward = proj_resid < 1e-8
-    with np.errstate(over="ignore", invalid="ignore"):
-        gen = krylov_generators(a, x0)
-        scales = np.linalg.norm(gen, axis=0)
-    # a non-finite entry makes its column's norm non-finite too
-    finite = np.isfinite(scales)
-    if not finite.all():
-        depth = int(np.argmin(finite)) // k
-        return PropReport(
-            proposition=3, verdict=INCONCLUSIVE, trials=0, successes=0,
-            bound=1e-6 if forward else proj_resid,
-            notes=f"{'forward' if forward else 'converse'}; the norm of "
-                  f"A^{depth} X0 overflows float64 (depth {depth} of {n}), "
-                  "so the scaled expansion cannot be formed")
-
-    if forward:
-        w1s, w2s, exp_resid = _krylov_schedule(gen, scales, y)
-        log = run_trajectory(a, x0, _schedule_config(w1s, w2s), n,
-                             np.random.default_rng(seed))
-        err = float(np.linalg.norm(log.final - y))
-        ok = err <= 1e-6 * max(y_norm, 1e-300)
-        notes = f"forward; expansion residual {exp_resid:.3e}"
-        if exp_resid > 1e-6 * max(y_norm, 1e-300):
-            notes += " (rank-deficient expansion)"
-        return PropReport(proposition=3, verdict=PASS if ok else FAIL,
-                          trials=1, successes=int(ok), bound=1e-6,
-                          evidence=(err, exp_resid), notes=notes)
-
-    # converse: try the schedule aimed at the projection of y, plus
-    # random Gaussian schedules; none may get closer than rho - 1e-8
-    rho = proj_resid
-    finals = []
-    y_in = kb.basis @ (kb.basis.T @ y)
-    w1s, w2s, _ = _krylov_schedule(gen, scales, y_in)
-    finals.append(run_trajectory(a, x0, _schedule_config(w1s, w2s), n,
-                                 np.random.default_rng(seed)).final)
-    log = run_trajectory(a, x0, LayerConfig(variant="residual", alpha=0.5),
-                         n, _trial_rngs(seed, 5))
-    finals.extend(tr.final for tr in log.trials)
-    dists = [float(np.linalg.norm(f - y)) for f in finals]
-    ok = all(d >= rho - 1e-8 for d in dists)
-    return PropReport(proposition=3, verdict=PASS if ok else FAIL,
-                      trials=len(dists), successes=sum(d >= rho - 1e-8
-                                                       for d in dists),
-                      bound=rho, evidence=tuple(dists),
-                      notes="converse; rho is the out-of-subspace norm")
+        weight_spec=WeightSpec(mode="explicit", matrices=w1s),
+        weight_spec2=WeightSpec(mode="explicit", matrices=tuple(w2s[::-1])))
 
 
 def check_prop4_bn_no_collapse(

@@ -13,8 +13,8 @@ reflected by the Householder reflector that sends 1/sqrt(n) to e_n.
 solve.
 
 Krylov bases come from block Arnoldi (Saad, Iterative Methods for
-Sparse Linear Systems, 6.12); ``krylov_generators`` builds the
-monomials A^i X0 for callers that need that expansion itself.
+Sparse Linear Systems, 6.12), up to an optional depth, and record how
+many directions each depth adds.
 """
 
 from __future__ import annotations
@@ -57,10 +57,11 @@ class EigenSystem:
 
 @dataclass(frozen=True)
 class KrylovBasis:
-    """Orthonormal basis of span({A^{i-1} X0_{:,j}})."""
+    """Orthonormal basis of span({A^{i-1} X0_{:,j}}); depth i added the
+    next ``blocks[i-1]`` columns."""
 
     basis: np.ndarray
-    r: int
+    blocks: tuple
 
 
 def _canonicalize(values: np.ndarray, vectors: np.ndarray):
@@ -225,33 +226,28 @@ def subspace_distance(x: np.ndarray, basis: np.ndarray,
     return float(np.linalg.norm(resid) / basis.shape[0])
 
 
-def krylov_generators(a: OperatorMatrix, x0: np.ndarray) -> np.ndarray:
-    """All vectors A^{i-1} X0_{:,j}, i=1..n then j=1..k, as columns."""
-    x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
-    n = a.n
-    blocks = []
-    power = x0.copy()
-    for _ in range(n):
-        blocks.append(power)
-        power = a @ power
-    return np.concatenate(blocks, axis=1) if blocks else np.zeros((n, 0))
-
-
-def krylov_basis(a: OperatorMatrix, x0: np.ndarray) -> KrylovBasis:
-    """Orthonormal basis of the Krylov subspace by block Arnoldi.
+def krylov_basis(a: OperatorMatrix, x0: np.ndarray,
+                 depth: int | None = None) -> KrylovBasis:
+    """Orthonormal basis of the Krylov subspace by block Arnoldi, to
+    ``depth`` blocks (default: until it stops growing).
 
     Each block is projected off the basis twice (classical Gram-Schmidt,
     repeated), and its SVD keeps the directions whose singular value
     exceeds KRYLOV_DROP_TOL times the block's own 2-norm before the
-    projection.  The next block is A times the kept directions, so no
-    power A^i X0 is ever formed.  Stops when a block keeps nothing or
-    the basis spans R^n.
+    projection.  The next block is A times the last kept directions, so
+    no power A^i X0 is ever formed.  Stops when a block keeps nothing, the
+    basis spans R^n or ``depth`` blocks are kept.
     """
     n = a.n
-    basis = np.empty((n, n), order="F")  # columns [:r] are the basis
-    r = 0
     block = np.atleast_2d(np.asarray(x0, dtype=np.float64))
-    while r < n and block.size:
+    depth = n if depth is None else depth
+    # columns [:r] are the basis
+    basis = np.empty((n, min(n, depth * block.shape[1])), order="F")
+    blocks: list = []
+    r = 0
+    while r < n and len(blocks) < depth and block.size:
+        if blocks:
+            block = a @ basis[:, r - blocks[-1]:r]
         q = basis[:, :r]
         scale = np.linalg.norm(block, 2)
         for _ in range(2):
@@ -262,5 +258,6 @@ def krylov_basis(a: OperatorMatrix, x0: np.ndarray) -> KrylovBasis:
             break
         basis[:, r:r + new.shape[1]] = new
         r += new.shape[1]
-        block = a @ new
-    return KrylovBasis(basis=np.ascontiguousarray(basis[:, :r]), r=r)
+        blocks.append(new.shape[1])
+    return KrylovBasis(basis=np.ascontiguousarray(basis[:, :r]),
+                       blocks=tuple(blocks))

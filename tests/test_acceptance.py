@@ -26,8 +26,8 @@ from oversmooth.propcheck import (build_tightness_schedule,
                                   check_prop6_tightness,
                                   check_prop7_centering,
                                   check_vanilla_oversmoothing, fit_log_slope)
-from oversmooth.spectral import (krylov_basis, numerical_rank,
-                                 ones_complement_eig, symmetric_eig, top_k)
+from oversmooth.spectral import (numerical_rank, ones_complement_eig,
+                                 symmetric_eig, top_k)
 
 # Rank tolerance for the rank-collapse contrast in criterion 5.  At the
 # strict default (1e-10) the PairNorm collapse completes only around
@@ -120,32 +120,22 @@ def test_criterion_04_krylov_reachability():
         a = build_operator(g, "adjacency")
         x0 = np.random.default_rng((seed, 202)).normal(size=(g.n, 3))
         x0 /= np.linalg.norm(x0, axis=0)
-        kb = krylov_basis(a, x0)
-        y = kb.basis @ np.random.default_rng((seed, 303)).normal(
-            size=(kb.r, 3))
-        reports.append(check_prop3_krylov_reachability(a, x0, y, kb,
-                                                       seed=seed))
+        reports.append(check_prop3_krylov_reachability(a, x0, seed=seed))
     # converse: mirror-symmetric x0 on Path(6) keeps the Krylov space in
-    # the reflection-symmetric subspace; an antisymmetric component of y
-    # is unreachable with distance >= its norm
+    # the reflection-symmetric subspace, which random schedules never
+    # leave
     g = gen_graph("path:6")
     a = build_operator(g, "adjacency")
-    rng = np.random.default_rng((1, 202))
-    half = rng.normal(size=(3, 3))
+    half = np.random.default_rng((1, 202)).normal(size=(3, 3))
     x0 = np.concatenate([half, half[::-1]], axis=0)
     x0 /= np.linalg.norm(x0, axis=0)
-    kb = krylov_basis(a, x0)
-    anti = np.zeros((6, 3))
-    anti[0, 0], anti[5, 0] = 1.0, -1.0
-    anti /= np.linalg.norm(anti[:, 0])
-    y = kb.basis @ rng.normal(size=(kb.r, 3)) + 0.7 * anti
-    reports.append(check_prop3_krylov_reachability(a, x0, y, kb, seed=1))
+    reports.append(check_prop3_krylov_reachability(a, x0, seed=1))
     ok = (all(r.verdict == "pass" for r in reports)
-          and "converse" in reports[-1].notes)
+          and "Kr closes at depth D=1 with r=3" in reports[-1].notes)
     _budget(4, t0, 5.0)
-    _report(4, ok, f"forward errors {reports[0].evidence[0]:.2e}, "
-                   f"{reports[1].evidence[0]:.2e}; converse floor "
-                   f"{reports[-1].bound:.3f} respected")
+    _report(4, ok, f"worst forward errors {max(reports[0].evidence):.2e}, "
+                   f"{max(reports[1].evidence):.2e}; symmetric x0 leaves "
+                   f"at most {reports[-1].evidence[-1]:.2e} outside Kr")
 
 
 def test_criterion_05_bn_rank_preservation_vs_pairnorm():

@@ -447,15 +447,27 @@ def test_verify_imports_no_scipy():
 
 
 @pytest.mark.parametrize("graph", ["er:200,0.05", "er:300,0.05"])
-def test_prop3_overflow_is_inconclusive(capfd, graph):
-    # the monomials A^i X0 overflow float64 before depth n; capfd also
-    # sees what LAPACK would print on the C streams
+def test_prop3_reports_its_horizon(capfd, graph):
+    # decided to the depth float64 can realise, which is short of the
+    # depth where Kr closes; capfd also sees what LAPACK would print on
+    # the C streams
     code = cli.main(["verify", "--props", "3", "--graph", graph])
     out, err = capfd.readouterr()
     assert (code, err) == (0, "")
     (report,) = json.loads(out)
     assert report["verdict"] == "inconclusive"
-    assert "overflows float64 (depth" in report["notes"]
+    assert re.match(r"decided to depth d_f=\d+; cond at depth \d+ ",
+                    report["notes"])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_readme_verify_example_exits_0(capsys, seed):
+    code, out, _ = _run(capsys, ["verify", "--props", "all", "--graph",
+                                 "er:100,0.1", "--seed", str(seed)])
+    assert code == 0
+    prop3 = json.loads(out)[2]
+    assert prop3["verdict"] == "inconclusive"
+    assert "d_f=" in prop3["notes"]
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify", "spectrum",

@@ -23,8 +23,7 @@ from oversmooth.propcheck import (FAIL, INCONCLUSIVE, PASS, UNDEFINED,
                                   check_prop7_centering,
                                   check_vanilla_oversmoothing, fit_log_slope,
                                   identity_steps)
-from oversmooth.spectral import (krylov_basis, numerical_rank,
-                                 ones_complement_eig)
+from oversmooth.spectral import numerical_rank, ones_complement_eig
 
 
 def _unit_x0(n, k, seed=0):
@@ -95,41 +94,108 @@ def test_prop2_bound_and_degenerate_cases():
         check_prop2_signal_retention(a, 2.0 * x0, 0.5, 1.0, eps, trials=1)
 
 
-def _prop3(g, x0, y):
-    a = build_operator(g, "adjacency")
-    return check_prop3_krylov_reachability(a, x0, y, krylov_basis(a, x0))
+def _prop3(g, x0):
+    return check_prop3_krylov_reachability(build_operator(g, "adjacency"), x0)
 
 
-def test_prop3_forward_trivial_y_is_x0():
-    g = gen_graph("path:4")
-    x0 = _unit_x0(4, 2, seed=2)
-    # y = 0.5 * A^0 x0 is the i=1 Krylov term
-    rep = _prop3(g, x0, x0.copy())
+def test_prop3_path4_passes():
+    rep = _prop3(gen_graph("path:4"), _unit_x0(4, 2, seed=2))
     assert rep.verdict == PASS
-    assert rep.evidence[0] <= 1e-6 * np.linalg.norm(x0)
+    assert rep.successes == rep.trials > 0
+    assert "Kr closes at depth D=2 with r=4" in rep.notes
 
 
 def test_prop3_forward_path3_e1_to_e3():
-    g = gen_graph("path:3")
-    x0 = np.eye(3)[:, :1]
-    y = np.eye(3)[:, 2:]
-    rep = _prop3(g, x0, y)
+    # Kr(A, e1) = R^3, reached at depth 3, where the targets have an e3
+    # part
+    rep = _prop3(gen_graph("path:3"), np.eye(3)[:, :1])
     assert rep.verdict == PASS
-    assert "forward" in rep.notes
+    assert "Kr closes at depth D=3 with r=3" in rep.notes
+    assert max(rep.evidence) <= 1e-6
 
 
 def test_prop3_converse_identity_operator():
-    # self-loop graph: A = I, so Kr(A, x0) = colspace(x0)
+    # self-loop graph: A = I, so Kr(A, x0) = colspace(x0), a proper
+    # subspace that random schedules never leave
     g = make_graph(4, [(i, i, 1.0) for i in range(4)])
-    x0 = np.eye(4)[:, :2]
-    y = np.zeros((4, 2))
-    y[:, 0] = np.eye(4)[:, 2] * 0.8 + x0[:, 0] * 0.1
-    y[:, 1] = x0[:, 1]
-    rep = _prop3(g, x0, y)
+    rep = _prop3(g, np.eye(4)[:, :2])
     assert rep.verdict == PASS
-    assert "converse" in rep.notes
-    assert abs(rep.bound - 0.8) < 1e-10
-    assert all(d >= 0.8 - 1e-8 for d in rep.evidence)
+    assert "Kr closes at depth D=1 with r=2" in rep.notes
+    # one forward depth, one converse step
+    assert rep.trials == 2
+    assert rep.evidence[1] <= 1e-8
+
+
+def _verify_inputs(seed):
+    g = load_graph("er:100,0.1", seed=seed, largest_cc=True)
+    return (build_operator(g, "adjacency"),
+            cli._initial_features(g, 4, (seed, 202), True))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_prop3_decides_up_to_its_horizon(seed):
+    # the depth-25 expansion is beyond float64; every depth below the
+    # horizon passes, and the space is not closed there
+    a, x0 = _verify_inputs(seed)
+    rep = check_prop3_krylov_reachability(a, x0, seed=seed)
+    d_f = int(re.search(r"d_f=(\d+)", rep.notes).group(1))
+    cond = float(re.search(rf"cond at depth {d_f + 1} (\S+);",
+                           rep.notes).group(1))
+    assert rep.verdict == INCONCLUSIVE
+    assert 10 <= d_f < 25 and cond * np.finfo(float).eps > 1e-6
+    assert rep.successes == rep.trials == 2 * d_f
+
+
+def _x_for_x0(a, x0, cfg):
+    """A residual step that injects the current X where X0 belongs."""
+    def step(x, ax, y, w1, w2):
+        layers._xw(ax, w1, y)
+        y *= 1.0 - cfg.alpha
+        layers._xw(x, w2, ax)
+        ax *= cfg.alpha
+        y += ax
+        return {}
+    return step
+
+
+def _leaking(a, x0, cfg):
+    """The residual step plus 1e-6 of its largest entry on node 0,
+    outside Kr."""
+    step = layers._residual(a, x0, cfg)
+
+    def leak(x, ax, y, w1, w2):
+        faults = step(x, ax, y, w1, w2)
+        y[0] += 1e-6 * np.abs(y).max()
+        return faults
+    return leak
+
+
+def test_prop3_fails_a_step_that_injects_x_for_x0(monkeypatch):
+    monkeypatch.setitem(layers._STEPS, "residual", (_x_for_x0, 2))
+    rep = check_prop3_krylov_reachability(*_verify_inputs(0))
+    # depth 1 starts from X0 itself, so the first miss is depth 2
+    assert rep.verdict == FAIL
+    assert "forward fails at depth 2" in rep.notes
+
+
+def test_prop3_converse_fails_a_step_that_leaks_outside_kr(monkeypatch):
+    monkeypatch.setitem(layers._STEPS, "residual", (_leaking, 2))
+    rep = check_prop3_krylov_reachability(*_verify_inputs(0))
+    assert rep.verdict == FAIL
+    assert "converse fails at step 1" in rep.notes
+
+
+def test_prop3_no_decided_depth_is_inconclusive():
+    # unit columns u and (u + d v)/|.|, u orthogonal to v: cond = 2/d =
+    # 6.7e9, over 1e-6/eps, with sigma_2 kept (above 1e-10 sigma_1)
+    g = gen_graph("path:5")
+    x0 = np.zeros((5, 2))
+    x0[0], x0[1, 1] = 1.0, 3e-10
+    x0 /= np.linalg.norm(x0, axis=0)
+    rep = _prop3(g, x0)
+    assert rep.verdict == INCONCLUSIVE
+    assert rep.trials == rep.successes == 0
+    assert rep.notes.startswith("decided to depth d_f=0; cond at depth 1 ")
 
 
 def test_prop4_pass_and_rank_precondition():

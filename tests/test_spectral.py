@@ -14,9 +14,8 @@ from oversmooth.graphio import (build_operator, gen_graph, load_graph,
                                 make_graph)
 from oversmooth.spectral import (_canonicalize, centered_eig,
                                  check_orthonormal, krylov_basis,
-                                 krylov_generators, numerical_rank,
-                                 ones_complement_eig, subspace_distance,
-                                 symmetric_eig, top_k)
+                                 numerical_rank, ones_complement_eig,
+                                 subspace_distance, symmetric_eig, top_k)
 
 
 def _rand_sym(n, seed):
@@ -371,23 +370,32 @@ def test_krylov_identity():
     assert np.array_equal(a.data, np.eye(3))
     e1 = np.eye(3)[:, :1]
     kb = krylov_basis(a, e1)
-    assert kb.r == 1
+    assert kb.blocks == (1,)
     assert np.abs(np.abs(kb.basis[:, 0]) - e1[:, 0]).max() < 1e-12
 
 
 def test_krylov_path3():
     a = build_operator(gen_graph("path:3"), "adjacency")
     kb = krylov_basis(a, np.eye(3)[:, :1])
-    assert kb.r == 3
+    assert kb.blocks == (1, 1, 1)
     assert np.abs(kb.basis.T @ kb.basis - np.eye(3)).max() < 1e-10
 
 
 def test_krylov_zero_and_generators():
     a = build_operator(gen_graph("path:3"), "adjacency")
-    assert krylov_basis(a, np.zeros((3, 1))).r == 0
-    gen = krylov_generators(a, np.eye(3)[:, :1])
-    assert gen.shape == (3, 3)
-    assert np.array_equal(gen[:, 1], a.data @ gen[:, 0])
+    kb = krylov_basis(a, np.zeros((3, 1)))
+    assert kb.blocks == () and kb.basis.shape == (3, 0)
+
+
+def test_krylov_depth_bound():
+    # path:5 from e1: depth d spans e1..e_d
+    a = build_operator(gen_graph("path:5"), "adjacency")
+    for depth in (1, 2, 3):
+        kb = krylov_basis(a, np.eye(5)[:, :1], depth)
+        assert kb.blocks == (1,) * depth
+        assert np.abs(np.abs(kb.basis) - np.eye(5)[:, :depth]).max() < 1e-12
+    # a depth past closure stops where the space closes
+    assert krylov_basis(a, np.eye(5)[:, :1], 9).blocks == (1,) * 5
 
 
 def test_krylov_invariance():
@@ -407,8 +415,9 @@ def test_krylov_full_rank_on_verify_graph(seed):
     g = load_graph("er:100,0.1", seed=seed, largest_cc=True)
     x0 = _initial_features(g, 4, (seed, 202), True)
     kb = krylov_basis(build_operator(g, "adjacency"), x0)
-    assert g.n == 100 and kb.r == 100
-    assert np.abs(kb.basis.T @ kb.basis - np.eye(kb.r)).max() < 1e-12
+    assert g.n == 100 and kb.basis.shape == (100, 100)
+    assert kb.blocks == (4,) * 25
+    assert np.abs(kb.basis.T @ kb.basis - np.eye(100)).max() < 1e-12
 
 
 @pytest.mark.parametrize("n, k", [(10, 4), (50, 4), (200, 8)])
@@ -418,8 +427,8 @@ def test_krylov_star_closed_form(n, k):
     a = build_operator(gen_graph(f"star:{n}"), "adjacency")
     x0 = np.random.default_rng(n).normal(size=(n, k))
     kb = krylov_basis(a, x0)
-    assert kb.r == k + 2
-    assert np.abs(kb.basis.T @ kb.basis - np.eye(kb.r)).max() < 1e-12
+    assert kb.blocks == (k, 2)
+    assert np.abs(kb.basis.T @ kb.basis - np.eye(k + 2)).max() < 1e-12
 
 
 def test_krylov_no_overflow_on_large_graph():
@@ -429,8 +438,8 @@ def test_krylov_no_overflow_on_large_graph():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         kb = krylov_basis(build_operator(g, "adjacency"), x0)
-    assert kb.r == g.n == 300
-    assert np.abs(kb.basis.T @ kb.basis - np.eye(kb.r)).max() < 1e-12
+    assert kb.basis.shape == (g.n, 300)
+    assert np.abs(kb.basis.T @ kb.basis - np.eye(300)).max() < 1e-12
 
 
 # ------------------------------------------------------ property tests
