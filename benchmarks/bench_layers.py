@@ -1,7 +1,7 @@
 """Per-step cost of every layer variant, of the operator product and of
 ``metrics.mu``, and the one-time cost of building a graph and its
 operators, of ``simulate``'s set-up and run, of the centred solves, of
-props 3, 4 and 6's checks, of stacked residual runs and of ``verify``
+props 3, 4, 5 and 6's checks, of stacked residual runs and of ``verify``
 runs, one in this process and three each in a fresh process.
 
     python benchmarks/bench_layers.py [--src DIR] [--column NAME]
@@ -37,7 +37,11 @@ PROP3 (graph spec, seed), ``check_prop3_krylov_reachability`` on the
 same inputs gets the process time of one call, its verdict and notes,
 and the ``tracemalloc`` peak of a second call; where the check still
 takes a caller-drawn y and Krylov basis, the timed call builds them as
-``verify`` did.  On the
+``verify`` did.  For each PROP5 (graph spec, seed),
+``check_prop5_topk_convergence`` at verify's k = 4 and 256 steps, given
+the adjacency operator, its ``ones_complement_eig`` system and x0 as
+``verify --seed`` builds them, gets the same and the number of slopes
+its report holds.  On the
 ONE_TIME graphs, ``ones_complement_eig`` of both symmetric kinds,
 ``centered_eig(adjacency, 1.0)`` and prop 4's check at trials = 0 (its
 precondition and floor, with verify's x0 and all-ones reference) get
@@ -99,6 +103,8 @@ PROP6 = (("er:100,0.1", 0), ("er:1000,0.01", 1))
 PROP6_REPEATS = 3
 # (graph spec, verify seed) of the timed prop 3 checks
 PROP3 = (("er:1000,0.01", 0), ("er:3000,0.005", 1))
+# (graph spec, verify seed) of the timed prop 5 checks
+PROP5 = (("er:1000,0.01", 0), ("er:3000,0.005", 1))
 # repeats of the ONE_TIME graphs' centred solves and prop 4 check, and
 # the verify run timed whole
 SOLVE_REPEATS = 3
@@ -241,12 +247,32 @@ def _verify_row(cli):
     return _timed(run, SOLVE_REPEATS)
 
 
-def _prop6_row(pkg, spec, seed):
+def _once(check):
+    """The check's report, the process time of that call and the
+    ``tracemalloc`` peak bytes of a second call."""
+    start = time.process_time()
+    report = check()
+    ms = 1e3 * (time.process_time() - start)
+    tracemalloc.start()
+    try:
+        check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return report, {"ms": round(ms, 2), "peak_bytes": peak}
+
+
+def _verify_inputs(pkg, spec, seed):
+    """verify's graph, adjacency operator and k = 4 x0 at this seed."""
     graphio = pkg.graphio
     g = graphio.load_graph(spec, seed=seed, largest_cc=True)
     a = graphio.build_operator(g, graphio.ADJACENCY)
+    return g, a, pkg.cli._initial_features(g, 4, (seed, 202), True)
+
+
+def _prop6_row(pkg, spec, seed):
+    g, a, x0 = _verify_inputs(pkg, spec, seed)
     es = pkg.spectral.ones_complement_eig(a)
-    x0 = pkg.cli._initial_features(g, 4, (seed, 202), True)
 
     def check():
         return pkg.propcheck.check_prop6_tightness(a, es, x0, 4, 0.01,
@@ -272,22 +298,20 @@ def _prop3_check(pkg, np, a, x0, seed):
 
 
 def _prop3_row(pkg, np, spec, seed):
-    graphio = pkg.graphio
-    g = graphio.load_graph(spec, seed=seed, largest_cc=True)
-    a = graphio.build_operator(g, graphio.ADJACENCY)
-    x0 = pkg.cli._initial_features(g, 4, (seed, 202), True)
-    check = _prop3_check(pkg, np, a, x0, seed)
-    start = time.process_time()
-    report = check()
-    ms = 1e3 * (time.process_time() - start)
-    tracemalloc.start()
-    try:
-        check()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    g, a, x0 = _verify_inputs(pkg, spec, seed)
+    report, timed = _once(_prop3_check(pkg, np, a, x0, seed))
     return {"n": g.n, "verdict": report.verdict, "notes": report.notes,
-            "check_prop3": {"ms": round(ms, 2), "peak_bytes": peak}}
+            "check_prop3": timed}
+
+
+def _prop5_row(pkg, spec, seed):
+    g, a, x0 = _verify_inputs(pkg, spec, seed)
+    es = pkg.spectral.ones_complement_eig(a)
+    report, timed = _once(lambda: pkg.propcheck.check_prop5_topk_convergence(
+        a, es, x0, 4, seed=seed))
+    return {"n": g.n, "verdict": report.verdict, "notes": report.notes,
+            "slopes": len(report.slopes),
+            "check_prop5_topk_convergence": timed}
 
 
 def _stacked_row(pkg, np, spec, trials, k):
@@ -376,6 +400,8 @@ def main(argv=None) -> int:
                   oversmooth, spec, seed) for spec, seed in PROP6},
               "prop3": {f"{spec} seed={seed}": _prop3_row(
                   oversmooth, np, spec, seed) for spec, seed in PROP3},
+              "prop5": {f"{spec} seed={seed}": _prop5_row(
+                  oversmooth, spec, seed) for spec, seed in PROP5},
               "shapes": {f"{spec} T={trials} k={k}": _shape_row(
                   oversmooth, np, spec, trials, k)
                   for spec, trials, k in SHAPES},
@@ -389,7 +415,7 @@ def main(argv=None) -> int:
     data["columns"][args.column] = column
     OUT.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     json.dump({key: column[key] for key in (
-        "one_time", "prop6", "prop3", "shapes", VERIFY_KEY,
+        "one_time", "prop6", "prop3", "prop5", "shapes", VERIFY_KEY,
         "stacked residual", "verify process")},
               sys.stdout, indent=1)
     print()

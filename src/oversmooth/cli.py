@@ -230,7 +230,7 @@ class _VerifyRun:
 # proposition id -> (the operator kind its check reads, the check).  The
 # check is called with the run and that kind's operator, and props 5
 # and 6 also read the run's 1-complement system of it; prop 7 reads the
-# graph (kind None).  Prop 2 runs at alpha = 0.5, s = 1 and
+# graph too.  Prop 2 runs at alpha = 0.5, s = 1 and
 # eps = sqrt(2 ln 2) / 2, so that p = 0.5.
 _VERIFY = {
     1: (SYM_NORMALIZED,
@@ -254,7 +254,8 @@ _VERIFY = {
     6: (ADJACENCY,
         lambda r, a: propcheck.check_prop6_tightness(
             a, r.system(a), r.x0, r.o.k, r.o.eps, seed=r.o.seed)),
-    7: (None, lambda r, a: propcheck.check_prop7_centering(r.g, r.o.tau)),
+    7: (ADJACENCY,
+        lambda r, a: propcheck.check_prop7_centering(r.g, a, r.o.tau)),
 }
 
 
@@ -263,7 +264,7 @@ def _check_report(run: _VerifyRun, pid: int) -> dict:
     fails reports inconclusive instead of stopping the run."""
     kind, check = _VERIFY[pid]
     try:
-        report = check(run, run.operator(kind) if kind else None)
+        report = check(run, run.operator(kind))
     except PreconditionError as exc:
         report = propcheck.PropReport(
             proposition=pid, verdict=propcheck.INCONCLUSIVE, trials=0,

@@ -185,10 +185,9 @@ def _bn(y, s):
     return y, _col_norms(y, s), ref, "zero vector after centering"
 
 
-def _gn(y, s, tau):
-    ref = _col_norms(y, s)
-    y -= tau * _mean(y)
-    return (y, _col_norms(y, s) / np.sqrt(y.shape[0]), ref,
+def _gn(y, s):
+    y, den, ref, _ = _bn(y, s)
+    return (y, den / np.sqrt(y.shape[0]), ref,
             "zero spread after partial centering")
 
 
@@ -283,9 +282,8 @@ def _pairnorm(a, x0, cfg):
 
 
 def _graphnorm(a, x0, cfg):
-    tau = np.ones(x0.shape[1])
     return lambda x, ax, y, w: _block_normalized(
-        *_gn(_sigma_xw(ax, w, y, cfg), ax, tau))
+        *_gn(_sigma_xw(ax, w, y, cfg), ax))
 
 
 def _graphnormv2(a, x0, cfg):

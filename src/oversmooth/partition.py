@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .graphio import Graph, build_operator, center_operator, is_regular
+from .graphio import (ADJACENCY, Graph, OperatorMatrix, center_operator,
+                      is_regular)
 from .spectral import EigenSystem, symmetric_eig
 
 EQUITABLE_TOL = 1e-9
@@ -150,9 +151,10 @@ class CenteringReport:
     trace_gap_positive: bool
 
 
-def check_centering_effect(g: Graph, tau: float) -> CenteringReport:
+def check_centering_effect(g: Graph, a: OperatorMatrix,
+                           tau: float) -> CenteringReport:
     """Evaluate the effect of the centering operator (I - tau 11^T/n)
-    on the adjacency spectrum.
+    on the spectrum of g's adjacency operator ``a``.
 
     Claim 1: rest eigenpairs survive centering unchanged
     (``rest_pairs`` counts them; none exist when the WL partition is
@@ -163,7 +165,9 @@ def check_centering_effect(g: Graph, tau: float) -> CenteringReport:
     """
     if tau <= 0:
         raise DomainError(f"tau={tau} must be positive")
-    a = build_operator(g, "adjacency")
+    if a.kind != ADJACENCY or a.n != g.n:
+        raise ContractError(f"need the graph's {ADJACENCY} operator, got "
+                            f"{a.kind} on {a.n} nodes")
     es = symmetric_eig(a)
     ep = wl_refine(g)
     split = split_eigenpairs(es, ep)

@@ -6,7 +6,8 @@ trials advance together as one stacked ``run_trajectory`` call, in which
 a trial that aborts stops alone.  Props 1-6 take the operator they
 verify, and props 5-6 also its ``ones_complement_eig`` system, from the
 caller, so a run that checks several builds each operator and solves
-each eigenproblem once; prop 7 and the vanilla baseline take the graph.
+each eigenproblem once; prop 7 takes the graph beside its adjacency
+operator, and the vanilla baseline the graph alone.
 Probability-bound checks compare an empirical frequency against the
 theoretical bound with a 3-sigma binomial slack, so only one-sided
 violations fail.  Spectral-gap degeneracies yield "inconclusive", never
@@ -84,22 +85,13 @@ class PropReport:
 
 @dataclass(frozen=True)
 class ConvergenceTrace:
-    """Per-step eigendirection projections and their fitted log-slopes.
+    """A convergence check's fitted log-slope per step, keyed by the
+    1-based eigenindex q of the direction whose trace it fits."""
 
-    Keys of ``projections`` are 1-based eigenindices q; values are the
-    per-step ‖ν_q-projection‖ sequences (all non-negative).
-    """
-
-    projections: dict
     slopes: dict
     target_rate: float
     verdict: str
     notes: str = ""
-
-    def __post_init__(self):
-        for q, vals in self.projections.items():
-            if np.any(np.asarray(vals) < 0):
-                raise DomainError(f"negative projection trace for q={q}")
 
     def to_json(self) -> dict:
         return {
@@ -340,11 +332,12 @@ def check_prop5_topk_convergence(
     operator) converge to the top-k centered eigenspace; ``es`` is
     ``ones_complement_eig(a)``.
 
-    Records ||nu_q^T X^(t)|| for every q > k under Gaussian weights and
-    fits per-q log-slopes.  Pass requires the q = k+1 slope to respect
-    the one-sided bound log(|l_{k+1}|/|l_k|) + 0.05 and the top-k
-    distance to drop below 1e-6; when |l_{k+1}| is numerically zero the
-    nu_{k+1} trace is rounding noise, so only the distance is checked.
+    Records ||nu_{k+1}^T X^(t)|| and the top-k distance under Gaussian
+    weights, and fits the trace's log-slope, reported under q = k+1.
+    Pass requires that slope to respect the one-sided bound
+    log(|l_{k+1}|/|l_k|) + 0.05 and the top-k distance to drop below
+    1e-6; when |l_{k+1}| is numerically zero the nu_{k+1} trace is
+    rounding noise, so only the distance is checked.
     """
     if not 1 <= k <= a.n - 2:
         raise DomainError(f"k={k} outside [1, n-2]")
@@ -353,18 +346,16 @@ def check_prop5_topk_convergence(
     if numerical_rank(vk.T @ x0) < k:
         raise PreconditionError("V_k^T x0 is singular: its rank is below k")
 
-    rest = es.vectors[:, k:]
-    traces = np.zeros((steps, rest.shape[1]))
-    tkd = np.zeros(steps)
+    nu = es.vectors[:, k]
+    trace, tkd = np.zeros(steps), np.zeros(steps)
 
     def observe(t: int, xt: np.ndarray):
-        traces[t - 1] = np.linalg.norm(rest.T @ xt, axis=1)
+        trace[t - 1] = np.linalg.norm(nu @ xt)
         tkd[t - 1] = subspace_distance(xt, vk)
 
     run_trajectory(a, x0, LayerConfig(variant="batchnorm"), steps,
                    np.random.default_rng(seed), observer=observe)
-    projections = {k + 1 + j: traces[:, j] for j in range(rest.shape[1])}
-    slopes = {q: fit_log_slope(vals) for q, vals in projections.items()}
+    slope = fit_log_slope(trace)
     scale = max(1.0, absl[0])
     target, close = float("nan"), tkd[-1] < 1e-6
     notes = f"final top-k distance {tkd[-1]:.3e}"
@@ -376,11 +367,10 @@ def check_prop5_topk_convergence(
         notes += "; |l_{k+1}| is numerically zero, so the slope is not checked"
     else:
         target = float(np.log(absl[k] / absl[k - 1]))
-        slope = slopes[k + 1]
         ok = np.isfinite(slope) and slope <= target + 0.05 and close
         verdict = PASS if ok else FAIL
-    return ConvergenceTrace(projections=projections, slopes=slopes,
-                            target_rate=target, verdict=verdict, notes=notes)
+    return ConvergenceTrace(slopes={k + 1: slope}, target_rate=target,
+                            verdict=verdict, notes=notes)
 
 
 def identity_steps(values: np.ndarray, c: np.ndarray, t: int) -> np.ndarray:
@@ -494,14 +484,16 @@ def check_prop6_tightness(a: OperatorMatrix, es: EigenSystem,
                       notes=notes)
 
 
-def check_prop7_centering(g: Graph, tau: float) -> PropReport:
-    """Centering leaves rest eigenpairs intact, distorts the dominant
-    eigenvector of non-regular graphs, and shrinks the eigenvalue sum.
+def check_prop7_centering(g: Graph, a: OperatorMatrix,
+                          tau: float) -> PropReport:
+    """Centering g's adjacency operator ``a`` leaves rest eigenpairs
+    intact, distorts the dominant eigenvector of non-regular graphs, and
+    shrinks the eigenvalue sum.
 
     Each claim counts as a trial only where the graph can test it: claim
     1 needs rest pairs (a discrete WL partition has none), claim 2 a
     non-regular graph and claim 3 an edge."""
-    rep = check_centering_effect(g, tau)
+    rep = check_centering_effect(g, a, tau)
     has_edges = g.num_edges > 0
     claims = []
     if rep.rest_pairs:
@@ -564,8 +556,7 @@ def check_vanilla_oversmoothing(
     mu_end = log.records[-1][0]
     slope = fit_log_slope(trace)
     ok = mu_end <= 1e-6 * mu0 and np.isfinite(slope) and slope < 0
-    return ConvergenceTrace(projections={2: trace}, slopes={2: slope},
-                            target_rate=target,
+    return ConvergenceTrace(slopes={2: slope}, target_rate=target,
                             verdict=PASS if ok else FAIL,
                             notes=f"mu ratio {mu_end / mu0:.3e}")
 

@@ -190,17 +190,15 @@ def top_k(es: EigenSystem, k: int) -> np.ndarray:
     return es.vectors[:, :k].copy()
 
 
-def numerical_rank(x: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
-    """Count singular values above rel_tol * sigma_max * max(n, k)."""
-    if rel_tol <= 0:
-        raise DomainError("rel_tol must be positive")
+def numerical_rank(x: np.ndarray) -> int:
+    """Count singular values above RANK_REL_TOL * sigma_max * max(n, k)."""
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         return 0
     sigma = np.linalg.svd(x, compute_uv=False)
     if sigma[0] == 0.0:
         return 0
-    threshold = rel_tol * sigma[0] * max(x.shape)
+    threshold = RANK_REL_TOL * sigma[0] * max(x.shape)
     return int(np.sum(sigma > threshold))
 
 

@@ -359,11 +359,10 @@ def test_simulate_default_builds_no_dense_operator(tmp_path, capsys,
 # verify builds each operator kind once and solves each eigenproblem
 # once: --props all solves the adjacency's 1-complement system (props 5
 # and 6) and prop 7's spectrum of A, and builds the symmetric-normalized
-# (props 1, 2 and 4) and adjacency (props 3, 5 and 6) operators plus
-# prop 7's adjacency from its graph; prop 4 reads its centred operator
-# through one product, with no solve
+# (props 1, 2 and 4) and adjacency (props 3, 5, 6 and 7) operators;
+# prop 4 reads its centred operator through one product, with no solve
 @pytest.mark.parametrize("props, solves, builds", [
-    ("all", 2, 3), ("6", 1, 1), ("5,6", 1, 1), ("1,2", 0, 1), ("4", 0, 1)],
+    ("all", 2, 2), ("6", 1, 1), ("5,6", 1, 1), ("1,2", 0, 1), ("4", 0, 1)],
     ids=["all", "prop6", "props5-6", "props1-2", "prop4"])
 def test_verify_builds_each_operator_and_solves_each_system_once(
         capsys, monkeypatch, props, solves, builds):
@@ -373,6 +372,16 @@ def test_verify_builds_each_operator_and_solves_each_system_once(
                                "--graph", "er:100,0.1"])
     assert code in (0, 3)
     assert (len(solved), len(built)) == (solves, builds)
+
+
+def test_verify_prop5_reports_the_k_plus_1_slope_alone(capsys):
+    code, out, _ = _run(capsys, ["verify", "--props", "5", "--graph",
+                                 "er:100,0.1", "--k", "4"])
+    assert code == 0
+    (report,) = json.loads(out)
+    assert report["verdict"] == "pass"
+    assert list(report["slopes"]) == ["5"]
+    assert report["slopes"]["5"] <= report["target_rate"] + 0.05
 
 
 # tau = 1 reads its kernel column from the 1-complement solve

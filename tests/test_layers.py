@@ -204,18 +204,11 @@ def test_graph_norm_tau1_matches_batch_norm():
     assert np.abs(out - _one_step("batchnorm", x).final).max() < 1e-12
 
 
-def test_graph_norm_tau_half_golden():
-    # column (2,0): mean 1, subtract 0.5 -> (1.5,-0.5); sigma=sqrt(1.25)
-    out = _normalize(layers._gn, np.array([[2.0], [0.0]]), np.array([0.5]))
-    want = np.array([[1.5], [-0.5]]) / np.sqrt(1.25)
+def test_graph_norm_golden():
+    # column (3,0,0): mean 1 -> (2,-1,-1); sigma = sqrt(6)/sqrt(3)
+    out = _normalize(layers._gn, np.array([[3.0], [0.0], [0.0]]))
+    want = np.array([[2.0], [-1.0], [-1.0]]) / np.sqrt(2.0)
     assert np.abs(out - want).max() < 1e-14
-
-
-def test_graph_norm_tau0_centered_input():
-    x = np.array([[-1.0], [0.0], [1.0]]) / np.sqrt(2.0)
-    n = 3
-    out = _normalize(layers._gn, x, np.zeros(1)) / np.sqrt(n)
-    assert np.abs(out - x).max() < 1e-12
 
 
 # --------------------------------------------------------- graph norm v2

@@ -121,8 +121,12 @@ def test_inherited_spectra(spec):
     assert len(split.structural) + len(split.rest) == g.n
 
 
+def _centering(g, tau):
+    return check_centering_effect(g, build_operator(g, "adjacency"), tau)
+
+
 def test_centering_effect_star4():
-    rep = check_centering_effect(gen_graph("star:4"), 1.0)
+    rep = _centering(gen_graph("star:4"), 1.0)
     assert rep.rest_preserved and rep.rest_max_residual <= 1e-8
     assert rep.dominant_distorted  # star is non-regular
     assert not rep.graph_is_regular
@@ -131,7 +135,7 @@ def test_centering_effect_star4():
 
 
 def test_centering_effect_cycle4_regular():
-    rep = check_centering_effect(gen_graph("cycle:4"), 1.0)
+    rep = _centering(gen_graph("cycle:4"), 1.0)
     assert rep.graph_is_regular
     assert not rep.dominant_distorted  # (I-P) A 1 = 0
     assert rep.rest_preserved
@@ -140,15 +144,23 @@ def test_centering_effect_cycle4_regular():
 def test_centering_effect_tau_scaling():
     g = gen_graph("path:5")
     for tau in (0.5, 1.0):
-        rep = check_centering_effect(g, tau)
+        rep = _centering(g, tau)
         assert abs(rep.trace_gap - tau * 2 * g.num_edges / g.n) < 1e-10
 
 
 def test_centering_effect_rejects_nonpositive_tau():
     with pytest.raises(DomainError):
-        check_centering_effect(gen_graph("star:4"), 0.0)
+        _centering(gen_graph("star:4"), 0.0)
     with pytest.raises(DomainError):
-        check_centering_effect(gen_graph("star:4"), -1.0)
+        _centering(gen_graph("star:4"), -1.0)
+
+
+def test_centering_effect_needs_the_graphs_adjacency():
+    g = gen_graph("star:4")
+    for a in (build_operator(g, "sym_normalized"),
+              build_operator(gen_graph("star:5"), "adjacency")):
+        with pytest.raises(ContractError):
+            check_centering_effect(g, a, 1.0)
 
 
 def test_indicator_and_sizes():

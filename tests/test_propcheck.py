@@ -381,19 +381,23 @@ def test_prop6_degenerate_gap_inconclusive():
     assert rep.verdict == INCONCLUSIVE
 
 
+def _prop7(g, tau=1.0):
+    """Prop 7 on g's adjacency operator, as a verify run hands it over."""
+    return check_prop7_centering(g, build_operator(g, "adjacency"), tau)
+
+
 def test_prop7_star_cycle_edgeless():
-    assert check_prop7_centering(gen_graph("star:4"), 1.0).verdict == PASS
-    rep = check_prop7_centering(gen_graph("cycle:4"), 1.0)
+    assert _prop7(gen_graph("star:4")).verdict == PASS
+    rep = _prop7(gen_graph("cycle:4"))
     assert rep.verdict == PASS
     assert "regular" in rep.notes
-    assert check_prop7_centering(make_graph(3, []), 1.0).verdict == \
-        INCONCLUSIVE
+    assert _prop7(make_graph(3, [])).verdict == INCONCLUSIVE
 
 
 @pytest.mark.parametrize("spec, trials", [("star:16", 3), ("cycle:12", 2),
                                           ("path:7", 3)])
 def test_prop7_counts_claim1_where_rest_pairs_exist(spec, trials):
-    rep = check_prop7_centering(gen_graph(spec), 1.0)
+    rep = _prop7(gen_graph(spec))
     assert (rep.verdict, rep.trials, rep.successes) == (PASS, trials, trials)
     assert rep.notes.startswith("rest residual")
 
@@ -401,7 +405,7 @@ def test_prop7_counts_claim1_where_rest_pairs_exist(spec, trials):
 def test_prop7_leaves_out_claim1_on_a_discrete_partition():
     g = gen_graph("er:100,0.1", seed=0)
     assert partition.wl_refine(g).m == g.n
-    rep = check_prop7_centering(g, 1.0)
+    rep = _prop7(g)
     assert (rep.verdict, rep.trials, rep.successes) == (PASS, 2, 2)
     assert "rest residual" not in rep.notes
     assert rep.notes.endswith("; no rest pairs: the WL partition is discrete")
@@ -420,7 +424,7 @@ def test_prop7_fails_a_centring_that_moves_rest_pairs(monkeypatch):
     monkeypatch.setattr(
         partition, "center_operator",
         lambda a, tau: graphio.center_operator(a, tau) + 1e-3 * np.outer(r, r))
-    rep = check_prop7_centering(g, 1.0)
+    rep = _prop7(g)
     assert (rep.verdict, rep.trials, rep.successes) == (FAIL, 3, 2)
     assert rep.evidence[0] > 1e-6
 
