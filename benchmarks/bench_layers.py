@@ -1,8 +1,9 @@
 """Per-step cost of every layer variant, of the operator product and of
 ``metrics.mu``, and the one-time cost of building a graph and its
 operators, of ``simulate``'s set-up and run, of the centred solves, of
-props 3, 4, 5 and 6's checks, of stacked residual runs and of ``verify``
-runs, one in this process and three each in a fresh process.
+the partition tools, of props 3-7's checks, of stacked residual runs
+and of ``verify`` runs, one in this process and three each in a fresh
+process.
 
     python benchmarks/bench_layers.py [--src DIR] [--column NAME]
 
@@ -30,24 +31,20 @@ set-up, stopped at the first layer step (graph, operator, reference
 and observer, so its excess over ``gen_graph`` and ``build_operator
 sym_normalized`` is the reference's), and the whole run.  For each
 PROP6 (graph spec, seed), ``check_prop6_tightness`` at verify's k = 4
-and eps = 0.01 gets the same over PROP6_REPEATS calls, given the
+and eps = 0.01 gets the same over CHECK_REPEATS calls, given the
 adjacency operator, its ``ones_complement_eig`` system and x0 as
-``verify --seed`` builds them, with its verdict and notes.  For each
-PROP3 (graph spec, seed), ``check_prop3_krylov_reachability`` on the
-same inputs gets the process time of one call, its verdict and notes,
-and the ``tracemalloc`` peak of a second call; where the check still
-takes a caller-drawn y and Krylov basis, the timed call builds them as
-``verify`` did.  For each PROP5 (graph spec, seed),
-``check_prop5_topk_convergence`` at verify's k = 4 and 256 steps, given
-the adjacency operator, its ``ones_complement_eig`` system and x0 as
-``verify --seed`` builds them, gets the same and the number of slopes
-its report holds.  On the
-ONE_TIME graphs, ``ones_complement_eig`` of both symmetric kinds,
-``centered_eig(adjacency, 1.0)`` and prop 4's check at trials = 0 (its
-precondition and floor, with verify's x0 and all-ones reference) get
-their median over SOLVE_REPEATS calls and one call's peak; where prop
-4's check still takes an ``EigenSystem``, the timed call includes the
-``ones_complement_eig`` that verify solved for it.  So does
+``verify --seed`` builds them, with its verdict and notes.  So do
+``check_prop3_krylov_reachability`` on the same inputs for each PROP3
+(graph spec, seed), and ``check_prop5_topk_convergence`` at verify's
+k = 4 and 256 steps for each PROP5 (graph spec, seed), with the number
+of slopes its report holds.  On the ONE_TIME graphs,
+``ones_complement_eig`` of both symmetric kinds,
+``centered_eig(adjacency, 1.0)``, prop 4's check at trials = 0 (its
+precondition and floor, with verify's x0 and all-ones reference),
+``wl_refine`` followed by ``quotient``, ``split_eigenpairs`` given the
+adjacency's ``symmetric_eig`` system and that partition, and
+``check_prop7_centering`` at tau = 1 given the adjacency operator get
+their median over SOLVE_REPEATS calls and one call's peak.  So does
 ``verify --props VERIFY_PROPS --graph VERIFY_GRAPH``, through
 ``cli.main``.  For each STACKED (graph, T, k), a residual
 ``run_trajectory`` with prop 1's ``mu`` observer, as ``verify`` runs
@@ -75,7 +72,6 @@ THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
 os.environ.update(THREAD_ENV)   # before numpy loads
 
 import argparse  # noqa: E402
-import inspect  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
@@ -98,15 +94,16 @@ ONE_TIME = ("er:1000,0.01", "er:3000,0.005")
 STEPS, REPEATS = 64, 7
 # simulate's width, steps and repeats on the ONE_TIME graphs
 SIM_K, SIM_STEPS, SIM_REPEATS = 32, 16, 3
-# (graph spec, verify seed) of the timed prop 6 checks
+# (graph spec, verify seed) of the timed prop 6 checks, and the
+# repeats of each timed prop 3, 5 and 6 check
 PROP6 = (("er:100,0.1", 0), ("er:1000,0.01", 1))
-PROP6_REPEATS = 3
+CHECK_REPEATS = 3
 # (graph spec, verify seed) of the timed prop 3 checks
 PROP3 = (("er:1000,0.01", 0), ("er:3000,0.005", 1))
 # (graph spec, verify seed) of the timed prop 5 checks
 PROP5 = (("er:1000,0.01", 0), ("er:3000,0.005", 1))
-# repeats of the ONE_TIME graphs' centred solves and prop 4 check, and
-# the verify run timed whole
+# repeats of the ONE_TIME graphs' centred solves, partition tools and
+# props 4 and 7, and of the verify run timed whole
 SOLVE_REPEATS = 3
 VERIFY_GRAPH, VERIFY_PROPS = "er:1000,0.01", "4,5,6"
 VERIFY_KEY = f"verify --props {VERIFY_PROPS} --graph {VERIFY_GRAPH}"
@@ -116,7 +113,8 @@ STACKED = (("er:1000,0.01", 20, 4), ("er:3000,0.005", 50, 4))
 PROCESS_RUNS = (("--props", "1,2", "--graph", "er:3000,0.005"),
                 ("--props", "1,2", "--graph", "er:10000,0.0015",
                  "--trials", "50", "--steps", "32"),
-                ("--props", "all", "--graph", "er:1000,0.01"))
+                ("--props", "all", "--graph", "er:1000,0.01"),
+                ("--props", "all", "--graph", "er:3000,0.005", "--seed", "1"))
 PROCESS_REPEATS = 3
 
 
@@ -198,21 +196,8 @@ def _timed(call, repeats):
     return {"ms": round(ms, 2), "peak_bytes": peak}
 
 
-def _prop4_check(pkg, g):
-    """Prop 4's check at trials = 0 on verify's seed-0 inputs, with the
-    solve it reads where it still takes an ``EigenSystem``."""
-    a = pkg.graphio.build_operator(g, pkg.graphio.SYM_NORMALIZED)
-    x0 = pkg.cli._initial_features(g, 4, (0, 202), True)
-    v = pkg.metrics.all_ones_reference(g.n)
-    check = pkg.propcheck.check_prop4_bn_no_collapse
-    if "es" in inspect.signature(check).parameters:
-        return lambda: check(a, pkg.spectral.ones_complement_eig(a), x0, v,
-                             trials=0)
-    return lambda: check(a, x0, v, trials=0)
-
-
 def _one_time_row(pkg, spec):
-    graphio, spectral = pkg.graphio, pkg.spectral
+    graphio, partition, spectral = pkg.graphio, pkg.partition, pkg.spectral
     g = graphio.gen_graph(spec, seed=0, largest_cc=True)
     row = {"n": g.n, "edges": g.num_edges, "gen_graph": _timed(
         lambda: graphio.gen_graph(spec, seed=0, largest_cc=True), REPEATS)}
@@ -230,8 +215,19 @@ def _one_time_row(pkg, spec):
     a = graphio.build_operator(g, graphio.ADJACENCY)
     row["centered_eig adjacency tau=1"] = _timed(
         lambda: spectral.centered_eig(a, 1.0), SOLVE_REPEATS)
-    row["check_prop4 trials=0"] = _timed(_prop4_check(pkg, g),
-                                         SOLVE_REPEATS)
+    s = graphio.build_operator(g, graphio.SYM_NORMALIZED)
+    x0 = pkg.cli._initial_features(g, 4, (0, 202), True)
+    v = pkg.metrics.all_ones_reference(g.n)
+    row["check_prop4 trials=0"] = _timed(
+        lambda: pkg.propcheck.check_prop4_bn_no_collapse(s, x0, v, trials=0),
+        SOLVE_REPEATS)
+    row["wl_refine + quotient"] = _timed(
+        lambda: partition.quotient(g, partition.wl_refine(g)), SOLVE_REPEATS)
+    es, ep = spectral.symmetric_eig(a), partition.wl_refine(g)
+    row["split_eigenpairs"] = _timed(
+        lambda: partition.split_eigenpairs(es, ep), SOLVE_REPEATS)
+    row["check_prop7_centering tau=1"] = _timed(
+        lambda: pkg.propcheck.check_prop7_centering(g, a, 1.0), SOLVE_REPEATS)
     return row
 
 
@@ -245,21 +241,6 @@ def _verify_row(cli):
         if code not in (0, 3):
             raise RuntimeError(f"verify exited {code} on {VERIFY_GRAPH}")
     return _timed(run, SOLVE_REPEATS)
-
-
-def _once(check):
-    """The check's report, the process time of that call and the
-    ``tracemalloc`` peak bytes of a second call."""
-    start = time.process_time()
-    report = check()
-    ms = 1e3 * (time.process_time() - start)
-    tracemalloc.start()
-    try:
-        check()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return report, {"ms": round(ms, 2), "peak_bytes": peak}
 
 
 def _verify_inputs(pkg, spec, seed):
@@ -279,39 +260,31 @@ def _prop6_row(pkg, spec, seed):
                                                    seed=seed)
     report = check()
     return {"n": g.n, "verdict": report.verdict, "notes": report.notes,
-            "check_prop6_tightness": _timed(check, PROP6_REPEATS)}
+            "check_prop6_tightness": _timed(check, CHECK_REPEATS)}
 
 
-def _prop3_check(pkg, np, a, x0, seed):
-    """Prop 3's check on verify's inputs, with the y and Krylov basis
-    verify drew for it where the check still takes them."""
-    check = pkg.propcheck.check_prop3_krylov_reachability
-    if "y" not in inspect.signature(check).parameters:
-        return lambda: check(a, x0, seed=seed)
-
-    def with_y():
-        kb = pkg.spectral.krylov_basis(a, x0)
-        y = kb.basis @ np.random.default_rng((seed, 303)).normal(
-            size=(kb.basis.shape[1], x0.shape[1]))
-        return check(a, x0, y, kb, seed=seed)
-    return with_y
-
-
-def _prop3_row(pkg, np, spec, seed):
+def _prop3_row(pkg, spec, seed):
     g, a, x0 = _verify_inputs(pkg, spec, seed)
-    report, timed = _once(_prop3_check(pkg, np, a, x0, seed))
+
+    def check():
+        return pkg.propcheck.check_prop3_krylov_reachability(a, x0,
+                                                             seed=seed)
+    report = check()
     return {"n": g.n, "verdict": report.verdict, "notes": report.notes,
-            "check_prop3": timed}
+            "check_prop3": _timed(check, CHECK_REPEATS)}
 
 
 def _prop5_row(pkg, spec, seed):
     g, a, x0 = _verify_inputs(pkg, spec, seed)
     es = pkg.spectral.ones_complement_eig(a)
-    report, timed = _once(lambda: pkg.propcheck.check_prop5_topk_convergence(
-        a, es, x0, 4, seed=seed))
+
+    def check():
+        return pkg.propcheck.check_prop5_topk_convergence(a, es, x0, 4,
+                                                          seed=seed)
+    report = check()
     return {"n": g.n, "verdict": report.verdict, "notes": report.notes,
             "slopes": len(report.slopes),
-            "check_prop5_topk_convergence": timed}
+            "check_prop5_topk_convergence": _timed(check, CHECK_REPEATS)}
 
 
 def _stacked_row(pkg, np, spec, trials, k):
@@ -385,6 +358,7 @@ def main(argv=None) -> int:
     import oversmooth
     import oversmooth.cli
     import oversmooth.metrics
+    import oversmooth.partition
     import oversmooth.propcheck
     import oversmooth.spectral
     column = {"environment": _environment(np),
@@ -395,11 +369,11 @@ def main(argv=None) -> int:
                            for spec in ONE_TIME},
               "solve_repeats": SOLVE_REPEATS,
               VERIFY_KEY: _verify_row(oversmooth.cli),
-              "prop6_repeats": PROP6_REPEATS,
+              "check_repeats": CHECK_REPEATS,
               "prop6": {f"{spec} seed={seed}": _prop6_row(
                   oversmooth, spec, seed) for spec, seed in PROP6},
               "prop3": {f"{spec} seed={seed}": _prop3_row(
-                  oversmooth, np, spec, seed) for spec, seed in PROP3},
+                  oversmooth, spec, seed) for spec, seed in PROP3},
               "prop5": {f"{spec} seed={seed}": _prop5_row(
                   oversmooth, spec, seed) for spec, seed in PROP5},
               "shapes": {f"{spec} T={trials} k={k}": _shape_row(

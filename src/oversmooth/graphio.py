@@ -6,7 +6,7 @@ its matrix, derived from the edge arrays, and multiplies features by
 it through ``a @ x``: through a sliced-ELLPACK copy of the entries
 when the matrix is sparse enough for that to be cheaper, else densely
 (see ``OperatorMatrix``).  Its dense float64 matrix ``data`` is built
-only when something reads it: the eigensolvers, centring, partitions
+only when something reads it: the eigensolvers, ``center_operator``
 or the dense product.  So on a sparse graph, generating it, building
 its operators and running the layer loop make no n x n array.  Edge
 lists are symmetrized on input (directed input is silently
@@ -133,7 +133,7 @@ class OperatorMatrix:
     arrays, so building an operator, choosing its product and running
     the sliced product make no n x n array.  ``data``, the dense matrix,
     is built from the entries on its first read and kept: the
-    eigensolvers, centring, partitions and the dense product read it.
+    eigensolvers, ``center_operator`` and the dense product read it.
 
     ``a @ x`` multiplies an (n, ...) array by A in one of two ways,
     chosen from the entries' per-row counts.  For the sliced product
@@ -458,14 +458,17 @@ def gen_graph(spec: str, seed: int = 0, largest_cc: bool = False) -> Graph:
 def load_graph(source: str, seed: int = 0, largest_cc: bool = False) -> Graph:
     """Read an edge-list file if ``source`` names one, else build the
     generator spec through ``gen_graph``; optionally keep only the
-    largest connected component."""
+    largest connected component.  A graph with no nodes is rejected."""
     path = Path(source)
     if path.is_file():
         g = parse_edge_list(path.read_text())
-        return largest_component(g) if largest_cc else g
-    if source.partition(":")[0].strip().lower() not in _GENERATORS:
+    elif source.partition(":")[0].strip().lower() not in _GENERATORS:
         raise DomainError(f"no such file or generator spec {source!r}")
-    return gen_graph(source, seed=seed, largest_cc=largest_cc)
+    else:
+        g = gen_graph(source, seed=seed)
+    if g.n == 0:
+        raise DomainError(f"graph {source!r} has no nodes")
+    return largest_component(g) if largest_cc else g
 
 
 def _entries(g: Graph) -> tuple:

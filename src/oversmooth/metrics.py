@@ -188,15 +188,6 @@ def dirichlet(g: Graph, x: np.ndarray,
     return _dirichlet(g, _sqrt_degrees(g), x, work)
 
 
-def _laid_out_like(work: Workspace, name: str, x: np.ndarray) -> np.ndarray:
-    """A work array of the (n, k) x's shape in its memory order, row- or
-    column-major, as numpy lays out x's elementwise results, so the
-    column sums over it add in the same order."""
-    if x.strides[0] < x.strides[1]:
-        return work(name, x.shape[::-1]).T
-    return work(name, x.shape)
-
-
 def _unit_columns(x: np.ndarray, norms: np.ndarray,
                   xn: np.ndarray) -> np.ndarray:
     """x with each column divided by its norm, written to xn; columns of
@@ -218,7 +209,7 @@ def col_distance(x: np.ndarray, work: Optional[Workspace] = None) -> float:
     k = x.shape[1]
     if k == 0:
         return 0.0
-    xn = _laid_out_like(work or Workspace(), "cols", x)
+    xn = (work or Workspace())("cols", x.shape)
     _unit_columns(x, np.add.reduce(np.abs(x, out=xn), axis=0), xn)
     gram = xn.T @ xn
     sq = np.add.reduce(np.multiply(xn, xn, out=xn), axis=0)
@@ -237,7 +228,7 @@ def col_projection_distance(x: np.ndarray,
     k = x.shape[1]
     if k == 0:
         return 0.0
-    xn = _laid_out_like(work or Workspace(), "cols", x)
+    xn = (work or Workspace())("cols", x.shape)
     # the sums np.linalg.norm(x, axis=0) forms
     norms = np.sqrt(np.add.reduce(np.multiply(x, x, out=xn), axis=0))
     zero = _unit_columns(x, norms, xn)

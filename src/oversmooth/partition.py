@@ -6,6 +6,8 @@ node with the multiset of (neighbor color, edge weight) pairs until the
 class count stabilizes.  Class indices are canonical: assigned by first
 node occurrence.  Edge weights are quantized to 12 decimal digits so
 the multiset comparison is exact.
+The class indicator H is never formed: H^T x is a class sum, and the
+projector onto col(H) takes class means (``_class_means``).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .graphio import (ADJACENCY, Graph, OperatorMatrix, center_operator,
+from .graphio import (ADJACENCY, Graph, OperatorMatrix, build_operator,
                       is_regular)
 from .spectral import EigenSystem, symmetric_eig
 
@@ -29,14 +31,9 @@ class EquitablePartition:
     colors: tuple[int, ...]
     m: int
 
-    @property
-    def indicator(self) -> np.ndarray:
-        h = np.zeros((len(self.colors), self.m))
-        h[np.arange(len(self.colors)), self.colors] = 1.0
-        return h
-
     def class_sizes(self) -> np.ndarray:
-        return np.bincount(np.array(self.colors), minlength=self.m)
+        return np.bincount(np.asarray(self.colors, dtype=np.intp),
+                           minlength=self.m)
 
 
 @dataclass(frozen=True)
@@ -88,25 +85,26 @@ def wl_refine(g: Graph) -> EquitablePartition:
         colors, m = np.array(new_colors, dtype=np.intp), new_m
 
 
+def _class_means(ep: EquitablePartition, x: np.ndarray) -> np.ndarray:
+    """diag(1/s) H^T x: each class's mean of the (n, c) x's rows, so
+    ``_class_means(ep, x)[colors]`` is x projected onto col(H)."""
+    sums = np.zeros((ep.m, x.shape[1]))
+    np.add.at(sums, np.asarray(ep.colors, dtype=np.intp), x)
+    return sums / ep.class_sizes()[:, None]
+
+
 def quotient(g: Graph, ep: EquitablePartition) -> QuotientGraph:
-    """Mean-connectivity matrix between partition classes."""
-    h = ep.indicator
-    a = g.adjacency()
-    sizes = ep.class_sizes()
-    a_pi = (h.T @ a @ h) / sizes[:, None]
-    if np.abs(a @ h - h @ a_pi).max(initial=0.0) > EQUITABLE_TOL:
+    """Mean-connectivity matrix between partition classes: the class
+    means of A H, which is summed from the adjacency's nonzero entries."""
+    a = build_operator(g, ADJACENCY)
+    colors = np.asarray(ep.colors, dtype=np.intp)
+    ah = np.zeros((g.n, ep.m))
+    np.add.at(ah, (a.rows, colors[a.cols]), a.vals)
+    a_pi = _class_means(ep, ah)
+    if np.abs(ah - a_pi[colors]).max(initial=0.0) > EQUITABLE_TOL:
         raise ContractError("partition not equitable")
-    return QuotientGraph(a_pi=a_pi, class_sizes=tuple(int(s) for s in sizes))
-
-
-def _rotate_cluster(block: np.ndarray, proj: np.ndarray) -> np.ndarray:
-    """Re-orthogonalize a degenerate eigenvector block so that the
-    directions inside the projector's range come first."""
-    c = block.T @ proj @ block
-    c = (c + c.T) / 2.0
-    vals, vecs = np.linalg.eigh(c)
-    order = np.argsort(-vals)
-    return block @ vecs[:, order]
+    return QuotientGraph(a_pi=a_pi, class_sizes=tuple(
+        int(s) for s in ep.class_sizes()))
 
 
 def split_eigenpairs(es: EigenSystem, ep: EquitablePartition) -> EigenpairSplit:
@@ -114,11 +112,10 @@ def split_eigenpairs(es: EigenSystem, ep: EquitablePartition) -> EigenpairSplit:
 
     Within each eigenvalue cluster the eigenvector block is first
     rotated so the intersection with col(H) is spanned by dedicated
-    basis vectors; the split is a statement about subspaces.
+    basis vectors, those most inside col(H) first; the split is a
+    statement about subspaces.
     """
-    h = ep.indicator
-    sizes = ep.class_sizes().astype(float)
-    proj = h @ np.diag(1.0 / sizes) @ h.T  # orthogonal projector on col(H)
+    colors = np.asarray(ep.colors, dtype=np.intp)
     vectors = np.array(es.vectors, copy=True)
     values = es.values
     n = len(values)
@@ -128,9 +125,12 @@ def split_eigenpairs(es: EigenSystem, ep: EquitablePartition) -> EigenpairSplit:
         while j < n and abs(values[j] - values[i]) < _EIG_CLUSTER_TOL:
             j += 1
         if j - i > 1:
-            vectors[:, i:j] = _rotate_cluster(vectors[:, i:j], proj)
+            block = vectors[:, i:j]
+            c = block.T @ _class_means(ep, block)[colors]
+            vals, vecs = np.linalg.eigh((c + c.T) / 2.0)
+            vectors[:, i:j] = block @ vecs[:, np.argsort(-vals)]
         i = j
-    resid = vectors - proj @ vectors
+    resid = vectors - _class_means(ep, vectors)[colors]
     dist = np.sqrt(np.sum(resid * resid, axis=0))
     structural = tuple(int(i) for i in np.flatnonzero(dist <= STRUCTURAL_TOL))
     rest = tuple(int(i) for i in np.flatnonzero(dist > STRUCTURAL_TOL))
@@ -151,6 +151,14 @@ class CenteringReport:
     trace_gap_positive: bool
 
 
+def centred_product(a: OperatorMatrix, tau: float,
+                    v: np.ndarray) -> np.ndarray:
+    """(I - tau 11^T/n) A V in one operator product: A V minus tau
+    times its column means."""
+    av = a @ v
+    return av - tau * av.mean(axis=0)
+
+
 def check_centering_effect(g: Graph, a: OperatorMatrix,
                            tau: float) -> CenteringReport:
     """Evaluate the effect of the centering operator (I - tau 11^T/n)
@@ -160,8 +168,10 @@ def check_centering_effect(g: Graph, a: OperatorMatrix,
     (``rest_pairs`` counts them; none exist when the WL partition is
     discrete).  Claim 2: the dominant eigenvector stops being an
     eigenvector (non-regular graphs), measured by its Rayleigh residual
-    under the centered operator.  Claim 3: the trace (eigenvalue sum)
-    drops by tau * (1^T A 1) / n.
+    under the centered operator.  Both are read from one centred
+    product of the rest vectors and nu_1.  Claim 3: the trace
+    (eigenvalue sum) drops by tau * (1^T A 1) / n, read in closed form
+    from A's entries.
     """
     if tau <= 0:
         raise DomainError(f"tau={tau} must be positive")
@@ -169,23 +179,17 @@ def check_centering_effect(g: Graph, a: OperatorMatrix,
         raise ContractError(f"need the graph's {ADJACENCY} operator, got "
                             f"{a.kind} on {a.n} nodes")
     es = symmetric_eig(a)
-    ep = wl_refine(g)
-    split = split_eigenpairs(es, ep)
-    centered = center_operator(a, tau)
-
-    rest_resid = 0.0
-    for i in split.rest:
-        nu = split.vectors[:, i]
-        rest_resid = max(rest_resid, float(np.linalg.norm(
-            centered @ nu - es.values[i] * nu)))
-
-    nu1 = es.vectors[:, 0]
-    rho = float(nu1 @ centered @ nu1)
-    rayleigh_resid = float(np.linalg.norm(centered @ nu1 - rho * nu1))
-
-    trace_gap = float(np.trace(a.data) - np.trace(centered))
+    split = split_eigenpairs(es, wl_refine(g))
+    rest = list(split.rest)
+    vr, nu1 = split.vectors[:, rest], es.vectors[:, 0]
+    cv = centred_product(a, tau, np.column_stack([vr, nu1]))
+    moved = cv[:, :-1] - vr * es.values[rest]
+    rest_resid = float(np.linalg.norm(moved, axis=0).max(initial=0.0))
+    rho = float(nu1 @ cv[:, -1])
+    rayleigh_resid = float(np.linalg.norm(cv[:, -1] - rho * nu1))
+    trace_gap = float(tau * a.vals.sum() / a.n)
     return CenteringReport(
-        rest_pairs=len(split.rest),
+        rest_pairs=len(rest),
         rest_preserved=bool(rest_resid <= STRUCTURAL_TOL),
         rest_max_residual=rest_resid,
         dominant_distorted=bool(rayleigh_resid > 1e-6),

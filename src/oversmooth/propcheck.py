@@ -86,7 +86,8 @@ class PropReport:
 @dataclass(frozen=True)
 class ConvergenceTrace:
     """A convergence check's fitted log-slope per step, keyed by the
-    1-based eigenindex q of the direction whose trace it fits."""
+    1-based eigenindex q of the direction whose trace it fits; None
+    where the verdict does not read it."""
 
     slopes: dict
     target_rate: float
@@ -95,7 +96,8 @@ class ConvergenceTrace:
 
     def to_json(self) -> dict:
         return {
-            "slopes": {int(q): float(s) for q, s in self.slopes.items()},
+            "slopes": {int(q): None if s is None else float(s)
+                       for q, s in self.slopes.items()},
             "target_rate": float(self.target_rate),
             "verdict": self.verdict,
             "notes": self.notes,
@@ -332,12 +334,13 @@ def check_prop5_topk_convergence(
     operator) converge to the top-k centered eigenspace; ``es`` is
     ``ones_complement_eig(a)``.
 
-    Records ||nu_{k+1}^T X^(t)|| and the top-k distance under Gaussian
-    weights, and fits the trace's log-slope, reported under q = k+1.
-    Pass requires that slope to respect the one-sided bound
-    log(|l_{k+1}|/|l_k|) + 0.05 and the top-k distance to drop below
-    1e-6; when |l_{k+1}| is numerically zero the nu_{k+1} trace is
-    rounding noise, so only the distance is checked.
+    With no spectral gap at k it is inconclusive and runs nothing.
+    Else it records ||nu_{k+1}^T X^(t)|| under Gaussian weights and
+    fits the trace's log-slope, reported under q = k+1.  Pass requires
+    that slope to respect the one-sided bound log(|l_{k+1}|/|l_k|) +
+    0.05 and the final features' top-k distance to be below 1e-6; when
+    |l_{k+1}| is numerically zero the trace would be rounding noise, so
+    only the distance is checked and the slope is None.
     """
     if not 1 <= k <= a.n - 2:
         raise DomainError(f"k={k} outside [1, n-2]")
@@ -345,32 +348,27 @@ def check_prop5_topk_convergence(
     vk = check_orthonormal(es.vectors[:, :k])
     if numerical_rank(vk.T @ x0) < k:
         raise PreconditionError("V_k^T x0 is singular: its rank is below k")
-
-    nu = es.vectors[:, k]
-    trace, tkd = np.zeros(steps), np.zeros(steps)
-
-    def observe(t: int, xt: np.ndarray):
-        trace[t - 1] = np.linalg.norm(nu @ xt)
-        tkd[t - 1] = subspace_distance(xt, vk)
-
-    run_trajectory(a, x0, LayerConfig(variant="batchnorm"), steps,
-                   np.random.default_rng(seed), observer=observe)
-    slope = fit_log_slope(trace)
     scale = max(1.0, absl[0])
-    target, close = float("nan"), tkd[-1] < 1e-6
-    notes = f"final top-k distance {tkd[-1]:.3e}"
     if absl[k - 1] <= _GAP_TOL or absl[k - 1] - absl[k] <= _GAP_TOL * scale:
-        verdict, target = INCONCLUSIVE, 0.0
-        notes = "no spectral gap at k: |l_k| ~ |l_{k+1}|"
-    elif absl[k] <= 1e-10 * scale:
-        verdict = PASS if close else FAIL
-        notes += "; |l_{k+1}| is numerically zero, so the slope is not checked"
-    else:
+        return ConvergenceTrace(slopes={k + 1: None}, target_rate=0.0,
+                                verdict=INCONCLUSIVE, notes="no spectral "
+                                "gap at k: |l_k| ~ |l_{k+1}|")
+    fits = absl[k] > 1e-10 * scale
+    nu = es.vectors[:, k]
+    observe = (lambda _, xt: np.linalg.norm(nu @ xt)) if fits else None
+    log = run_trajectory(a, x0, LayerConfig(variant="batchnorm"), steps,
+                         np.random.default_rng(seed), observer=observe)
+    dist = subspace_distance(log.final, vk)
+    notes = f"final top-k distance {dist:.3e}"
+    if fits:
+        slope = fit_log_slope(np.array(log.records))
         target = float(np.log(absl[k] / absl[k - 1]))
-        ok = np.isfinite(slope) and slope <= target + 0.05 and close
-        verdict = PASS if ok else FAIL
+        ok = np.isfinite(slope) and slope <= target + 0.05 and dist < 1e-6
+    else:
+        slope, target, ok = None, float("nan"), dist < 1e-6
+        notes += "; |l_{k+1}| is numerically zero, so the slope is not checked"
     return ConvergenceTrace(slopes={k + 1: slope}, target_rate=target,
-                            verdict=verdict, notes=notes)
+                            verdict=PASS if ok else FAIL, notes=notes)
 
 
 def identity_steps(values: np.ndarray, c: np.ndarray, t: int) -> np.ndarray:

@@ -267,11 +267,10 @@ def test_criterion_09_wl_quotient_goldens():
         g = gen_graph(spec, seed=0)
         ep = wl_refine(g)
         q = quotient(g, ep)
-        h = ep.indicator
         adj = g.adjacency()
         vals, vecs = np.linalg.eig(q.a_pi)
         for i in range(ep.m):
-            lifted = h @ vecs[:, i].real
+            lifted = vecs[list(ep.colors), i].real  # H nu
             r = np.linalg.norm(adj @ lifted - vals[i].real * lifted)
             resid_ok &= r <= 1e-8 * max(1.0, np.linalg.norm(lifted))
     ok = star_ok and cyc_ok and resid_ok

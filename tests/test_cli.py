@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oversmooth import cli, graphio, layers, spectral
+from oversmooth import cli, graphio, layers, propcheck, spectral
 from oversmooth.graphio import gen_graph
 from oversmooth.metrics import MetricRecord
 
@@ -384,6 +384,19 @@ def test_verify_prop5_reports_the_k_plus_1_slope_alone(capsys):
     assert report["slopes"]["5"] <= report["target_rate"] + 0.05
 
 
+@pytest.mark.parametrize("spec", ["star:16", "cycle:12"])
+def test_verify_prop5_without_a_gap_reports_a_null_slope_and_runs_nothing(
+        capsys, monkeypatch, spec):
+    # |l_3| ~ |l_4| on both graphs: the check decides before any step
+    # and fits no slope to a rounding-noise trace
+    monkeypatch.setattr(propcheck, "run_trajectory", None)
+    code, out, _ = _run(capsys, ["verify", "--props", "5", "--graph", spec,
+                                 "--k", "3"])
+    (report,) = json.loads(out)
+    assert (code, report["verdict"], report["slopes"]) == (
+        0, "inconclusive", {"4": None})
+
+
 # tau = 1 reads its kernel column from the 1-complement solve
 @pytest.mark.parametrize("flags", [["--tau", "1.0"],
                                    ["--tau", "1.0", "--vectors"], []],
@@ -477,6 +490,24 @@ def test_readme_verify_example_exits_0(capsys, seed):
     prop3 = json.loads(out)[2]
     assert prop3["verdict"] == "inconclusive"
     assert "d_f=" in prop3["notes"]
+
+
+@pytest.mark.parametrize("source", ["", "# comment only\n", "er:0,0.1",
+                                    "path:0"],
+                         ids=["empty-file", "comment-file", "er0", "path0"])
+def test_graph_with_no_nodes_exits_1_in_every_subcommand(tmp_path, capsys,
+                                                         source):
+    if ":" not in source:
+        (tmp_path / "g.txt").write_text(source)
+        source = str(tmp_path / "g.txt")
+    for argv in (["partition", source], ["spectrum", source, "--partition"],
+                 ["spectrum", source, "--tau", "0.5"],
+                 ["verify", "--graph", source],
+                 ["simulate", "--graph", source, "--outdir",
+                  str(tmp_path / "out")]):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (1, ""), argv
+        assert err == f"error: graph {source!r} has no nodes\n", argv
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify", "spectrum",

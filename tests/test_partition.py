@@ -4,10 +4,59 @@ import numpy as np
 import pytest
 
 from oversmooth.errors import ContractError, DomainError
-from oversmooth.graphio import build_operator, gen_graph, make_graph
-from oversmooth.partition import (EquitablePartition, check_centering_effect,
-                                  quotient, split_eigenpairs, wl_refine)
+from oversmooth.graphio import (build_operator, center_operator, gen_graph,
+                                make_graph)
+from oversmooth.partition import (STRUCTURAL_TOL, EquitablePartition,
+                                  check_centering_effect, quotient,
+                                  split_eigenpairs, wl_refine)
 from oversmooth.spectral import symmetric_eig
+from test_graphio import _weighted_graph_with_self_loops
+
+
+def _indicator(ep):
+    """The dense n x m class indicator H."""
+    h = np.zeros((len(ep.colors), ep.m))
+    h[np.arange(len(ep.colors)), ep.colors] = 1.0
+    return h
+
+
+def _dense_quotient(g, ep):
+    """H^T A H / s from the dense adjacency."""
+    h = _indicator(ep)
+    return (h.T @ g.adjacency() @ h) / ep.class_sizes()[:, None]
+
+
+def _dense_split(es, ep):
+    """split_eigenpairs through the dense projector H diag(1/s) H^T.
+    Clusters break at gaps of 1e-8 between neighbours, which on the
+    graphs below gives the clusters split_eigenpairs finds."""
+    h = _indicator(ep)
+    proj = h @ np.diag(1.0 / ep.class_sizes()) @ h.T
+    vectors = np.array(es.vectors, copy=True)
+    clusters = np.split(np.arange(len(es.values)), 1 + np.flatnonzero(
+        np.abs(np.diff(es.values)) >= 1e-8))
+    for c in clusters:
+        if len(c) > 1:
+            block = vectors[:, c]
+            m = block.T @ proj @ block
+            vals, vecs = np.linalg.eigh((m + m.T) / 2.0)
+            vectors[:, c] = block @ vecs[:, np.argsort(-vals)]
+    dist = np.linalg.norm(vectors - proj @ vectors, axis=0)
+    return (tuple(np.flatnonzero(dist <= STRUCTURAL_TOL)),
+            tuple(np.flatnonzero(dist > STRUCTURAL_TOL)), vectors)
+
+
+def _dense_centering(a, es, rest, vectors, tau):
+    """(rest residual, Rayleigh residual of nu_1, trace gap) from the
+    dense centred matrix, one rest pair at a time."""
+    centered = center_operator(a, tau)
+    rest_resid = max((np.linalg.norm(centered @ vectors[:, i]
+                                     - es.values[i] * vectors[:, i])
+                      for i in rest), default=0.0)
+    nu1 = es.vectors[:, 0]
+    rho = nu1 @ centered @ nu1
+    return (rest_resid, np.linalg.norm(centered @ nu1 - rho * nu1),
+            np.trace(a.data) - np.trace(centered))
 
 
 def test_wl_star4():
@@ -41,7 +90,7 @@ def test_wl_idempotent_and_equitable():
         ep = wl_refine(g)
         # the returned partition is equitable: quotient accepts it
         q = quotient(g, ep)
-        h = ep.indicator
+        h = _indicator(ep)
         assert np.abs(g.adjacency() @ h - h @ q.a_pi).max() < 1e-9
 
 
@@ -107,7 +156,7 @@ def test_inherited_spectra(spec):
     ep = wl_refine(g)
     q = quotient(g, ep)
     a = g.adjacency()
-    h = ep.indicator
+    h = _indicator(ep)
     vals, vecs = np.linalg.eig(q.a_pi)
     for i in range(ep.m):
         lifted = h @ vecs[:, i].real
@@ -165,7 +214,38 @@ def test_centering_effect_needs_the_graphs_adjacency():
 
 def test_indicator_and_sizes():
     ep = wl_refine(gen_graph("star:4"))
-    h = ep.indicator
+    h = _indicator(ep)
     assert h.shape == (4, 2)
     assert np.array_equal(h.sum(axis=1), np.ones(4))
     assert ep.class_sizes().sum() == 4
+
+
+@pytest.mark.parametrize("g", [
+    gen_graph("star:16"), gen_graph("cycle:12"), gen_graph("path:7"),
+    gen_graph("reg:8,3"), gen_graph("sbm:10+10,0.5,0.1"),
+    _weighted_graph_with_self_loops()],
+    ids=["star16", "cycle12", "path7", "reg8_3", "sbm", "weighted"])
+def test_class_means_match_the_dense_projector(g):
+    ep = wl_refine(g)
+    assert np.array_equal(quotient(g, ep).a_pi, _dense_quotient(g, ep))
+    a = build_operator(g, "adjacency")
+    es = symmetric_eig(a)
+    split = split_eigenpairs(es, ep)
+    structural, rest, vectors = _dense_split(es, ep)
+    assert (split.structural, split.rest) == (structural, rest)
+    for tau in (0.5, 1.0):
+        rep = check_centering_effect(g, a, tau)
+        rest_resid, rayleigh, gap = _dense_centering(a, es, rest, vectors,
+                                                     tau)
+        assert rep.rest_pairs == len(rest)
+        assert abs(rep.rest_max_residual - rest_resid) <= 1e-12
+        assert abs(rep.dominant_rayleigh_residual - rayleigh) <= 1e-12
+        assert rep.trace_gap == pytest.approx(gap, rel=1e-12)
+
+
+def test_partition_tools_take_a_graph_with_no_nodes():
+    g = make_graph(0, [])
+    ep = wl_refine(g)
+    assert (ep.colors, ep.m, ep.class_sizes().tolist()) == ((), 0, [])
+    q = quotient(g, ep)
+    assert q.a_pi.shape == (0, 0) and q.class_sizes == ()

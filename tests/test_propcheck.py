@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from oversmooth import cli, graphio, layers, partition
+from oversmooth import cli, layers, partition
 from oversmooth.errors import DomainError, PreconditionError
 from oversmooth.graphio import (build_operator, gen_graph, load_graph,
                                 make_graph)
@@ -264,6 +264,7 @@ def test_prop5_zero_next_eigenvalue_decides_on_distance(spec, k):
     trace = check_prop5_topk_convergence(*_read(g), x0, k, seed=0)
     assert trace.verdict == PASS
     assert np.isnan(trace.target_rate)
+    assert trace.slopes == {k + 1: None}
     assert "numerically zero" in trace.notes
 
 
@@ -421,9 +422,10 @@ def test_prop7_fails_a_centring_that_moves_rest_pairs(monkeypatch):
     g = gen_graph("star:16")
     r = np.zeros(g.n)
     r[1], r[2] = 1.0, -1.0
+    product = partition.centred_product
     monkeypatch.setattr(
-        partition, "center_operator",
-        lambda a, tau: graphio.center_operator(a, tau) + 1e-3 * np.outer(r, r))
+        partition, "centred_product",
+        lambda a, tau, v: product(a, tau, v) + 1e-3 * np.outer(r, r @ v))
     rep = _prop7(g)
     assert (rep.verdict, rep.trials, rep.successes) == (FAIL, 3, 2)
     assert rep.evidence[0] > 1e-6
