@@ -72,6 +72,7 @@ THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
 os.environ.update(THREAD_ENV)   # before numpy loads
 
 import argparse  # noqa: E402
+import functools  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
@@ -251,40 +252,38 @@ def _verify_inputs(pkg, spec, seed):
     return g, a, pkg.cli._initial_features(g, 4, (seed, 202), True)
 
 
-def _prop6_row(pkg, spec, seed):
+def _check_row(pkg, spec, seed, name, check):
+    """The check ``name`` on verify's inputs at this seed: its verdict,
+    notes and timing, and the number of slopes of a convergence trace.
+    ``check(propcheck, a, es, x0, seed)`` reads the adjacency's
+    ``ones_complement_eig`` system as es(), solved on the first call,
+    before the timing."""
     g, a, x0 = _verify_inputs(pkg, spec, seed)
-    es = pkg.spectral.ones_complement_eig(a)
+    es = functools.cache(lambda: pkg.spectral.ones_complement_eig(a))
 
-    def check():
-        return pkg.propcheck.check_prop6_tightness(a, es, x0, 4, 0.01,
-                                                   seed=seed)
-    report = check()
-    return {"n": g.n, "verdict": report.verdict, "notes": report.notes,
-            "check_prop6_tightness": _timed(check, CHECK_REPEATS)}
-
-
-def _prop3_row(pkg, spec, seed):
-    g, a, x0 = _verify_inputs(pkg, spec, seed)
-
-    def check():
-        return pkg.propcheck.check_prop3_krylov_reachability(a, x0,
-                                                             seed=seed)
-    report = check()
-    return {"n": g.n, "verdict": report.verdict, "notes": report.notes,
-            "check_prop3": _timed(check, CHECK_REPEATS)}
+    def run():
+        return check(pkg.propcheck, a, es, x0, seed)
+    report = run()
+    row = {"n": g.n, "verdict": report.verdict, "notes": report.notes,
+           name: _timed(run, CHECK_REPEATS)}
+    if hasattr(report, "slopes"):
+        row["slopes"] = len(report.slopes)
+    return row
 
 
-def _prop5_row(pkg, spec, seed):
-    g, a, x0 = _verify_inputs(pkg, spec, seed)
-    es = pkg.spectral.ones_complement_eig(a)
-
-    def check():
-        return pkg.propcheck.check_prop5_topk_convergence(a, es, x0, 4,
-                                                          seed=seed)
-    report = check()
-    return {"n": g.n, "verdict": report.verdict, "notes": report.notes,
-            "slopes": len(report.slopes),
-            "check_prop5_topk_convergence": _timed(check, CHECK_REPEATS)}
+# JSON key -> (its (graph spec, verify seed) cases, the timed check's
+# key, the check at verify's k = 4, eps = 0.01 and 256 steps)
+CHECKS = {
+    "prop6": (PROP6, "check_prop6_tightness",
+              lambda pc, a, es, x0, seed: pc.check_prop6_tightness(
+                  a, es(), x0, 4, 0.01, seed=seed)),
+    "prop3": (PROP3, "check_prop3",
+              lambda pc, a, es, x0, seed:
+              pc.check_prop3_krylov_reachability(a, x0, seed=seed)),
+    "prop5": (PROP5, "check_prop5_topk_convergence",
+              lambda pc, a, es, x0, seed: pc.check_prop5_topk_convergence(
+                  a, es(), x0, 4, seed=seed)),
+}
 
 
 def _stacked_row(pkg, np, spec, trials, k):
@@ -370,12 +369,10 @@ def main(argv=None) -> int:
               "solve_repeats": SOLVE_REPEATS,
               VERIFY_KEY: _verify_row(oversmooth.cli),
               "check_repeats": CHECK_REPEATS,
-              "prop6": {f"{spec} seed={seed}": _prop6_row(
-                  oversmooth, spec, seed) for spec, seed in PROP6},
-              "prop3": {f"{spec} seed={seed}": _prop3_row(
-                  oversmooth, spec, seed) for spec, seed in PROP3},
-              "prop5": {f"{spec} seed={seed}": _prop5_row(
-                  oversmooth, spec, seed) for spec, seed in PROP5},
+              **{key: {f"{spec} seed={seed}": _check_row(
+                  oversmooth, spec, seed, name, check)
+                  for spec, seed in cases}
+                 for key, (cases, name, check) in CHECKS.items()},
               "shapes": {f"{spec} T={trials} k={k}": _shape_row(
                   oversmooth, np, spec, trials, k)
                   for spec, trials, k in SHAPES},

@@ -2,7 +2,9 @@
 
 Feature matrices are plain float64 arrays of shape (n, k).
 ``run_trajectory`` owns the only mutable state of a run and looks each
-variant's step up in one table.  It advances T trials, one generator
+variant's step up in one table.  Every variant but the residual one is
+X -> norm(sigma(A X W)): one vanilla step followed by its row's block
+normalizer (none for vanilla).  It advances T trials, one generator
 each, as one node-major (n, T, k) block that every step rewrites in
 place (its docstring has the layout); a single generator is the T = 1
 block, so every variant runs through this one block step.
@@ -15,6 +17,7 @@ than being masked with an epsilon; the other trials of a block go on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -175,26 +178,28 @@ def _block_normalized(num: np.ndarray, den: np.ndarray, ref: np.ndarray,
     return faults
 
 
-# A block normalizer turns the block y, in place, into its numerator and
-# returns (numerator, denominators, reference norms, reason); the step's
-# output is numerator / denominators.
+# A block normalizer (y, s, x, *args) turns the block y = sigma(A X W),
+# in place, into its numerator and returns (numerator, denominators,
+# reference norms, reason); the step's output is numerator /
+# denominators.  x is the step's input block, and args are the run's
+# own arguments, which the variant's table row binds once per run.
 
-def _bn(y, s):
+def _bn(y, s, x):
     ref = _col_norms(y, s)
     y -= _mean(y)
     return y, _col_norms(y, s), ref, "zero vector after centering"
 
 
-def _gn(y, s):
-    y, den, ref, _ = _bn(y, s)
+def _gn(y, s, x):
+    y, den, ref, _ = _bn(y, s, x)
     return (y, den / np.sqrt(y.shape[0]), ref,
             "zero spread after partial centering")
 
 
-def _gn2(y, s, ctx, tau):
+def _gn2(y, s, x, ctx, tau):
+    """Column j of y less V tau_j tau_j^T V^T y_j, V = V_{k+}."""
     ref = _col_norms(y, s)
     coords = ctx.vkplus.T @ y.transpose(1, 0, 2)    # (T, k+1, k)
-    # column j: V tau_j tau_j^T coords_j
     scal = np.sum(tau * coords, axis=1, keepdims=True)  # tau_j^T V^T y_j
     np.matmul(ctx.vkplus, tau * scal, out=s.transpose(1, 0, 2))
     y -= s
@@ -202,60 +207,44 @@ def _gn2(y, s, ctx, tau):
             "zero vector after projection centering")
 
 
-def _trial_major(y: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Copy the block y into out, a C-contiguous (T, n, k) array, each
-    trial's k-float row of a node moved as one np.void element, so the
-    transposing copy loops over n*T rows rather than n*T*k floats."""
-    row = np.dtype((np.void, y.shape[2] * y.itemsize))
-    np.copyto(out.view(row)[..., 0], y.view(row)[..., 0].T)
-    return out
+def _frobenius(y: np.ndarray) -> np.ndarray:
+    """Per-trial Frobenius norm of the block, as (T, 1)."""
+    return np.array([[np.linalg.norm(y[:, t])] for t in range(y.shape[1])])
 
 
-def _frobenius(y: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Per-trial Frobenius norm of the block, as (T, 1): the dot product
-    of each trial's flattened features with itself, the sum
-    np.linalg.norm forms for one matrix, over the trials copied
-    trial-major into the scratch block s."""
-    n, trials, k = y.shape
-    flat = _trial_major(y, s.reshape(trials, n, k)).reshape(trials, 1, -1)
-    return np.sqrt(flat @ flat.transpose(0, 2, 1))[:, 0]
-
-
-def _pn(y, s, scale):
-    ref = _frobenius(y, s)
+def _pn(y, s, x, scale):
+    ref = _frobenius(y)
     y -= _mean(y)
-    den = _frobenius(y, s)
+    den = _frobenius(y)
     y *= scale * np.sqrt(y.shape[0])
     return y, den, ref, "all columns zero after centering"
 
 
 def _unit_columns(y, s, x):
-    """Per-column 2-norm scaling of the step output y of features x."""
+    """Per-column 2-norm scaling, relative to the input's columns."""
     return y, _col_norms(y, s), _col_norms(x, s), "zero column"
 
 
-# A variant's factory runs once per trajectory with (a, x0, cfg) and
-# returns its block step (X, AX, Y, *weights) -> faults: X, AX = A @ X
-# and Y are (n, T, k) blocks, each weight a (T, k, k) stack.  The step
-# writes X's successor into Y and leaves X as it is.  Its first
-# operation, _xw(AX, W, Y), is its last read of AX, so it then uses AX
-# as its scratch block.  faults maps a trial's position in the block to
-# the DegenerateColumnError that stops it.
+# A variant's factory runs once per trajectory with (x0, cfg, normalize),
+# normalize its row's block normalizer bound to cfg or None, and returns
+# its block step (X, AX, Y, *weights) -> faults: X, AX = A @ X and Y are
+# (n, T, k) blocks, each weight a (T, k, k) stack.  The step writes X's
+# successor into Y and leaves X as it is.  Its first operation,
+# _xw(AX, W, Y), is its last read of AX, so it then uses AX as its
+# scratch block.  faults maps a trial's position in the block to the
+# DegenerateColumnError that stops it.
 
-def _sigma_xw(ax, w, y, cfg):
-    _xw(ax, w, y)
-    _apply_nl(y, cfg.nonlinearity)
-    return y
-
-
-def _vanilla(a, x0, cfg):
+def _vanilla(x0, cfg, normalize):
+    """sigma(A X W), then the block normalizer, if there is one."""
     def step(x, ax, y, w):
-        _sigma_xw(ax, w, y, cfg)
-        return {}
+        _xw(ax, w, y)
+        _apply_nl(y, cfg.nonlinearity)
+        return {} if normalize is None else _block_normalized(
+            *normalize(y, ax, x))
     return step
 
 
-def _residual(a, x0, cfg):
+def _residual(x0, cfg, normalize):
     """sigma((1-alpha) AX W1 + alpha X0 W2) from the propagated block AX."""
     def step(x, ax, y, w1, w2):
         _xw(ax, w1, y)
@@ -271,43 +260,21 @@ def _residual(a, x0, cfg):
     return step
 
 
-def _batchnorm(a, x0, cfg):
-    return lambda x, ax, y, w: _block_normalized(
-        *_bn(_sigma_xw(ax, w, y, cfg), ax))
-
-
-def _pairnorm(a, x0, cfg):
-    return lambda x, ax, y, w: _block_normalized(
-        *_pn(_sigma_xw(ax, w, y, cfg), ax, cfg.scale))
-
-
-def _graphnorm(a, x0, cfg):
-    return lambda x, ax, y, w: _block_normalized(
-        *_gn(_sigma_xw(ax, w, y, cfg), ax))
-
-
-def _graphnormv2(a, x0, cfg):
-    ctx = cfg.norm_context
-    tau = np.tile(bn_emulating_tau(ctx)[:, None], (1, x0.shape[1]))
-    return lambda x, ax, y, w: _block_normalized(
-        *_gn2(_sigma_xw(ax, w, y, cfg), ax, ctx, tau))
-
-
-def _powerembed(a, x0, cfg):
-    return lambda x, ax, y, w: _block_normalized(
-        *_unit_columns(_sigma_xw(ax, w, y, cfg), ax, x))
-
-
-# variant -> (step factory, weights drawn per step); the weights are
-# drawn from (weight_spec, weight_spec2) in that order.
+# variant -> (step factory, config -> block normalizer or None, weights
+# drawn per step); the weights are drawn from (weight_spec,
+# weight_spec2) in that order.  Every normalizing variant is the vanilla
+# step with its row's normalizer.
 _STEPS = {
-    "vanilla": (_vanilla, 1),
-    "residual": (_residual, 2),
-    "batchnorm": (_batchnorm, 1),
-    "pairnorm": (_pairnorm, 1),
-    "graphnorm": (_graphnorm, 1),
-    "graphnormv2": (_graphnormv2, 1),
-    "powerembed": (_powerembed, 1),
+    "vanilla": (_vanilla, None, 1),
+    "residual": (_residual, None, 2),
+    "batchnorm": (_vanilla, lambda cfg: _bn, 1),
+    "pairnorm": (_vanilla, lambda cfg: partial(_pn, scale=cfg.scale), 1),
+    "graphnorm": (_vanilla, lambda cfg: _gn, 1),
+    # the BN-emulating tau as one (k+1, 1) column for every column
+    "graphnormv2": (_vanilla, lambda cfg: partial(
+        _gn2, ctx=cfg.norm_context,
+        tau=bn_emulating_tau(cfg.norm_context)[:, None]), 1),
+    "powerembed": (_vanilla, lambda cfg: _unit_columns, 1),
 }
 VARIANTS = tuple(_STEPS)
 
@@ -451,8 +418,8 @@ def run_trajectory(a: OperatorMatrix, x0: np.ndarray, cfg: LayerConfig,
     rngs = [rng] if single else list(rng)
     if not rngs:
         raise DomainError("a stacked run needs at least one generator")
-    factory, n_weights = _STEPS[cfg.variant]
-    step = factory(a, x0, cfg)
+    factory, bind, n_weights = _STEPS[cfg.variant]
+    step = factory(x0, cfg, bind and bind(cfg))
     weights = _Weights(
         (cfg.weight_spec, cfg.weight_spec2 or cfg.weight_spec)[:n_weights],
         rngs, k, steps)

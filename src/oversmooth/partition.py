@@ -115,6 +115,10 @@ def split_eigenpairs(es: EigenSystem, ep: EquitablePartition) -> EigenpairSplit:
     basis vectors, those most inside col(H) first; the split is a
     statement about subspaces.
     """
+    if ep.m == es.vectors.shape[0]:
+        # discrete: the projector is the identity, every residual 0
+        return EigenpairSplit(structural=tuple(range(len(es.values))),
+                              rest=(), vectors=es.vectors)
     colors = np.asarray(ep.colors, dtype=np.intp)
     vectors = np.array(es.vectors, copy=True)
     values = es.values

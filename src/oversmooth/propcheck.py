@@ -134,6 +134,21 @@ def _trial_rngs(seed: int, trials: int) -> list:
     return [np.random.default_rng((seed, t)) for t in range(trials)]
 
 
+def _no_trials(proposition: int, bound) -> PropReport:
+    """The report of a trial check asked for zero trials."""
+    return PropReport(proposition=proposition, verdict=UNDEFINED, trials=0,
+                      successes=0, bound=bound, notes="no trials requested")
+
+
+def _mu_minima(a: OperatorMatrix, x0: np.ndarray, cfg: LayerConfig, v,
+               trials: int, steps: int, seed: int) -> list:
+    """Each trial's min_t mu_v(X^(t)) in one stacked run; 0.0 if aborted."""
+    log = run_trajectory(a, x0, cfg, steps, _trial_rngs(seed, trials),
+                         observer=lambda _, x: mu(x, v))
+    return [0.0 if tr.aborted else float(min(tr.records))
+            for tr in log.trials]
+
+
 def check_prop1_residual_no_collapse(
         a: OperatorMatrix, x0: np.ndarray, v: ReferenceVector | np.ndarray,
         alpha: float = 0.2, trials: int = DEFAULT_TRIALS,
@@ -148,14 +163,10 @@ def check_prop1_residual_no_collapse(
     if mu(x0, v) <= 1e-20 * max(1.0, float(np.sum(x0 * x0))):
         raise PreconditionError("x0 already collapsed onto v: mu_v(x0) = 0")
     if trials == 0:
-        return PropReport(proposition=1, verdict=UNDEFINED, trials=0,
-                          successes=0, bound=0.9, notes="no trials requested")
-    cfg = LayerConfig(variant="residual", alpha=alpha)
+        return _no_trials(1, 0.9)
     c_star = 1e-6
-    log = run_trajectory(a, x0, cfg, steps, _trial_rngs(seed, trials),
-                         observer=lambda _, x: mu(x, v))
-    mins = [0.0 if tr.aborted else float(min(tr.records))
-            for tr in log.trials]
+    mins = _mu_minima(a, x0, LayerConfig(variant="residual", alpha=alpha),
+                      v, trials, steps, seed)
     successes = int(sum(m >= c_star for m in mins))
     verdict = PASS if successes >= int(np.ceil(0.9 * trials)) else FAIL
     return PropReport(proposition=1, verdict=verdict, trials=trials,
@@ -179,8 +190,7 @@ def check_prop2_signal_retention(
         raise DomainError("x0 columns must be unit vectors")
     p = 1.0 if s == 0.0 else 1.0 - np.exp(-eps**2 / (2.0 * alpha**2 * s**2))
     if trials == 0:
-        return PropReport(proposition=2, verdict=UNDEFINED, trials=0,
-                          successes=0, bound=p, notes="no trials requested")
+        return _no_trials(2, p)
     spec = WeightSpec(mode="identity") if s == 0.0 else WeightSpec(std=s)
     cfg = LayerConfig(variant="residual", alpha=alpha, weight_spec=spec)
     log = run_trajectory(a, x0, cfg, steps, _trial_rngs(seed, trials))
@@ -311,15 +321,9 @@ def check_prop4_bn_no_collapse(
     k = x0.shape[1]
     c_star = max(k * ones_overlap**2 * (1.0 - 1e-6), 1e-8)
     if trials == 0:
-        return PropReport(proposition=4, verdict=UNDEFINED, trials=0,
-                          successes=0, bound=float(c_star),
-                          notes="no trials requested")
-
-    log = run_trajectory(a, x0, LayerConfig(variant="batchnorm"), steps,
-                         _trial_rngs(seed, trials),
-                         observer=lambda _, x: mu(x, vec))
-    mins = [0.0 if tr.aborted else float(min(tr.records))
-            for tr in log.trials]
+        return _no_trials(4, float(c_star))
+    mins = _mu_minima(a, x0, LayerConfig(variant="batchnorm"), vec, trials,
+                      steps, seed)
     successes = int(sum(m >= c_star for m in mins))
     verdict = PASS if successes == trials else FAIL
     return PropReport(proposition=4, verdict=verdict, trials=trials,

@@ -33,11 +33,12 @@ def _one_step(variant, x, **options):
 
 
 def _normalize(normalizer, x, *args):
-    """A block normalizer of ``layers`` applied to one (n, k) matrix, at
-    a setting no run uses.  The normalizer works in place on a copy."""
+    """A block normalizer of ``layers`` applied to one (n, k) matrix y
+    (also the step's input), with run arguments args no run uses.  The
+    normalizer works in place on a copy."""
     y = np.array(x, dtype=np.float64)[:, None, :]
-    assert not layers._block_normalized(*normalizer(y, np.empty_like(y),
-                                                    *args))
+    assert not layers._block_normalized(*normalizer(
+        y, np.empty_like(y), y.copy(), *args))
     return y[:, 0, :]
 
 
@@ -310,18 +311,18 @@ def test_pair_norm_fixed_point_and_error():
                                    (7, 3, 1), (7, 1, 1), (200, 1, 32)],
                          ids=lambda s: "x".join(map(str, s)))
 def test_trial_major_copy_and_frobenius(shape):
-    # the np.void row copy is the transposing copy, bit for bit, and the
-    # pairnorm norms over it are the dot products of each trial's
-    # contiguous copy
+    # the pairnorm norms, one np.linalg.norm per trial of the block, are
+    # those of each trial's contiguous (trial-major) copy, bit for bit:
+    # its np.linalg.norm and the dot product of its flattened features
+    # with themselves
     n, trials, k = shape
     y = np.random.default_rng(sum(shape)).normal(size=shape)
-    out = np.full((trials, n, k), np.nan)
-    assert layers._trial_major(y, out) is out
-    want = np.ascontiguousarray(y.transpose(1, 0, 2))
-    assert np.array_equal(out, want)
-    flat = want.reshape(trials, 1, n * k)
-    norms = np.sqrt(flat @ flat.transpose(0, 2, 1))[:, 0]
-    assert np.array_equal(layers._frobenius(y, np.empty_like(y)), norms)
+    copy = np.ascontiguousarray(y.transpose(1, 0, 2))
+    norms = layers._frobenius(y)
+    assert norms.shape == (trials, 1)
+    assert np.array_equal(norms, [[np.linalg.norm(c)] for c in copy])
+    flat = copy.reshape(trials, 1, n * k)
+    assert np.array_equal(norms, np.sqrt(flat @ flat.transpose(0, 2, 1))[:, 0])
 
 
 def test_power_embed_unit_columns_and_identity():
@@ -396,6 +397,10 @@ def test_run_trajectory_validation():
         LayerConfig(nonlinearity="tanh")
     with pytest.raises(DomainError):
         LayerConfig(variant="residual", alpha=0.0)
+    # V_{k+} is checked to spectral.ORTHO_TOL = 1e-8, as any basis is
+    with pytest.raises(ContractError, match="vkplus is not orthonormal"):
+        NormContext(vkplus=np.eye(3)[:, :2] * (1.0 + 1e-7))
+    NormContext(vkplus=np.eye(3)[:, :2] * (1.0 + 1e-9))
 
 
 # --------------------------------------------------------- stacked trials
@@ -723,8 +728,8 @@ def test_stacked_observer_gets_a_view_equal_to_the_trial_major_copy():
     assert not any(owned for _, owned in seen)
     # the last step's block is the stacked final
     block = log.final.reshape(a.n, 6, 3)
-    assert np.array_equal(seen[-1][0], layers._trial_major(
-        block, np.empty((6, a.n, 3))))
+    assert np.array_equal(seen[-1][0],
+                          np.ascontiguousarray(block.transpose(1, 0, 2)))
 
 
 def test_finals_are_views_unless_a_trial_stops():

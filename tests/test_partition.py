@@ -1,5 +1,7 @@
 """Equitable partitions, quotient graphs and structural eigenpairs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,32 @@ def test_split_trivial_partition_all_structural():
     split = split_eigenpairs(es, ep)
     assert len(split.structural) == 7
     assert split.rest == ()
+
+
+@pytest.mark.parametrize("spec,seed", [("er:100,0.1", 0), ("er:100,0.1", 3),
+                                       ("er:300,0.05", 0)])
+def test_split_discrete_partition_skips_the_projector(spec, seed):
+    # WL is discrete on these graphs: the split is the dense general
+    # path's, spans each cluster's eigenspace, and forms no n x n array
+    g = gen_graph(spec, seed=seed, largest_cc=True)
+    es = symmetric_eig(build_operator(g, "adjacency"))
+    ep = wl_refine(g)
+    assert ep.m == g.n
+    structural, rest, vectors = _dense_split(es, ep)
+    tracemalloc.start()
+    try:
+        split = split_eigenpairs(es, ep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (split.structural, split.rest) == (structural, rest) == (
+        tuple(range(g.n)), ())
+    clusters = np.split(np.arange(g.n), 1 + np.flatnonzero(
+        np.abs(np.diff(es.values)) >= 1e-8))
+    for c in clusters:
+        ours, theirs = split.vectors[:, c], vectors[:, c]
+        assert np.abs(ours @ ours.T - theirs @ theirs.T).max() <= 1e-12
+    assert peak < g.n * g.n * 8 // 4, peak
 
 
 @pytest.mark.parametrize("spec", ["star:4", "path:4", "cycle:6", "er:16,0.4"])

@@ -3,9 +3,15 @@
 ``perfbench/spans.py`` lists every (module, attribute) it wraps; a
 rename or deletion in the package would break the traced run, so check
 the names here, install and remove the tracer once, and check that a
-traced stacked run records what an untraced one does.
+traced stacked run records what an untraced one does.  The per-variant
+step timings of ``perfbench/child.py`` and ``benchmarks/bench_layers.py``
+build ``NormContext(vkplus=...)`` and ``LayerConfig(variant=...,
+norm_context=...)``, so run both on the package too.
 """
 
+import math
+import os
+import sys
 import types
 from pathlib import Path
 
@@ -13,18 +19,24 @@ import numpy as np
 
 import oversmooth
 import oversmooth.cli
+import oversmooth.metrics
 import oversmooth.propcheck
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+
+
+def _load(path, name):
+    """Run the script's source in a fresh module; nothing is written
+    next to it (no bytecode cache)."""
+    module = types.ModuleType(name)
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
 
 
 def _load_spans():
-    """Run spans.py's source in a fresh module; nothing is written next
-    to it (no bytecode cache)."""
-    module = types.ModuleType("perfbench_spans")
-    module.__file__ = str(SPANS)
-    exec(compile(SPANS.read_text(), str(SPANS), "exec"), module.__dict__)
-    return module
+    return _load(SPANS, "perfbench_spans")
 
 
 def test_traced_names_exist():
@@ -85,3 +97,24 @@ def test_traced_stacked_run_keeps_its_records():
     assert summary["layers.observer"]["calls"] == 40
     assert summary["metrics.mu"]["calls"] == 40
     assert tracer.steps == 40
+
+
+def test_child_times_every_variant(monkeypatch):
+    # child.py imports spans.py as a top-level module
+    monkeypatch.setitem(sys.modules, "spans", _load_spans())
+    child = _load(ROOT / "perfbench" / "child.py", "perfbench_child")
+    times = child.variant_step_us(oversmooth)
+    for variant in oversmooth.layers.VARIANTS:
+        us = times[f"layers.{variant}_step_us"]
+        assert math.isfinite(us) and us > 0, variant
+
+
+def test_bench_layers_times_every_variant(monkeypatch):
+    # the script pins BLAS threads in os.environ as it loads
+    monkeypatch.setattr(os, "environ", dict(os.environ))
+    bench = _load(ROOT / "benchmarks" / "bench_layers.py", "bench_layers")
+    row = bench._shape_row(oversmooth, np, "er:30,0.3", 2, 3)
+    assert (row["T"], row["k"]) == (2, 3)
+    for variant in oversmooth.layers.VARIANTS:
+        us = row["step_us"][variant]
+        assert math.isfinite(us) and us > 0, variant

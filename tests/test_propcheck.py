@@ -146,7 +146,7 @@ def test_prop3_decides_up_to_its_horizon(seed):
     assert rep.successes == rep.trials == 2 * d_f
 
 
-def _x_for_x0(a, x0, cfg):
+def _x_for_x0(x0, cfg, normalize):
     """A residual step that injects the current X where X0 belongs."""
     def step(x, ax, y, w1, w2):
         layers._xw(ax, w1, y)
@@ -158,10 +158,10 @@ def _x_for_x0(a, x0, cfg):
     return step
 
 
-def _leaking(a, x0, cfg):
+def _leaking(x0, cfg, normalize):
     """The residual step plus 1e-6 of its largest entry on node 0,
     outside Kr."""
-    step = layers._residual(a, x0, cfg)
+    step = layers._residual(x0, cfg, normalize)
 
     def leak(x, ax, y, w1, w2):
         faults = step(x, ax, y, w1, w2)
@@ -171,7 +171,7 @@ def _leaking(a, x0, cfg):
 
 
 def test_prop3_fails_a_step_that_injects_x_for_x0(monkeypatch):
-    monkeypatch.setitem(layers._STEPS, "residual", (_x_for_x0, 2))
+    monkeypatch.setitem(layers._STEPS, "residual", (_x_for_x0, None, 2))
     rep = check_prop3_krylov_reachability(*_verify_inputs(0))
     # depth 1 starts from X0 itself, so the first miss is depth 2
     assert rep.verdict == FAIL
@@ -179,7 +179,7 @@ def test_prop3_fails_a_step_that_injects_x_for_x0(monkeypatch):
 
 
 def test_prop3_converse_fails_a_step_that_leaks_outside_kr(monkeypatch):
-    monkeypatch.setitem(layers._STEPS, "residual", (_leaking, 2))
+    monkeypatch.setitem(layers._STEPS, "residual", (_leaking, None, 2))
     rep = check_prop3_krylov_reachability(*_verify_inputs(0))
     assert rep.verdict == FAIL
     assert "converse fails at step 1" in rep.notes
@@ -340,15 +340,16 @@ def test_prop6_replay_stops_at_its_float64_horizon(capsys):
 
 
 def test_prop6_fails_when_the_layer_step_is_wrong(monkeypatch):
-    # BatchNorm columns of norm 2: the schedule's own normalisation does
-    # not share the layer code, so the replay gap shows the fault
-    normalize = layers._bn
-
-    def doubled(y, s):
-        num, den, ref, why = normalize(y, s)
+    # BatchNorm columns of norm 2, through the BatchNorm row of the
+    # step table: the schedule's own normalisation does not share the
+    # layer code, so the replay gap shows the fault
+    def doubled(y, s, x):
+        num, den, ref, why = layers._bn(y, s, x)
         return num, den / 2.0, ref, why
 
-    monkeypatch.setattr(layers, "_bn", doubled)
+    factory, _, n_weights = layers._STEPS["batchnorm"]
+    monkeypatch.setitem(layers._STEPS, "batchnorm",
+                        (factory, lambda cfg: doubled, n_weights))
     g = gen_graph("er:40,0.25", seed=3, largest_cc=True)
     rep = check_prop6_tightness(*_read(g), _unit_x0(g.n, 3, seed=3), 3,
                                 eps=0.05, seed=3)
