@@ -23,7 +23,9 @@ by STEPS; ``a @ x`` is timed on an (n, T*k) array and ``mu`` on the
 (T, n, k) block (the (n, k) matrix at T = 1), each the median of
 REPEATS repeats of a timeit loop.  For the ONE_TIME graphs, ``gen_graph``
 and ``build_operator`` of each kind get their median time over REPEATS
-calls and the ``tracemalloc`` peak bytes of one more call.  So does
+calls and the ``tracemalloc`` peak bytes of one more call, each
+``build_operator`` call on a fresh ``Graph`` of the same edge arrays,
+so no call reads the entry list an earlier one cached.  So does
 ``simulate`` with its defaults (the dominant-eigenvector reference of
 the symmetric-normalized operator) at batchnorm, k = SIM_K and
 SIM_STEPS steps, through ``cli.main``, over SIM_REPEATS calls: its
@@ -44,7 +46,8 @@ precondition and floor, with verify's x0 and all-ones reference),
 ``wl_refine`` followed by ``quotient``, ``split_eigenpairs`` given the
 adjacency's ``symmetric_eig`` system and that partition, and
 ``check_prop7_centering`` at tau = 1 given the adjacency operator get
-their median over SOLVE_REPEATS calls and one call's peak.  So does
+their median over SOLVE_REPEATS calls and one call's peak, the partition
+tools and prop 7 also on a fresh ``Graph`` per call.  So does
 ``verify --props VERIFY_PROPS --graph VERIFY_GRAPH``, through
 ``cli.main``.  For each STACKED (graph, T, k), a residual
 ``run_trajectory`` with prop 1's ``mu`` observer, as ``verify`` runs
@@ -200,11 +203,20 @@ def _timed(call, repeats):
 def _one_time_row(pkg, spec):
     graphio, partition, spectral = pkg.graphio, pkg.partition, pkg.spectral
     g = graphio.gen_graph(spec, seed=0, largest_cc=True)
+    # a graph caches the entry list its operators and partition tools
+    # read, so those rows build each call's graph anew
+    def fresh():
+        return graphio.Graph(g.n, g.u, g.v, g.w)
+
+    def partition_tools():
+        f = fresh()
+        return partition.quotient(f, partition.wl_refine(f))
+
     row = {"n": g.n, "edges": g.num_edges, "gen_graph": _timed(
         lambda: graphio.gen_graph(spec, seed=0, largest_cc=True), REPEATS)}
     for kind in graphio.OPERATOR_KINDS:
         row[f"build_operator {kind}"] = _timed(
-            lambda kind=kind: graphio.build_operator(g, kind), REPEATS)
+            lambda kind=kind: graphio.build_operator(fresh(), kind), REPEATS)
     for name, setup_only in (("simulate set-up", True),
                              ("simulate run", False)):
         row[name] = _timed(lambda setup_only=setup_only: _simulate(
@@ -222,13 +234,13 @@ def _one_time_row(pkg, spec):
     row["check_prop4 trials=0"] = _timed(
         lambda: pkg.propcheck.check_prop4_bn_no_collapse(s, x0, v, trials=0),
         SOLVE_REPEATS)
-    row["wl_refine + quotient"] = _timed(
-        lambda: partition.quotient(g, partition.wl_refine(g)), SOLVE_REPEATS)
+    row["wl_refine + quotient"] = _timed(partition_tools, SOLVE_REPEATS)
     es, ep = spectral.symmetric_eig(a), partition.wl_refine(g)
     row["split_eigenpairs"] = _timed(
         lambda: partition.split_eigenpairs(es, ep), SOLVE_REPEATS)
     row["check_prop7_centering tau=1"] = _timed(
-        lambda: pkg.propcheck.check_prop7_centering(g, a, 1.0), SOLVE_REPEATS)
+        lambda: pkg.propcheck.check_prop7_centering(fresh(), a, 1.0),
+        SOLVE_REPEATS)
     return row
 
 

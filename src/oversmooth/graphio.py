@@ -1,22 +1,25 @@
 """Graph construction, parsing, generators and message-passing operators.
 
-A graph is symmetric and non-negative, stored as edge arrays (one
-entry per unordered pair).  An operator holds the nonzero entries of
-its matrix, derived from the edge arrays, and multiplies features by
-it through ``a @ x``: through a sliced-ELLPACK copy of the entries
-when the matrix is sparse enough for that to be cheaper, else densely
-(see ``OperatorMatrix``).  Its dense float64 matrix ``data`` is built
-only when something reads it: the eigensolvers, ``center_operator``
-or the dense product.  So on a sparse graph, generating it, building
-its operators and running the layer loop make no n x n array.  Edge
-lists are symmetrized on input (directed input is silently
-symmetrized).
+A graph is symmetric with finite positive weights, stored as edge
+arrays (one entry per unordered pair); a zero weight is no edge.  The
+graph lists its adjacency's entries once (``Graph.entries``), and its
+degrees, color refinement, the quotient and every operator read that
+list.  An operator holds the nonzero entries of its matrix and
+multiplies features by it through ``a @ x``: through a sliced-ELLPACK
+copy of the entries when the matrix is sparse enough for that to be
+cheaper, else densely (see ``OperatorMatrix``).  Its dense float64
+matrix ``data`` is built only when something reads it: the
+eigensolvers, ``center_operator`` or the dense product.  So on a
+sparse graph, generating it, building its operators and running the
+layer loop make no n x n array.  Edge lists are symmetrized on input
+(directed input is silently symmetrized).
 Generators draw from ``numpy.random.default_rng`` (PCG64) seeded per
 call, so a (spec, seed) pair reproduces exactly within this package.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -67,10 +70,13 @@ _ROW_BLOCK_FLOATS = 1 << 16
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Symmetric weighted graph on nodes 0..n-1, stored as edge arrays:
-    read-only ``u``, ``v`` (intp) and ``w`` (float64) hold one entry
-    per unordered pair, with u <= v and w >= 0, sorted by (u, v).
-    ``make_graph`` builds one from pairs in any order."""
+    """Symmetric weighted graph on n >= 0 nodes 0..n-1, stored as edge
+    arrays: read-only ``u``, ``v`` (intp) and ``w`` (float64) hold one
+    entry per unordered pair, with u <= v and finite w >= 0, sorted by
+    (u, v).  A pair of weight 0 is no edge: it is dropped here, so
+    components, color refinement, ``num_edges`` and every operator see
+    the same edges.  ``make_graph`` builds one from pairs in any
+    order."""
 
     n: int
     u: np.ndarray
@@ -78,6 +84,8 @@ class Graph:
     w: np.ndarray
 
     def __post_init__(self):
+        if self.n < 0:
+            raise DomainError(f"node count {self.n} is negative")
         u, v = np.array(self.u, dtype=np.intp), np.array(self.v, dtype=np.intp)
         w = np.array(self.w, dtype=np.float64)
         if not u.shape == v.shape == w.shape == (len(w),):
@@ -85,13 +93,15 @@ class Graph:
         step = np.diff(u * self.n + v, prepend=-1)
         for bad, what in ((u > v, "has u > v"),
                           ((u < 0) | (v >= self.n), f"outside [0,{self.n})"),
+                          (~np.isfinite(w), "has non-finite weight"),
                           (w < 0, "has negative weight"),
                           (step == 0, "is a duplicate entry for its pair"),
                           (step < 0, "is out of (u, v) order")):
             if bad.any():
                 i = int(np.argmax(bad))
                 raise DomainError(f"edge ({u[i]},{v[i]}) {what}")
-        for name, arr in (("u", u), ("v", v), ("w", w)):
+        kept = w != 0
+        for name, arr in (("u", u[kept]), ("v", v[kept]), ("w", w[kept])):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -100,14 +110,29 @@ class Graph:
         return len(self.w)
 
     @cached_property
+    def entries(self) -> tuple:
+        """The adjacency's entries as read-only (rows, cols, edge), row
+        by row, columns ascending: edge e = (u, v) sits at (u, v) and,
+        off the diagonal, at (v, u); ``edge`` holds each entry's edge
+        index, so ``w[edge]`` are the entries' values."""
+        off = np.flatnonzero(self.u != self.v)
+        rows = np.concatenate([self.u, self.v[off]])
+        cols = np.concatenate([self.v, self.u[off]])
+        order = np.argsort(rows * self.n + cols)
+        entries = (rows[order], cols[order],
+                   np.concatenate([np.arange(self.num_edges), off])[order])
+        for arr in entries:
+            arr.setflags(write=False)
+        return entries
+
+    @cached_property
     def _degrees(self) -> np.ndarray:
-        # each node's entries in column order: as a v below it, then as
-        # a u (a self-loop, u == v, counted once, as on the diagonal);
-        # with no edges bincount returns integers
-        off = self.u != self.v
-        deg = np.bincount(np.concatenate([self.v[off], self.u]),
-                          np.concatenate([self.w[off], self.w]),
-                          minlength=self.n).astype(np.float64, copy=False)
+        # each row's entries summed in column order (a self-loop counted
+        # once, as on the diagonal); with no edges bincount returns
+        # integers
+        rows, _, edge = self.entries
+        deg = np.bincount(rows, self.w[edge], minlength=self.n).astype(
+            np.float64, copy=False)
         deg.setflags(write=False)
         return deg
 
@@ -129,8 +154,8 @@ class OperatorMatrix:
 
     ``rows``, ``cols`` and ``vals`` (read-only) list the nonzero entries
     row by row, columns ascending, the order ``np.nonzero`` gives on the
-    dense matrix.  ``build_operator`` derives them from a graph's edge
-    arrays, so building an operator, choosing its product and running
+    dense matrix.  ``build_operator`` derives them from a graph's entry
+    list, so building an operator, choosing its product and running
     the sliced product make no n x n array.  ``data``, the dense matrix,
     is built from the entries on its first read and kept: the
     eigensolvers, ``center_operator`` and the dense product read it.
@@ -272,7 +297,8 @@ class OperatorMatrix:
 
 def make_graph(n: int, pairs: Iterable | np.ndarray) -> Graph:
     """Graph from (u, v, w) triples or an (m, 3) array: one entry per
-    unordered pair, the last weight given for a pair winning."""
+    unordered pair, the last weight given for a pair winning (a last
+    weight of 0 leaves the pair out)."""
     table = np.asarray(pairs, dtype=np.float64).reshape(-1, 3)
     ends = np.sort(table[:, :2].astype(np.intp), axis=1)
     order = np.lexsort((ends[:, 1], ends[:, 0]))  # stable within a pair
@@ -302,6 +328,8 @@ def parse_edge_list(text: str | bytes) -> Graph:
             raise ParseError(f"line {lineno}: {exc}") from exc
         if u < 0 or v < 0:
             raise ParseError(f"line {lineno}: negative node index")
+        if not math.isfinite(w):
+            raise DomainError(f"line {lineno}: non-finite weight {w}")
         if w < 0:
             raise DomainError(f"line {lineno}: negative weight {w}")
         max_index = max(max_index, u, v)
@@ -471,18 +499,6 @@ def load_graph(source: str, seed: int = 0, largest_cc: bool = False) -> Graph:
     return largest_component(g) if largest_cc else g
 
 
-def _entries(g: Graph) -> tuple:
-    """The adjacency's entries as (rows, cols, edge), row by row,
-    columns ascending: edge e = (u, v) sits at (u, v) and, off the
-    diagonal, at (v, u); ``edge`` holds each entry's edge index."""
-    off = np.flatnonzero(g.u != g.v)
-    rows = np.concatenate([g.u, g.v[off]])
-    cols = np.concatenate([g.v, g.u[off]])
-    order = np.argsort(rows * g.n + cols)
-    return (rows[order], cols[order],
-            np.concatenate([np.arange(g.num_edges), off])[order])
-
-
 def _dense_row_sums(n: int, rows: np.ndarray, cols: np.ndarray,
                     vals: np.ndarray) -> np.ndarray:
     """Row sums of the n x n matrix with these entries (sorted by row),
@@ -503,15 +519,17 @@ def _dense_row_sums(n: int, rows: np.ndarray, cols: np.ndarray,
 
 
 def build_operator(g: Graph, kind: str) -> OperatorMatrix:
-    """Derive a message-passing operator from a graph's edge arrays.
+    """Derive a message-passing operator from a graph's entry list.
 
     adjacency -> A; sym_normalized -> D^-1/2 A D^-1/2; row_stochastic
     -> D^-1 A.  Normalized kinds require every node to have positive
-    degree.  Zero entries (zero-weight edges) are left out.
+    degree.  A graph has no zero weights, so only a normalized value
+    that underflows to zero is left out; where none does, the operator
+    shares the graph's ``rows`` and ``cols`` arrays.
     """
     if kind not in OPERATOR_KINDS:
         raise DomainError(f"unknown operator kind {kind!r}")
-    rows, cols, edge = _entries(g)
+    rows, cols, edge = g.entries
     vals = g.w[edge]
     if kind != ADJACENCY:
         # the dense row sums, whose rounding the operator's bits depend on
@@ -530,8 +548,9 @@ def build_operator(g: Graph, kind: str) -> OperatorMatrix:
         else:
             vals = vals / deg[rows]
     nonzero = vals != 0
-    return OperatorMatrix(g.n, rows[nonzero], cols[nonzero], vals[nonzero],
-                          kind)
+    if not nonzero.all():
+        rows, cols, vals = rows[nonzero], cols[nonzero], vals[nonzero]
+    return OperatorMatrix(g.n, rows, cols, vals, kind)
 
 
 def is_regular(g: Graph) -> bool:

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .graphio import (ADJACENCY, Graph, OperatorMatrix, build_operator,
-                      is_regular)
+from .graphio import ADJACENCY, Graph, OperatorMatrix, is_regular
 from .spectral import EigenSystem, symmetric_eig
 
 EQUITABLE_TOL = 1e-9
@@ -62,14 +61,12 @@ def _canonical_colors(raw: list) -> tuple[tuple[int, ...], int]:
 def wl_refine(g: Graph) -> EquitablePartition:
     """Coarsest equitable partition via color refinement."""
     n = g.n
-    loop = g.u == g.v
-    src = np.concatenate([g.u, g.v[~loop]])
-    dst = np.concatenate([g.v, g.u[~loop]])
+    src, dst, edge = g.entries
     # edge weight classes, equal exactly when weights agree to 12 decimals
     _, wcls = np.unique(np.round(g.w, 12), return_inverse=True)
-    wcls = np.concatenate([wcls, wcls[~loop]])
+    wcls = wcls[edge]
     n_w = int(wcls.max(initial=-1)) + 1
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
+    bounds = np.searchsorted(src, np.arange(n + 1))  # src is sorted
     colors = np.zeros(n, dtype=np.intp)
     m = 1 if n else 0
     while True:
@@ -95,11 +92,11 @@ def _class_means(ep: EquitablePartition, x: np.ndarray) -> np.ndarray:
 
 def quotient(g: Graph, ep: EquitablePartition) -> QuotientGraph:
     """Mean-connectivity matrix between partition classes: the class
-    means of A H, which is summed from the adjacency's nonzero entries."""
-    a = build_operator(g, ADJACENCY)
+    means of A H, which is summed from the graph's entry list."""
+    rows, cols, edge = g.entries
     colors = np.asarray(ep.colors, dtype=np.intp)
     ah = np.zeros((g.n, ep.m))
-    np.add.at(ah, (a.rows, colors[a.cols]), a.vals)
+    np.add.at(ah, (rows, colors[cols]), g.w[edge])
     a_pi = _class_means(ep, ah)
     if np.abs(ah - a_pi[colors]).max(initial=0.0) > EQUITABLE_TOL:
         raise ContractError("partition not equitable")

@@ -232,6 +232,10 @@ def test_edge_list_file_matches_spec(tmp_path, capsys, command):
     from_spec = _run(capsys, [command, "star:5"])
     assert from_spec[0] == 0
     assert _run(capsys, [command, edge_file]) == from_spec
+    # a zero-weight line declares its nodes but adds no edge
+    with open(edge_file, "a") as fh:
+        fh.write("1 2 0\n")
+    assert _run(capsys, [command, edge_file]) == from_spec
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -492,22 +496,47 @@ def test_readme_verify_example_exits_0(capsys, seed):
     assert "d_f=" in prop3["notes"]
 
 
+def _every_subcommand(tmp_path, source):
+    """A generator spec, or the text of an edge-list file written for
+    it, and the argv of each subcommand run on it."""
+    if ":" not in source:
+        (tmp_path / "g.txt").write_text(source)
+        source = str(tmp_path / "g.txt")
+    return source, (["partition", source],
+                    ["spectrum", source, "--partition"],
+                    ["spectrum", source, "--tau", "0.5"],
+                    ["verify", "--graph", source],
+                    ["simulate", "--graph", source, "--outdir",
+                     str(tmp_path / "out")])
+
+
 @pytest.mark.parametrize("source", ["", "# comment only\n", "er:0,0.1",
                                     "path:0"],
                          ids=["empty-file", "comment-file", "er0", "path0"])
 def test_graph_with_no_nodes_exits_1_in_every_subcommand(tmp_path, capsys,
                                                          source):
-    if ":" not in source:
-        (tmp_path / "g.txt").write_text(source)
-        source = str(tmp_path / "g.txt")
-    for argv in (["partition", source], ["spectrum", source, "--partition"],
-                 ["spectrum", source, "--tau", "0.5"],
-                 ["verify", "--graph", source],
-                 ["simulate", "--graph", source, "--outdir",
-                  str(tmp_path / "out")]):
+    source, argvs = _every_subcommand(tmp_path, source)
+    for argv in argvs:
         code, out, err = _run(capsys, argv)
         assert (code, out) == (1, ""), argv
         assert err == f"error: graph {source!r} has no nodes\n", argv
+
+
+@pytest.mark.parametrize("source, message", [
+    ("0 1\n1 2 nan\n2 0\n", "line 2: non-finite weight nan"),
+    ("0 1\n1 2 inf\n2 0\n", "line 2: non-finite weight inf"),
+    ("er:-5,0.1", "node count -5 is negative"),
+    ("path:-3", "node count -3 is negative"),
+    ("star:-1", "node count -1 is negative")],
+    ids=["nan-weight", "inf-weight", "er-negative", "path-negative",
+         "star-negative"])
+def test_bad_graph_exits_1_in_every_subcommand(tmp_path, capsys, source,
+                                               message):
+    _, argvs = _every_subcommand(tmp_path, source)
+    for argv in argvs:
+        code, out, err = _run(capsys, argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n"), argv
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify", "spectrum",
@@ -622,6 +651,38 @@ def test_simulate_dominant_eig_needs_connected_graph(tmp_path, capsys):
     for extra in (["--largest-cc"], ["--reference", "all_ones"]):
         code, _, err = _run(capsys, args + extra)
         assert code == 0, err
+
+
+def test_zero_weight_line_is_no_edge_for_simulate(tmp_path, capsys):
+    # two triangles joined by a zero-weight line are two components:
+    # the default reference stops, and --largest-cc keeps one triangle
+    joined, triangle = tmp_path / "joined.txt", tmp_path / "triangle.txt"
+    joined.write_text("0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n2 3 0\n")
+    triangle.write_text("0 1\n1 2\n2 0\n")
+    args = ["simulate", "--steps", "3", "--seeds", "0", "--k", "2"]
+    code, _, err = _run(capsys, args + ["--graph", str(joined), "--outdir",
+                                        str(tmp_path / "none")])
+    assert code == 1
+    assert err.count("\n") == 1 and "--largest-cc" in err
+    csvs = []
+    for source in (joined, triangle):
+        outdir = tmp_path / source.stem
+        code, _, err = _run(capsys, args + ["--graph", str(source),
+                                            "--largest-cc", "--outdir",
+                                            str(outdir)])
+        assert code == 0, err
+        csvs.append((outdir / "vanilla_seed0.csv").read_text())
+    assert csvs[0] == csvs[1]
+
+
+def test_verify_prop7_on_zero_weights_is_inconclusive(tmp_path, capsys):
+    # every line has weight 0: the graph has no edge to test
+    edge_file = tmp_path / "g.txt"
+    edge_file.write_text("0 1 0\n1 2 0\n2 0 0\n")
+    code, out, _ = _run(capsys, ["verify", "--props", "7", "--graph",
+                                 str(edge_file)])
+    (report,) = json.loads(out)
+    assert (code, report["verdict"]) == (0, "inconclusive")
 
 
 def test_verify_prop7_star(tmp_path, capsys):

@@ -37,6 +37,13 @@ def test_parse_edge_list_negative_weight():
         parse_edge_list("0 1 -2")
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_parse_edge_list_non_finite_weight(bad):
+    with pytest.raises(DomainError,
+                       match=f"^line 2: non-finite weight {bad}$"):
+        parse_edge_list(f"0 1\n1 2 {bad}\n")
+
+
 def test_parse_edge_list_comments_and_weights():
     g = parse_edge_list("# header\n0 1 2.5\n\n2 0\n")
     assert g.n == 3
@@ -62,14 +69,22 @@ def test_graph_validation():
             ([0], [5], [1.0], "edge (0,5) outside [0,2)"),
             ([-1], [1], [1.0], "edge (-1,1) outside [0,2)"),
             ([0, 1], [1, 1], [1.0, -0.5], "edge (1,1) has negative weight"),
+            ([0, 1], [1, 1], [1.0, np.nan], "edge (1,1) has non-finite"),
+            ([0], [1], [np.inf], "edge (0,1) has non-finite weight"),
+            ([0], [1], [-np.inf], "edge (0,1) has non-finite weight"),
             ([1], [0], [1.0], "edge (1,0) has u > v"),
             ([0, 0], [1, 1], [1.0, 2.0], "edge (0,1) is a duplicate entry"),
             ([1, 0], [1, 1], [1.0, 2.0], "edge (0,1) is out of (u, v) order"),
             ([0, 1], [1], [1.0, 1.0], "1-d arrays of one length")):
         with pytest.raises(DomainError, match=re.escape(message)):
             Graph(2, u, v, w)
+    with pytest.raises(DomainError, match="node count -1 is negative"):
+        Graph(-1, [], [], [])
     g = Graph(3, [0, 1, 1], [2, 1, 2], [0.5, 3.0, 2.0])
     assert _triples(g) == [(0, 2, 0.5), (1, 1, 3.0), (1, 2, 2.0)]
+    # a zero weight is no edge: the pair is dropped
+    g = Graph(3, [0, 1, 1], [2, 1, 2], [0.5, 0.0, 2.0])
+    assert _triples(g) == [(0, 2, 0.5), (1, 2, 2.0)] and g.num_edges == 2
 
 
 def test_make_graph_last_weight_wins():
@@ -161,15 +176,27 @@ def test_sparse_path_makes_no_dense_matrix():
 
 
 def test_zero_entries_are_left_out():
-    # a zero-weight edge is no entry, as count_nonzero drops it
+    # a zero-weight edge is no edge of the graph and no entry of any
+    # operator, as count_nonzero drops it
     g = make_graph(4, [(0, 1, 2.0), (1, 2, 0.0), (2, 3, 1.0), (3, 3, 0.5),
                        (0, 3, 1.5)])
+    assert g.num_edges == 4 and (1, 2, 0.0) not in _triples(g)
     for kind in OPERATOR_KINDS:
         op = build_operator(g, kind)
         assert np.array_equal(op.data, _dense_operator(g, kind)), kind
         rows, cols = np.nonzero(op.data)
         assert np.array_equal(op.rows, rows), kind
         assert np.array_equal(op.cols, cols), kind
+
+
+def test_underflowing_values_are_left_out():
+    # row 0's degree is 1e300, so its entry 1e-300 / 1e300 underflows
+    g = make_graph(3, [(0, 1, 1e-300), (0, 2, 1e300), (1, 1, 1.0)])
+    op = build_operator(g, "row_stochastic")
+    assert op.data[0, 1] == 0.0 and g.adjacency()[0, 1] > 0.0
+    assert np.array_equal(op.data, _dense_operator(g, "row_stochastic"))
+    rows, cols = np.nonzero(op.data)
+    assert np.array_equal(op.rows, rows) and np.array_equal(op.cols, cols)
 
 
 def test_gen_graph_specs():
@@ -188,6 +215,9 @@ def test_gen_graph_specs():
         gen_graph("cycle:2")
     with pytest.raises(DomainError):
         gen_graph("reg:5,3")  # odd degree needs even n
+    for spec, n in (("er:-5,0.1", -5), ("path:-3", -3), ("star:-1", -1)):
+        with pytest.raises(DomainError, match=f"node count {n} is negative"):
+            gen_graph(spec)
 
 
 def test_degrees_cached_read_only():
@@ -216,6 +246,16 @@ def test_degrees_match_dense_row_sums():
         unit = gen_graph(spec, seed=2)
         assert np.array_equal(unit.degrees(), unit.adjacency().sum(axis=1))
     assert make_graph(3, []).degrees().tolist() == [0.0] * 3
+
+
+def test_degrees_keep_the_concatenation_order_bits():
+    # the sum over the entry list adds each row's weights in the order
+    # the concatenation (v below, then u) did: column order
+    g = _weighted_graph_with_self_loops()
+    off = g.u != g.v
+    want = np.bincount(np.concatenate([g.v[off], g.u]),
+                       np.concatenate([g.w[off], g.w]), minlength=g.n)
+    assert np.array_equal(g.degrees(), want)
 
 
 def test_edge_arrays():
@@ -303,6 +343,12 @@ def test_largest_component_and_connectivity():
     assert is_connected(lcc)
     assert not is_connected(g)
     assert gen_graph("er:200,0.01", seed=0, largest_cc=True).n <= 200
+    # two triangles joined by a zero-weight pair are two components
+    joined = make_graph(6, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0),
+                            (3, 4, 1.0), (4, 5, 1.0), (5, 3, 1.0),
+                            (2, 3, 0.0)])
+    assert not is_connected(joined)
+    assert largest_component(joined).n == 3
 
 
 def _bfs_labels(n, u, v):
@@ -402,6 +448,25 @@ def test_normalized_operators_match_dense_scaling(g):
                           (scaled + scaled.T) / 2.0)
     assert np.array_equal(build_operator(g, "row_stochastic").data,
                           a / deg[:, None])
+
+
+@pytest.mark.parametrize("g", [
+    _weighted_graph_with_self_loops(), gen_graph("star:5"),
+    gen_graph("er:200,0.05", largest_cc=True), make_graph(3, [])],
+    ids=["weighted", "star5", "er200", "edgeless"])
+def test_entries_list_the_adjacency_once(g):
+    rows, cols, edge = g.entries
+    assert g.entries is g.entries
+    assert not any(arr.flags.writeable for arr in g.entries)
+    a = g.adjacency()
+    want_rows, want_cols = np.nonzero(a)
+    assert np.array_equal(rows, want_rows)
+    assert np.array_equal(cols, want_cols)
+    assert np.array_equal(g.w[edge], a[rows, cols])
+    # with no value underflowing, every operator shares the list's indices
+    for kind in OPERATOR_KINDS if g.num_edges else ("adjacency",):
+        op = build_operator(g, kind)
+        assert op.rows is rows and op.cols is cols, kind
 
 
 def _product_graph(spec):

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oversmooth import graphio, partition
 from oversmooth.errors import ContractError, DomainError
 from oversmooth.graphio import (build_operator, center_operator, gen_graph,
                                 make_graph)
@@ -269,6 +270,24 @@ def test_class_means_match_the_dense_projector(g):
         assert abs(rep.rest_max_residual - rest_resid) <= 1e-12
         assert abs(rep.dominant_rayleigh_residual - rayleigh) <= 1e-12
         assert rep.trace_gap == pytest.approx(gap, rel=1e-12)
+
+
+@pytest.mark.parametrize("g", [
+    gen_graph("star:16"), gen_graph("sbm:10+10,0.5,0.1"),
+    _weighted_graph_with_self_loops()], ids=["star16", "sbm", "weighted"])
+def test_partition_tools_read_the_graph_not_an_operator(g, monkeypatch):
+    ep, q = wl_refine(g), quotient(g, wl_refine(g))
+
+    def no_operator(*args):
+        raise AssertionError("build_operator called")
+
+    monkeypatch.setattr(graphio, "build_operator", no_operator)
+    monkeypatch.setattr(partition, "build_operator", no_operator,
+                        raising=False)
+    assert wl_refine(g) == ep
+    got = quotient(g, ep)
+    assert np.array_equal(got.a_pi, q.a_pi)
+    assert got.class_sizes == q.class_sizes
 
 
 def test_partition_tools_take_a_graph_with_no_nodes():
