@@ -1,9 +1,9 @@
-"""Per-step cost of every layer variant, of the operator product and of
-``metrics.mu``, and the one-time cost of building a graph and its
-operators, of ``simulate``'s set-up and run, of the centred solves, of
-the partition tools, of props 3-7's checks, of stacked residual runs
-and of ``verify`` runs, one in this process and three each in a fresh
-process.
+"""Per-step cost of every layer variant, of the operator product, of
+``metrics.mu`` and of each ``MetricObserver`` metric, and the one-time
+cost of building a graph and its operators, of ``simulate``'s set-up
+and run, of the centred solves, of the partition tools, of props 3-7's
+checks, of stacked residual runs and of ``verify`` runs, one in this
+process and three each in a fresh process.
 
     python benchmarks/bench_layers.py [--src DIR] [--column NAME]
 
@@ -21,11 +21,19 @@ symmetric-normalized operator.  A variant's time is the median, over
 REPEATS, of one observer-free ``run_trajectory`` of STEPS steps divided
 by STEPS; ``a @ x`` is timed on an (n, T*k) array and ``mu`` on the
 (T, n, k) block (the (n, k) matrix at T = 1), each the median of
-REPEATS repeats of a timeit loop.  For the ONE_TIME graphs, ``gen_graph``
-and ``build_operator`` of each kind get their median time over REPEATS
-calls and the ``tracemalloc`` peak bytes of one more call, each
-``build_operator`` call on a fresh ``Graph`` of the same edge arrays,
-so no call reads the entry list an earlier one cached.  So does
+REPEATS repeats of a timeit loop.  On OBSERVER_GRAPH at k = SIM_K,
+``simulate``'s block, each metric ``MetricObserver`` records per step
+is timed the same way, called as the observer calls it (with its work
+arrays and checked sqrt-degree column) on ``simulate``'s seed-0 x0:
+``mu`` against the closed-form dominant reference, ``dirichlet``,
+``col_distance``, ``col_projection_distance``, ``numerical_rank``, and
+``subspace_distance`` against the top OBSERVER_TOP_K eigenvectors (the
+``--top-k-metric`` column); so is one whole observer call with that
+basis.  For the ONE_TIME graphs, ``gen_graph`` and ``build_operator``
+of each kind get their median time over REPEATS calls and the
+``tracemalloc`` peak bytes of one more call, each ``build_operator``
+call on a fresh ``Graph`` of the same edge arrays, so no call reads
+the entry list an earlier one cached.  So does
 ``simulate`` with its defaults (the dominant-eigenvector reference of
 the symmetric-normalized operator) at batchnorm, k = SIM_K and
 SIM_STEPS steps, through ``cli.main``, over SIM_REPEATS calls: its
@@ -93,6 +101,9 @@ OUT = ROOT / "BENCH_layers.json"
 # (graph spec, trials T, width k)
 SHAPES = (("er:200,0.05", 1, 32), ("er:100,0.1", 50, 4),
           ("er:1000,0.01", 20, 4), ("er:3000,0.005", 20, 4))
+# simulate's graph, whose observer metrics are timed at k = SIM_K, and
+# the --top-k-metric width of the timed subspace distance
+OBSERVER_GRAPH, OBSERVER_TOP_K = "er:200,0.05", 32
 # graphs whose generation and operator builds are measured
 ONE_TIME = ("er:1000,0.01", "er:3000,0.005")
 STEPS, REPEATS = 64, 7
@@ -160,6 +171,33 @@ def _shape_row(pkg, np, spec, trials, k):
     return {"n": g.n, "T": trials, "k": k, "step_us": step_us,
             "product_us": _median_us(lambda: a @ cols, 20),
             "mu_us": _median_us(lambda: metrics.mu(x, v), 200)}
+
+
+def _observer_row(pkg):
+    """Per-call cost of each metric of simulate's MetricObserver, called
+    as the observer calls it, on OBSERVER_GRAPH at simulate's seed-0
+    x0 of width SIM_K."""
+    graphio, metrics, spectral = pkg.graphio, pkg.metrics, pkg.spectral
+    g = graphio.gen_graph(OBSERVER_GRAPH, seed=0, largest_cc=True)
+    a = graphio.build_operator(g, graphio.SYM_NORMALIZED)
+    tk = spectral.top_k(spectral.symmetric_eig(a), OBSERVER_TOP_K)
+    obs = metrics.MetricObserver(
+        g, metrics.normalized_dominant_reference(g, a), top_k_basis=tk)
+    x = pkg.cli._initial_features(g, SIM_K, (0, 101), True)
+    work = obs.work
+    calls = {
+        "mu": lambda: metrics.mu(x, obs.v, work),
+        "dirichlet": lambda: metrics._dirichlet(g, obs.sqrt_deg, x, work),
+        "col_distance": lambda: metrics.col_distance(x, work),
+        "col_projection_distance":
+            lambda: metrics.col_projection_distance(x, work),
+        "numerical_rank": lambda: spectral.numerical_rank(x),
+        "subspace_distance": lambda: spectral.subspace_distance(
+            x, obs.top_k_basis, out=work("resid", x.shape)),
+        "observer": lambda: obs(0, x),
+    }
+    return {"n": g.n, "k": SIM_K, "top_k": OBSERVER_TOP_K,
+            "us": {name: _median_us(call, 50) for name, call in calls.items()}}
 
 
 class _SetupDone(BaseException):
@@ -388,6 +426,8 @@ def main(argv=None) -> int:
               "shapes": {f"{spec} T={trials} k={k}": _shape_row(
                   oversmooth, np, spec, trials, k)
                   for spec, trials, k in SHAPES},
+              "observer": {f"{OBSERVER_GRAPH} T=1 k={SIM_K}":
+                           _observer_row(oversmooth)},
               "stacked residual": {f"{spec} T={trials} k={k}": _stacked_row(
                   oversmooth, np, spec, trials, k)
                   for spec, trials, k in STACKED},
@@ -398,8 +438,8 @@ def main(argv=None) -> int:
     data["columns"][args.column] = column
     OUT.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     json.dump({key: column[key] for key in (
-        "one_time", "prop6", "prop3", "prop5", "shapes", VERIFY_KEY,
-        "stacked residual", "verify process")},
+        "one_time", "prop6", "prop3", "prop5", "shapes", "observer",
+        VERIFY_KEY, "stacked residual", "verify process")},
               sys.stdout, indent=1)
     print()
     return 0

@@ -1,15 +1,19 @@
 """Graph construction, parsing, generators and message-passing operators.
 
 A graph is symmetric with finite positive weights, stored as edge
-arrays (one entry per unordered pair); a zero weight is no edge.  The
-graph lists its adjacency's entries once (``Graph.entries``), and its
-degrees, color refinement, the quotient and every operator read that
-list.  An operator holds the nonzero entries of its matrix and
-multiplies features by it through ``a @ x``: through a sliced-ELLPACK
-copy of the entries when the matrix is sparse enough for that to be
-cheaper, else densely (see ``OperatorMatrix``).  Its dense float64
-matrix ``data`` is built only when something reads it: the
-eigensolvers, ``center_operator`` or the dense product.  So on a
+arrays (one entry per unordered pair); a zero weight is no edge, and
+no weighted degree nor their total may overflow.  The graph lists its
+adjacency's entries once (``Graph.entries``), and its color
+refinement, the quotient and every operator read that list.  Its one
+degree vector (``Graph.degrees()``), each row summed in the list's
+column order, is summed when the graph is built, to reject overflow;
+it feeds the metrics and scales the normalized operators.  An
+operator holds the nonzero entries of its matrix and multiplies
+features by it through ``a @ x``: through a sliced-ELLPACK copy of the
+entries when the matrix is sparse enough for that to be cheaper, else
+densely (see ``OperatorMatrix``).  Its dense float64 matrix ``data``
+is built only when something reads it: the eigensolvers,
+``center_operator`` or the dense product.  So on a
 sparse graph, generating it, building its operators and running the
 layer loop make no n x n array.  Edge lists are symmetrized on input
 (directed input is silently symmetrized).
@@ -62,10 +66,7 @@ _GATHER_FLOATS = 1 << 16
 # 128 KB; at 64 K pairs, whose 512 KB arrays glibc maps and unmaps
 # chunk after chunk, the first sbm:5000+5000,0.002,0.001 of a process
 # took 174 000 minor faults and 0.75 s, against 3 000 and 0.52 s here.
-# Degrees are summed in dense row blocks of about _ROW_BLOCK_FLOATS
-# floats, in one buffer.
 _PAIR_CHUNK = 1 << 14
-_ROW_BLOCK_FLOATS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,8 +76,9 @@ class Graph:
     entry per unordered pair, with u <= v and finite w >= 0, sorted by
     (u, v).  A pair of weight 0 is no edge: it is dropped here, so
     components, color refinement, ``num_edges`` and every operator see
-    the same edges.  ``make_graph`` builds one from pairs in any
-    order."""
+    the same edges.  A graph whose weighted degrees, or their sum
+    1^T A 1, overflow float64 is rejected.  ``make_graph`` builds one
+    from pairs in any order."""
 
     n: int
     u: np.ndarray
@@ -104,6 +106,13 @@ class Graph:
         for name, arr in (("u", u[kept]), ("v", v[kept]), ("w", w[kept])):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        with np.errstate(over="ignore"):
+            total = self._degrees.sum()
+        if not np.isfinite(total):
+            big = ~np.isfinite(self._degrees)
+            raise DomainError(
+                f"weighted degree of node {int(np.argmax(big))} overflows"
+                if big.any() else "total weight 1^T A 1 overflows")
 
     @property
     def num_edges(self) -> int:
@@ -127,12 +136,15 @@ class Graph:
 
     @cached_property
     def _degrees(self) -> np.ndarray:
-        # each row's entries summed in column order (a self-loop counted
-        # once, as on the diagonal); with no edges bincount returns
-        # integers
-        rows, _, edge = self.entries
-        deg = np.bincount(rows, self.w[edge], minlength=self.n).astype(
-            np.float64, copy=False)
+        # each row summed in column order, as the entry list holds it:
+        # the mirrored (v, u) entries, columns below the row, then the
+        # (u, v) ones, a self-loop counted once.  The list is not sorted
+        # for this, as every graph sums its degrees when it is built.
+        # With no edges bincount returns integers
+        off = self.u != self.v
+        deg = np.bincount(np.concatenate([self.v[off], self.u]),
+                          np.concatenate([self.w[off], self.w]),
+                          minlength=self.n).astype(np.float64, copy=False)
         deg.setflags(write=False)
         return deg
 
@@ -499,32 +511,14 @@ def load_graph(source: str, seed: int = 0, largest_cc: bool = False) -> Graph:
     return largest_component(g) if largest_cc else g
 
 
-def _dense_row_sums(n: int, rows: np.ndarray, cols: np.ndarray,
-                    vals: np.ndarray) -> np.ndarray:
-    """Row sums of the n x n matrix with these entries (sorted by row),
-    bit for bit its dense ``sum(axis=1)``: each row is summed as a dense
-    row, a block of rows scattered into one buffer of about
-    _ROW_BLOCK_FLOATS floats at a time."""
-    height = max(1, _ROW_BLOCK_FLOATS // max(n, 1))
-    block = np.zeros((min(height, n), n))
-    sums = np.empty(n)
-    for lo in range(0, n, height):
-        hi = min(lo + height, n)
-        a, b = np.searchsorted(rows, [lo, hi])
-        r, c = rows[a:b] - lo, cols[a:b]
-        block[r, c] = vals[a:b]
-        np.sum(block[:hi - lo], axis=1, out=sums[lo:hi])
-        block[r, c] = 0.0
-    return sums
-
-
 def build_operator(g: Graph, kind: str) -> OperatorMatrix:
     """Derive a message-passing operator from a graph's entry list.
 
     adjacency -> A; sym_normalized -> D^-1/2 A D^-1/2; row_stochastic
-    -> D^-1 A.  Normalized kinds require every node to have positive
-    degree.  A graph has no zero weights, so only a normalized value
-    that underflows to zero is left out; where none does, the operator
+    -> D^-1 A, with D the graph's one degree vector ``g.degrees()``.
+    Normalized kinds require every node to have positive degree.  A
+    graph has no zero weights, so only a normalized value that
+    underflows to zero is left out; where none does, the operator
     shares the graph's ``rows`` and ``cols`` arrays.
     """
     if kind not in OPERATOR_KINDS:
@@ -532,8 +526,7 @@ def build_operator(g: Graph, kind: str) -> OperatorMatrix:
     rows, cols, edge = g.entries
     vals = g.w[edge]
     if kind != ADJACENCY:
-        # the dense row sums, whose rounding the operator's bits depend on
-        deg = _dense_row_sums(g.n, rows, cols, vals)
+        deg = g.degrees()
         isolated = np.flatnonzero(deg <= 0)
         if isolated.size:
             raise DomainError(

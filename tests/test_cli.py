@@ -505,6 +505,7 @@ def _every_subcommand(tmp_path, source):
     return source, (["partition", source],
                     ["spectrum", source, "--partition"],
                     ["spectrum", source, "--tau", "0.5"],
+                    ["spectrum", source, "--operator", "sym_normalized"],
                     ["verify", "--graph", source],
                     ["simulate", "--graph", source, "--outdir",
                      str(tmp_path / "out")])
@@ -527,9 +528,14 @@ def test_graph_with_no_nodes_exits_1_in_every_subcommand(tmp_path, capsys,
     ("0 1\n1 2 inf\n2 0\n", "line 2: non-finite weight inf"),
     ("er:-5,0.1", "node count -5 is negative"),
     ("path:-3", "node count -3 is negative"),
-    ("star:-1", "node count -1 is negative")],
+    ("star:-1", "node count -1 is negative"),
+    # finite weights whose degrees, or whose total 1^T A 1 alone, overflow
+    ("0 1 1e308\n1 2 1e308\n0 2 1e308\n",
+     "weighted degree of node 0 overflows"),
+    ("".join(f"{i} {i + 1} {'1e308' if i % 2 == 0 else '1e-300'}\n"
+             for i in range(7)), "total weight 1^T A 1 overflows")],
     ids=["nan-weight", "inf-weight", "er-negative", "path-negative",
-         "star-negative"])
+         "star-negative", "degree-overflow", "total-overflow"])
 def test_bad_graph_exits_1_in_every_subcommand(tmp_path, capsys, source,
                                                message):
     _, argvs = _every_subcommand(tmp_path, source)

@@ -75,7 +75,11 @@ def test_graph_validation():
             ([1], [0], [1.0], "edge (1,0) has u > v"),
             ([0, 0], [1, 1], [1.0, 2.0], "edge (0,1) is a duplicate entry"),
             ([1, 0], [1, 1], [1.0, 2.0], "edge (0,1) is out of (u, v) order"),
-            ([0, 1], [1], [1.0, 1.0], "1-d arrays of one length")):
+            ([0, 1], [1], [1.0, 1.0], "1-d arrays of one length"),
+            ([0, 0], [0, 1], [1e308, 1e308], "degree of node 0 overflows"),
+            ([0, 1], [1, 1], [1e308, 1e308], "degree of node 1 overflows"),
+            # two loops: each degree finite, their sum 1^T A 1 not
+            ([0, 1], [0, 1], [1e308, 1e308], "weight 1^T A 1 overflows")):
         with pytest.raises(DomainError, match=re.escape(message)):
             Graph(2, u, v, w)
     with pytest.raises(DomainError, match="node count -1 is negative"):
@@ -85,6 +89,17 @@ def test_graph_validation():
     # a zero weight is no edge: the pair is dropped
     g = Graph(3, [0, 1, 1], [2, 1, 2], [0.5, 0.0, 2.0])
     assert _triples(g) == [(0, 2, 0.5), (1, 2, 2.0)] and g.num_edges == 2
+
+
+def test_large_finite_degrees_are_accepted():
+    # degrees 5.8e307 and 1^T A 1 = 1.74e308, just below the float64 max
+    g = make_graph(3, [(0, 1, 2.9e307), (1, 2, 2.9e307), (0, 2, 2.9e307)])
+    assert g.degrees().tolist() == [5.8e307] * 3
+    assert np.isfinite(g.degrees().sum())
+    assert np.allclose(build_operator(g, "sym_normalized").data,
+                       (np.ones((3, 3)) - np.eye(3)) / 2, rtol=1e-15, atol=0)
+    loop = Graph(1, [0], [0], [np.finfo(float).max])
+    assert loop.degrees().tolist() == [np.finfo(float).max]
 
 
 def test_make_graph_last_weight_wins():
@@ -249,13 +264,15 @@ def test_degrees_match_dense_row_sums():
 
 
 def test_degrees_keep_the_concatenation_order_bits():
-    # the sum over the entry list adds each row's weights in the order
-    # the concatenation (v below, then u) did: column order
+    # the concatenation (v below, then u) adds each row's weights in
+    # column order, the order the entry list holds them in
     g = _weighted_graph_with_self_loops()
     off = g.u != g.v
     want = np.bincount(np.concatenate([g.v[off], g.u]),
                        np.concatenate([g.w[off], g.w]), minlength=g.n)
     assert np.array_equal(g.degrees(), want)
+    rows, _, edge = g.entries
+    assert np.array_equal(g.degrees(), np.bincount(rows, g.w[edge]))
 
 
 def test_edge_arrays():
@@ -439,9 +456,10 @@ def _weighted_graph_with_self_loops():
     gen_graph("er:1000,0.01"), gen_graph("er:200,0.05", largest_cc=True),
     _weighted_graph_with_self_loops()], ids=["er1000", "er200", "weighted"])
 def test_normalized_operators_match_dense_scaling(g):
-    # the edge-wise build reproduces the dense scalings bit for bit
+    # the edge-wise build reproduces the dense scalings by the graph's
+    # degree vector bit for bit
     a = g.adjacency()
-    deg = a.sum(axis=1)
+    deg = g.degrees()
     dinv = 1.0 / np.sqrt(deg)
     scaled = a * dinv[:, None] * dinv[None, :]
     assert np.array_equal(build_operator(g, "sym_normalized").data,
